@@ -41,7 +41,7 @@
 
 use crate::assignment::{Assignment, Instability};
 use crate::instance::AssignmentInstance;
-use td_graph::{GraphBuilder, NodeId, Port};
+use td_graph::{CsrGraph, NodeId, Port};
 use td_local::churn::{
     id_bits, split_role, ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats,
 };
@@ -108,10 +108,12 @@ pub enum AssignRepairInput {
     },
 }
 
-/// Customer-side state.
+/// Customer-side state. Neighbor ids are read from the network each round
+/// ([`Outbox::neighbor_ids`]), so membership changes that renumber nodes
+/// leave the state alone.
+#[derive(Debug, PartialEq, Eq)]
 pub struct CustomerState {
     id_bits: u32,
-    nbr_ids: Vec<u32>,
     /// Port of my current server.
     pub assigned: Option<Port>,
     cache_load: Vec<u32>,
@@ -120,8 +122,8 @@ pub struct CustomerState {
 }
 
 /// Server-side state.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ServerState {
-    nbr_ids: Vec<u32>,
     /// Current load.
     pub load: u32,
     /// Accepting customers?
@@ -131,6 +133,7 @@ pub struct ServerState {
 }
 
 /// Node state: one side of the bipartite repair protocol.
+#[derive(Debug, PartialEq, Eq)]
 pub enum AssignRepairNode {
     /// A customer.
     Customer(CustomerState),
@@ -142,21 +145,21 @@ impl CustomerState {
     /// A valid move target this cycle: available, acceptor-role, and (for
     /// assigned movers) at least 2 below my server's cached load. Returns
     /// the best by (load, server id).
-    fn target(&self, cycle: u32) -> Option<Port> {
+    fn target(&self, nbr_ids: &[u32], cycle: u32) -> Option<Port> {
         let limit = match self.assigned {
             Some(ps) => self.cache_load[ps.idx()].checked_sub(2)?,
             None => u32::MAX,
         };
         let mut best: Option<(u32, u32, usize)> = None;
-        for p in 0..self.cache_load.len() {
+        for (p, &id) in nbr_ids.iter().enumerate() {
             if Some(Port::from(p)) == self.assigned
                 || !self.cache_avail[p]
                 || self.cache_load[p] > limit
-                || split_role(self.nbr_ids[p], cycle, self.id_bits)
+                || split_role(id, cycle, self.id_bits)
             {
                 continue;
             }
-            let key = (self.cache_load[p], self.nbr_ids[p], p);
+            let key = (self.cache_load[p], id, p);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
@@ -195,7 +198,6 @@ impl Protocol for AssignRepairNode {
                 debug_assert_eq!(cache_load.len(), node.degree());
                 AssignRepairNode::Customer(CustomerState {
                     id_bits: *id_bits,
-                    nbr_ids: node.neighbor_ids.to_vec(),
                     assigned: assigned.map(|p| Port::from(p as usize)),
                     cache_load: cache_load.clone(),
                     cache_avail: cache_avail.clone(),
@@ -208,7 +210,6 @@ impl Protocol for AssignRepairNode {
                 announce,
                 ..
             } => AssignRepairNode::Server(ServerState {
-                nbr_ids: node.neighbor_ids.to_vec(),
                 load: *load,
                 available: *available,
                 announce: *announce,
@@ -224,6 +225,7 @@ impl Protocol for AssignRepairNode {
     ) -> Status {
         let phase = ctx.round % PHASES;
         let cycle = ctx.round / PHASES;
+        let nbr_ids = outbox.neighbor_ids();
         match self {
             AssignRepairNode::Customer(c) => {
                 // Server updates can arrive at any phase; refresh first.
@@ -238,8 +240,8 @@ impl Protocol for AssignRepairNode {
                         c.proposed = None;
                         if let Some(ps) = c.assigned {
                             // My server must be donor-role to let me go.
-                            if split_role(c.nbr_ids[ps.idx()], cycle, c.id_bits)
-                                && c.target(cycle).is_some()
+                            if split_role(nbr_ids[ps.idx()], cycle, c.id_bits)
+                                && c.target(nbr_ids, cycle).is_some()
                             {
                                 outbox.send(
                                     ps,
@@ -259,7 +261,7 @@ impl Protocol for AssignRepairNode {
                             None => true, // joiners need no permission
                         };
                         if granted {
-                            if let Some(pt) = c.target(cycle) {
+                            if let Some(pt) = c.target(nbr_ids, cycle) {
                                 let from_load = match c.assigned {
                                     Some(ps) => c.cache_load[ps.idx()],
                                     None => UNASSIGNED_PRIORITY,
@@ -320,7 +322,7 @@ impl Protocol for AssignRepairNode {
                             if m.kind != MsgKind::LeaveRequest {
                                 continue;
                             }
-                            let key = (s.nbr_ids[p.idx()], p);
+                            let key = (nbr_ids[p.idx()], p);
                             if best.is_none_or(|b| key < b) {
                                 best = Some(key);
                             }
@@ -348,7 +350,7 @@ impl Protocol for AssignRepairNode {
                                 if !unassigned && m.a < s.load + 2 {
                                     continue; // no longer a valid improvement
                                 }
-                                let key = (unassigned, m.a, -(s.nbr_ids[p.idx()] as i64), p);
+                                let key = (unassigned, m.a, -(nbr_ids[p.idx()] as i64), p);
                                 if best.is_none_or(|b| key > b) {
                                     best = Some(key);
                                 }
@@ -410,11 +412,17 @@ impl Protocol for AssignRepairNode {
 ///
 /// External ids are stable across events: customers keep the id they were
 /// created with (departed ids are never reused), servers are `0..ns`
-/// forever. The internal bipartite network is rebuilt on shape changes
-/// (joins/leaves) and kept alive across in-place changes (drain/rejoin),
-/// where the arena's stamp machinery keeps untouched regions free.
+/// forever. The internal bipartite network (alive customers in ascending
+/// id order, then the servers) lives in one [`ChurnSim`] for the engine's
+/// whole life. Drains and rejoins change node states only, and the arena's
+/// stamp machinery keeps untouched regions free. Joins and leaves patch
+/// the network in place ([`ChurnSim::rewire`]), leaving the sim as a fresh
+/// build from the engine's records would be, up to a round counter the
+/// protocol cannot tell from 0; debug builds assert this after every join
+/// and leave.
 pub struct AssignChurnEngine {
-    /// Candidate servers per external customer id; `None` = departed.
+    /// Candidate servers per external customer id, ascending; `None` =
+    /// departed.
     customers: Vec<Option<Vec<u32>>>,
     /// Availability per server.
     available: Vec<bool>,
@@ -427,10 +435,49 @@ pub struct AssignChurnEngine {
     threads: usize,
     shards: usize,
     max_rounds: u32,
-    stamp_horizon: Option<u32>,
-    /// Work counters of sims retired by membership rebuilds (the live sim's
-    /// share is read on demand; see [`AssignChurnEngine::exec_perf`]).
-    perf_retired: td_local::ExecPerf,
+}
+
+/// The repair protocol's period in `ctx.round` for `bits` identifier bits:
+/// `round % PHASES` picks the phase, and [`split_role`] reads `cycle % 2`
+/// and `(cycle / 2) % bits`, jointly periodic in `2 · bits` cycles.
+/// Declared to the sim so neither stamp renormalization nor a membership
+/// rewire can disturb the role schedule.
+fn round_period(bits: u32) -> u32 {
+    PHASES * 2 * bits
+}
+
+/// The input a fresh build gives a customer with candidate `list` (whose
+/// order is its port order), assignment `assigned` and server loads
+/// `load`.
+fn customer_input(
+    list: &[u32],
+    assigned: Option<u32>,
+    load: impl Fn(u32) -> u32,
+    available: &[bool],
+    bits: u32,
+) -> AssignRepairInput {
+    AssignRepairInput::Customer {
+        assigned: assigned.map(|s| list.binary_search(&s).expect("assigned ∈ list") as u32),
+        cache_load: list.iter().map(|&s| load(s)).collect(),
+        cache_avail: list.iter().map(|&s| available[s as usize]).collect(),
+        id_bits: bits,
+    }
+}
+
+impl AssignRepairNode {
+    fn customer_mut(&mut self) -> &mut CustomerState {
+        match self {
+            AssignRepairNode::Customer(c) => c,
+            AssignRepairNode::Server(_) => unreachable!("customer range"),
+        }
+    }
+
+    fn server_mut(&mut self) -> &mut ServerState {
+        match self {
+            AssignRepairNode::Server(s) => s,
+            AssignRepairNode::Customer(_) => unreachable!("server range"),
+        }
+    }
 }
 
 impl AssignChurnEngine {
@@ -461,8 +508,6 @@ impl AssignChurnEngine {
             threads: 1,
             shards: 1,
             max_rounds: 10_000_000,
-            stamp_horizon: None,
-            perf_retired: td_local::ExecPerf::default(),
         }
     }
 
@@ -488,22 +533,19 @@ impl AssignChurnEngine {
         self
     }
 
-    /// Lowers the stamp-renormalization horizon of the underlying sim (and
-    /// of every sim this engine rebuilds on membership churn) — a test hook
-    /// for crossing the wrap point quickly; see
-    /// [`ChurnSim::set_stamp_horizon`].
+    /// Lowers the stamp-renormalization horizon of the underlying sim,
+    /// which joins and leaves patch in place, so the horizon holds for the
+    /// engine's whole life — a test hook for crossing the wrap point
+    /// quickly; see [`ChurnSim::set_stamp_horizon`].
     pub fn with_stamp_horizon(mut self, horizon: u32) -> Self {
-        self.stamp_horizon = Some(horizon);
         self.sim.set_stamp_horizon(horizon);
         self
     }
 
     /// Lifetime [`td_local::ExecPerf`] work counters over every repair this
-    /// engine has run, including sims retired by membership rebuilds.
+    /// engine has run (the sim's own: membership patches keep counting).
     pub fn exec_perf(&self) -> td_local::ExecPerf {
-        let mut p = self.perf_retired;
-        p.absorb(self.sim.exec_perf());
-        p
+        self.sim.exec_perf()
     }
 
     fn num_servers(&self) -> usize {
@@ -515,6 +557,9 @@ impl AssignChurnEngine {
         self.alive.binary_search(&c).ok()
     }
 
+    /// Builds the repair network from the engine's records: the path of
+    /// [`AssignChurnEngine::new`], and the reference every membership patch
+    /// is checked against in debug builds.
     fn build_sim(
         customers: &[Option<Vec<u32>>],
         available: &[bool],
@@ -530,29 +575,18 @@ impl AssignChurnEngine {
                 loads[s as usize] += 1;
             }
         }
-        let mut b = GraphBuilder::new(n);
-        for (i, &c) in alive.iter().enumerate() {
-            for &s in customers[c as usize].as_ref().expect("alive customer") {
-                b.add_edge(NodeId::from(i), NodeId::from(nc + s as usize))
-                    .expect("customer lists are duplicate-free");
-            }
-        }
-        let graph = b.build().expect("valid bipartite network");
+        let rows = alive
+            .iter()
+            .map(|&c| customers[c as usize].as_deref().expect("alive customer"));
+        let graph = CsrGraph::sorted_bipartite(num_servers, rows)
+            .expect("candidate lists are ascending and in range");
         let bits = id_bits(n);
         let inputs: Vec<AssignRepairInput> = (0..n)
             .map(|v| {
                 if v < nc {
                     let c = alive[v] as usize;
-                    let list = customers[c].as_ref().expect("alive customer");
-                    // Ports follow insertion order == candidate list order.
-                    let assigned_port = assigned[c]
-                        .map(|s| list.iter().position(|&x| x == s).expect("assigned ∈ list"));
-                    AssignRepairInput::Customer {
-                        assigned: assigned_port.map(|p| p as u32),
-                        cache_load: list.iter().map(|&s| loads[s as usize]).collect(),
-                        cache_avail: list.iter().map(|&s| available[s as usize]).collect(),
-                        id_bits: bits,
-                    }
+                    let list = customers[c].as_deref().expect("alive customer");
+                    customer_input(list, assigned[c], |s| loads[s as usize], available, bits)
                 } else {
                     AssignRepairInput::Server {
                         load: loads[v - nc],
@@ -564,28 +598,39 @@ impl AssignChurnEngine {
             })
             .collect();
         let mut sim = ChurnSim::new(graph, &inputs);
-        // round % PHASES picks the phase; split_role reads cycle % 2 and
-        // (cycle / 2) % bits — jointly periodic in 2 · bits cycles. Declared
-        // so stamp renormalization can never disturb the role schedule.
-        sim.set_round_period(PHASES * 2 * bits);
+        sim.set_round_period(round_period(bits));
         sim
     }
 
-    fn rebuild(&mut self) {
-        self.alive = (0..self.customers.len() as u32)
-            .filter(|&c| self.customers[c as usize].is_some())
-            .collect();
-        self.perf_retired.absorb(self.sim.exec_perf());
-        self.sim = Self::build_sim(
+    /// Panics unless the live sim equals a fresh build from the engine's
+    /// records, round counter aside: the rebuild that each membership patch
+    /// replaces. A quiescent engine keeps this invariant across repairs
+    /// too, since every load change is broadcast to the server's customers.
+    /// Debug builds check it after every join and leave.
+    fn assert_matches_fresh_build(&self) {
+        let fresh = Self::build_sim(
             &self.customers,
             &self.available,
             &self.assigned,
             &self.alive,
             self.num_servers(),
         );
-        if let Some(h) = self.stamp_horizon {
-            self.sim.set_stamp_horizon(h);
+        assert!(
+            self.sim.graph() == fresh.graph(),
+            "patched network differs from a fresh build"
+        );
+        let (live, want) = (self.sim.states(), fresh.states());
+        if let Some(v) = (0..want.len()).find(|&v| live[v] != want[v]) {
+            panic!(
+                "node {v} differs from a fresh build: patched {:?}, fresh {:?}",
+                live[v], want[v]
+            );
         }
+        assert_eq!(
+            self.sim.round_period(),
+            fresh.round_period(),
+            "patched round period differs from a fresh build"
+        );
     }
 
     fn wake_dirty(&mut self, dirty: &[NodeId]) {
@@ -610,15 +655,16 @@ impl AssignChurnEngine {
             self.sim.run(self.threads, self.max_rounds)
         };
         assert!(stats.completed, "repair hit the round cap");
-        // Sync the maintained assignment from the node snapshots.
+        // Sync the maintained assignment from the node snapshots: port `p`
+        // of customer `i` leads to server node `nc + s`.
+        let nc = self.alive.len() as u32;
+        let (graph, states) = (self.sim.graph(), self.sim.states());
         for (i, &c) in self.alive.iter().enumerate() {
-            let state = &self.sim.states()[i];
-            self.assigned[c as usize] = match state {
-                AssignRepairNode::Customer(cs) => cs
-                    .assigned
-                    .map(|p| self.customers[c as usize].as_ref().expect("alive")[p.idx()]),
-                AssignRepairNode::Server(_) => unreachable!("customer range"),
+            let AssignRepairNode::Customer(cs) = &states[i] else {
+                unreachable!("customer range")
             };
+            let node = NodeId::from(i);
+            self.assigned[c as usize] = cs.assigned.map(|p| graph.neighbor_at(node, p).0 - nc);
         }
         stats
     }
@@ -664,39 +710,98 @@ impl AssignChurnEngine {
         if list.iter().any(|&s| s as usize >= self.num_servers()) {
             return Err(ChurnError::NoSuchEntity("candidate server".into()));
         }
-        let ext = self.customers.len() as u32;
+        // The newcomer takes the largest id, so it becomes customer `nc`.
+        // Node ids live in the network alone, so the servers' renumbering
+        // needs no state edit.
+        let ext = self.customers.len();
+        let nc = self.alive.len();
+        let ns = self.num_servers();
+        let (old_bits, bits) = (id_bits(nc + ns), id_bits(nc + 1 + ns));
         self.customers.push(Some(list));
         self.assigned.push(None);
-        self.rebuild();
-        let int = self.int_of(ext).expect("just added") as u32;
-        self.wake_dirty(&[NodeId(int)]);
-        Ok(self.run_repair())
+        self.alive.push(ext as u32);
+        let available = &self.available;
+        let list = self.customers[ext].as_deref().expect("just added");
+        self.sim.set_round_period(round_period(bits));
+        self.sim.rewire(|graph, states| {
+            graph
+                .push_left_node(nc, list)
+                .expect("the candidate list is ascending and in range");
+            let load = |s: u32| match &states[nc + s as usize] {
+                AssignRepairNode::Server(ss) => ss.load,
+                AssignRepairNode::Customer(_) => unreachable!("server range"),
+            };
+            let input = customer_input(list, None, load, available, bits);
+            if bits != old_bits {
+                for state in &mut states[..nc] {
+                    state.customer_mut().id_bits = bits;
+                }
+            }
+            let me = NodeId::from(nc);
+            let node = AssignRepairNode::init(NodeInit {
+                id: me,
+                neighbor_ids: graph.neighbors(me),
+                input: &input,
+            });
+            states.insert(nc, node);
+        });
+        Ok(self.repair_after_patch(&[NodeId::from(nc)]))
     }
 
     fn apply_leave(&mut self, c: u32) -> Result<RepairStats, ChurnError> {
-        if self
-            .customers
-            .get(c as usize)
-            .is_none_or(|slot| slot.is_none())
-        {
-            return Err(ChurnError::NoSuchEntity(format!("customer {c}")));
-        }
+        let i = self
+            .int_of(c)
+            .ok_or_else(|| ChurnError::NoSuchEntity(format!("customer {c}")))?;
         let old_server = self.assigned[c as usize].take();
         self.customers[c as usize] = None;
-        self.rebuild();
+        self.alive.remove(i);
+        let nc = self.alive.len();
+        let ns = self.num_servers();
+        let (old_bits, bits) = (id_bits(nc + 1 + ns), id_bits(nc + ns));
+        self.sim.set_round_period(round_period(bits));
+        self.sim.rewire(|graph, states| {
+            graph.remove_left_node(nc + 1, i);
+            states.remove(i);
+            if bits != old_bits {
+                for state in &mut states[..nc] {
+                    state.customer_mut().id_bits = bits;
+                }
+            }
+            // The vacated server lost one customer; its others read the
+            // new load through the edge mirrors.
+            if let Some(s) = old_server {
+                let srv = NodeId::from(nc + s as usize);
+                let ss = states[srv.idx()].server_mut();
+                ss.load -= 1;
+                let load = ss.load;
+                for p in 0..graph.degree(srv) {
+                    let (v, q) = graph.mirror(srv, Port::from(p));
+                    states[v.idx()].customer_mut().cache_load[q.idx()] = load;
+                }
+            }
+        });
         // Customers adjacent to the vacated server may now move into it.
         let dirty: Vec<NodeId> = match old_server {
             Some(s) => self
                 .sim
                 .graph()
-                .neighbors(NodeId::from(self.alive.len() + s as usize))
-                .iter()
-                .map(|&v| NodeId(v))
+                .neighbor_ids(NodeId::from(nc + s as usize))
                 .collect(),
             None => Vec::new(),
         };
-        self.wake_dirty(&dirty);
-        Ok(self.run_repair())
+        Ok(self.repair_after_patch(&dirty))
+    }
+
+    /// Wakes `dirty` and repairs after a membership patch. Debug builds
+    /// first check the patch: the sim must equal a fresh build, at a round
+    /// the protocol cannot tell from 0.
+    fn repair_after_patch(&mut self, dirty: &[NodeId]) -> RepairStats {
+        if cfg!(debug_assertions) {
+            assert_eq!(self.sim.round() % self.sim.round_period(), 0);
+            self.assert_matches_fresh_build();
+        }
+        self.wake_dirty(dirty);
+        self.run_repair()
     }
 
     fn apply_capacity(&mut self, server: u32, capacity: u32) -> Result<RepairStats, ChurnError> {
@@ -811,12 +916,13 @@ impl AssignChurnEngine {
     /// instance, and that only option-less customers are unassigned.
     pub fn verify(&self) -> Result<(), Instability> {
         let (inst, a, ids) = self.effective_instance();
+        // `ids` is an ascending subsequence of `alive`: one merge walk
+        // finds the customers it dropped, which have no available
+        // candidate and so must be unassigned.
+        let mut covered = ids.iter().peekable();
         for &c in &self.alive {
-            if !ids.contains(&c) {
-                // No available candidate: must be unassigned.
-                if self.assigned[c as usize].is_some() {
-                    return Err(Instability::Unassigned(c as usize));
-                }
+            if covered.next_if_eq(&&c).is_none() && self.assigned[c as usize].is_some() {
+                return Err(Instability::Unassigned(c as usize));
             }
         }
         a.verify_stable(&inst)
@@ -988,6 +1094,120 @@ mod tests {
             }),
             Err(ChurnError::InvalidEvent(_)) // already available
         ));
+    }
+
+    /// 11 customers + 5 servers = 16 nodes: a join crosses to 17 and a
+    /// leave back, so the identifier width, and with it every customer's
+    /// role schedule and the sim's round period, changes with membership.
+    #[test]
+    fn membership_across_a_power_of_two_changes_the_role_schedule() {
+        let inst = uniform(11, 5, 21);
+        let mut eng = stable_engine(&inst, RepairMode::Incremental);
+        let bits = |eng: &AssignChurnEngine| eng.sim.round_period() / (PHASES * 2);
+        assert_eq!(bits(&eng), 4);
+        let events = [
+            (
+                ChurnEvent::CustomerJoin {
+                    servers: vec![4, 0, 2],
+                },
+                5,
+            ),
+            (
+                ChurnEvent::CustomerJoin {
+                    servers: vec![1, 3],
+                },
+                5,
+            ),
+            (ChurnEvent::CustomerLeave(3), 5),
+            (ChurnEvent::CustomerLeave(11), 4),
+            (ChurnEvent::CustomerLeave(0), 4),
+            (ChurnEvent::CustomerJoin { servers: vec![0] }, 4),
+            (
+                ChurnEvent::CustomerJoin {
+                    servers: vec![0, 1, 2, 3, 4],
+                },
+                5,
+            ),
+        ];
+        for (ev, want) in events {
+            eng.apply(&ev).unwrap();
+            eng.assert_matches_fresh_build();
+            eng.verify().unwrap();
+            assert_eq!(bits(&eng), want, "after {ev:?}");
+        }
+        assert_eq!(eng.num_alive(), 12);
+    }
+
+    /// Patches down to a network without customers and back up.
+    #[test]
+    fn network_empties_and_refills() {
+        let inst = uniform(2, 2, 5);
+        let mut eng = stable_engine(&inst, RepairMode::Incremental);
+        for ev in [
+            ChurnEvent::CustomerLeave(0),
+            ChurnEvent::CustomerLeave(1),
+            ChurnEvent::CustomerJoin { servers: vec![1] },
+            ChurnEvent::CustomerJoin {
+                servers: vec![0, 1],
+            },
+        ] {
+            eng.apply(&ev).unwrap();
+            eng.assert_matches_fresh_build();
+            eng.verify().unwrap();
+        }
+        assert_eq!(eng.num_alive(), 2);
+        assert_eq!(eng.server_loads(), vec![1, 1]);
+    }
+
+    /// The sharded plane is cached per graph: after each rewire it must be
+    /// rebuilt for the new network, or repairs would route through a stale
+    /// partition. Every event must match the flat sequential engine.
+    #[test]
+    fn sharded_threaded_engine_follows_rewires() {
+        let inst = uniform(40, 8, 31);
+        let mut flat = AssignChurnEngine::new(&inst, RepairMode::Incremental);
+        let mut sharded = AssignChurnEngine::new(&inst, RepairMode::Incremental)
+            .with_shards(4)
+            .with_threads(2);
+        assert_eq!(sharded.stabilize(), flat.stabilize());
+        let mut rng = SmallRng::seed_from_u64(77);
+        for step in 0..30 {
+            let ev = match step % 3 {
+                0 => ChurnEvent::CustomerJoin {
+                    servers: vec![rng.gen_range(0..4), rng.gen_range(4..8)],
+                },
+                1 => ChurnEvent::CustomerLeave(
+                    rng.gen_range(0..flat.assignment_vector().len() as u32),
+                ),
+                _ => ChurnEvent::ServerCapacity {
+                    server: rng.gen_range(0..8),
+                    capacity: rng.gen_range(0..2),
+                },
+            };
+            assert_eq!(sharded.apply(&ev), flat.apply(&ev), "step {step} {ev:?}");
+            assert_eq!(sharded.assignment_vector(), flat.assignment_vector());
+            sharded.assert_matches_fresh_build();
+        }
+        sharded.verify().unwrap();
+        assert_eq!(
+            sharded.exec_perf().node_rounds,
+            flat.exec_perf().node_rounds
+        );
+    }
+
+    #[test]
+    fn verify_rejects_an_assigned_customer_without_available_candidates() {
+        let inst = AssignmentInstance::new(2, &[vec![0], vec![0, 1]]);
+        let mut eng = stable_engine(&inst, RepairMode::Incremental);
+        eng.apply(&ChurnEvent::ServerCapacity {
+            server: 0,
+            capacity: 0,
+        })
+        .unwrap();
+        eng.verify().unwrap();
+        assert_eq!(eng.server_of(0), None, "customer 0 lost its only server");
+        eng.assigned[0] = Some(0);
+        assert_eq!(eng.verify(), Err(Instability::Unassigned(0)));
     }
 
     #[test]

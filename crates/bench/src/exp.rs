@@ -1515,9 +1515,119 @@ fn render_bench(cfg: &ExpConfig, units: &[(ExpUnit, UnitData)]) -> Result<String
     Ok(s)
 }
 
+/// The counters of a `td-perf/v1` row that are deterministic on any host,
+/// which [`check_bench`] compares exactly. The local/boundary message split
+/// is left out: `parallel(T)` resolves its shard count from the host.
+pub const BENCH_COUNTERS: [&str; 7] = [
+    "rounds",
+    "messages",
+    "node_rounds",
+    "node_steps",
+    "halted_scans",
+    "sparse_skips",
+    "stamp_scans",
+];
+
+/// Checks the benchmark document `rendered` against `committed`: every row
+/// of `rendered` whose (scenario, executor, size) also has a row in
+/// `committed` must agree with it on each [`BENCH_COUNTERS`] entry the
+/// committed row carries. Returns the number of rows compared, or one line
+/// per disagreement; documents that do not parse, or share no row, fail.
+pub fn check_bench(rendered: &str, committed: &str) -> Result<usize, Vec<String>> {
+    let points = |doc: &str, what: &str| -> Result<Vec<json::Json>, Vec<String>> {
+        json::parse(doc)
+            .ok()
+            .and_then(|d| d.get("points").and_then(|p| p.as_arr()).map(<[_]>::to_vec))
+            .ok_or_else(|| vec![format!("{what}: not a td-perf document with points")])
+    };
+    let key = |p: &json::Json| {
+        (
+            p.get("scenario")
+                .and_then(|v| v.as_str())
+                .map(str::to_owned),
+            p.get("executor")
+                .and_then(|v| v.as_str())
+                .map(str::to_owned),
+            p.get("size").and_then(|v| v.as_u64()),
+        )
+    };
+    let committed = points(committed, "committed")?;
+    let mut compared = 0;
+    let mut errors = Vec::new();
+    for row in points(rendered, "rendered")? {
+        let k = key(&row);
+        let Some(want) = committed.iter().find(|c| key(c) == k) else {
+            continue;
+        };
+        compared += 1;
+        for counter in BENCH_COUNTERS {
+            let expected = want.get(counter).and_then(|v| v.as_u64());
+            let got = row.get(counter).and_then(|v| v.as_u64());
+            if expected.is_some() && got != expected {
+                let (scenario, executor, size) = &k;
+                errors.push(format!(
+                    "{} {} size {}: {counter} {} (committed {})",
+                    scenario.as_deref().unwrap_or("?"),
+                    executor.as_deref().unwrap_or("?"),
+                    size.unwrap_or(0),
+                    got.map_or("missing".into(), |g| g.to_string()),
+                    expected.unwrap_or(0)
+                ));
+            }
+        }
+    }
+    if compared == 0 {
+        errors.push("no (scenario, executor, size) row in common".into());
+    }
+    if errors.is_empty() {
+        Ok(compared)
+    } else {
+        Err(errors)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_bench_compares_deterministic_counters_of_shared_rows() {
+        let doc = |rows: &[&str]| {
+            format!(
+                "{{\"schema\":\"td-perf/v1\",\"points\":[{}]}}",
+                rows.join(",")
+            )
+        };
+        let row = |exec: &str, size: u32, rounds: u32, local: u32| {
+            format!(
+                "{{\"scenario\":\"rotor\",\"executor\":\"{exec}\",\"size\":{size},\
+                 \"rounds\":{rounds},\"messages\":9,\"wall_ns\":{},\"local_messages\":{local}}}",
+                1000 + rounds
+            )
+        };
+        let committed = doc(&[
+            &row("sequential", 64, 26, 9),
+            &row("parallel(4)", 64, 26, 9),
+        ]);
+        // Same counters, other wall time and local/boundary split; a row
+        // the committed file lacks is ignored.
+        let same = doc(&[
+            &row("sequential", 64, 26, 9),
+            &row("parallel(4)", 64, 26, 5),
+            &row("sequential", 128, 99, 9),
+        ]);
+        assert_eq!(check_bench(&same, &committed), Ok(2));
+        let off = doc(&[&row("sequential", 64, 27, 9)]);
+        let errs = check_bench(&off, &committed).unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert!(
+            errs[0].contains("rotor sequential size 64: rounds 27 (committed 26)"),
+            "{errs:?}"
+        );
+        let disjoint = doc(&[&row("sequential", 128, 26, 9)]);
+        assert!(check_bench(&disjoint, &committed).is_err());
+        assert!(check_bench("not json", &committed).is_err());
+    }
 
     #[test]
     fn registry_ids_unique_and_findable() {

@@ -1284,6 +1284,40 @@ mod tests {
         assert_eq!(grid_labels(&cfg, "rotor"), execs);
     }
 
+    /// The churn-assign rows of the committed BENCH_10.json, on all three
+    /// churn executors: rounds, messages and node-steps (joins and leaves
+    /// patch the repair network in place and must repeat them exactly).
+    #[test]
+    fn churn_assign_rows_repeat_bench_10() {
+        let cfg = SweepConfig {
+            scenario: Some("churn-assign".into()),
+            sizes: Some(vec![8, 16]),
+            repeat: 1,
+            ..SweepConfig::default()
+        };
+        let rep = run_sweep(&cfg).unwrap();
+        let rows: Vec<(u32, &str, u64, u64, Option<u64>)> = rep
+            .points
+            .iter()
+            .map(|p| {
+                (
+                    p.size,
+                    p.executor.as_str(),
+                    p.rounds,
+                    p.messages,
+                    p.node_steps,
+                )
+            })
+            .collect();
+        let mut want = Vec::new();
+        for (size, rounds, messages, steps) in [(8, 253, 506, 946), (16, 231, 526, 1067)] {
+            for exec in ["churn(1,1)", "churn(4,1)", "churn(4,4)"] {
+                want.push((size, exec, rounds, messages, Some(steps)));
+            }
+        }
+        assert_eq!(rows, want);
+    }
+
     #[test]
     fn grid_labels_cover_churn_and_oneshot_shapes() {
         let cfg = SweepConfig::default();

@@ -18,6 +18,9 @@ pub enum BuildError {
     DuplicateEdge(NodeId, NodeId),
     /// An endpoint is `>= n`.
     NodeOutOfRange(NodeId, usize),
+    /// A pre-sorted adjacency row is not ascending (see
+    /// [`CsrGraph::sorted_bipartite`]).
+    UnsortedRow(NodeId),
 }
 
 impl fmt::Display for BuildError {
@@ -28,6 +31,7 @@ impl fmt::Display for BuildError {
             BuildError::NodeOutOfRange(v, n) => {
                 write!(f, "node {v} out of range for graph with {n} nodes")
             }
+            BuildError::UnsortedRow(v) => write!(f, "adjacency row of {v} is not ascending"),
         }
     }
 }

@@ -45,6 +45,239 @@ impl CsrGraph {
         b.build()
     }
 
+    /// The bipartite graph whose left nodes `0..nl` are the rows of `rows`
+    /// and whose right nodes `nl..nl + num_right` follow them: row `i`
+    /// lists, strictly ascending, the right indices `s < num_right` that
+    /// left node `i` is adjacent to (node `nl + s`).
+    ///
+    /// The result equals [`GraphBuilder`]'s build of the same edges field
+    /// for field, but it is assembled in O(n + m) without hashing or
+    /// sorting: canonical `(min, max)` edge order is row order, so left
+    /// slot `e` carries edge `e`, and filling the right rows in left order
+    /// keeps them sorted.
+    ///
+    /// Fails on an out-of-range index, a repeated index
+    /// ([`BuildError::DuplicateEdge`]) or a descending row
+    /// ([`BuildError::UnsortedRow`]).
+    ///
+    /// ```
+    /// use td_graph::{CsrGraph, GraphBuilder, NodeId};
+    /// let rows: [&[u32]; 2] = [&[0, 2], &[1, 2]];
+    /// let g = CsrGraph::sorted_bipartite(3, rows).unwrap();
+    /// let mut b = GraphBuilder::new(5);
+    /// for (c, s) in [(0, 2), (0, 4), (1, 3), (1, 4)] {
+    ///     b.add_edge(NodeId(c), NodeId(s)).unwrap();
+    /// }
+    /// assert_eq!(g, b.build().unwrap());
+    /// ```
+    pub fn sorted_bipartite<'a, I>(num_right: usize, rows: I) -> Result<Self, BuildError>
+    where
+        I: IntoIterator<Item = &'a [u32]>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let rows = rows.into_iter();
+        let nl = rows.len();
+        let n = nl + num_right;
+        let mut m = 0usize;
+        for (i, row) in rows.clone().enumerate() {
+            check_row(i, nl, num_right, row)?;
+            m += row.len();
+        }
+        // Left offsets are the prefix sums of the row lengths. Right degrees
+        // are counted two entries ahead of their node, so that after the
+        // prefix sum `offsets[nl + 1 + s]` is the first slot of right node
+        // `s`: the fill pass uses it as `s`'s cursor, which leaves it at the
+        // end of `s` = the start of `s + 1`, where it belongs.
+        let mut offsets = vec![0u32; n + 2];
+        for (i, row) in rows.clone().enumerate() {
+            offsets[i + 1] = offsets[i] + row.len() as u32;
+            for &s in row {
+                offsets[nl + 2 + s as usize] += 1;
+            }
+        }
+        offsets[nl + 1] = m as u32;
+        for v in nl + 2..=n {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut g = CsrGraph {
+            offsets: Vec::new(),
+            neighbors: vec![0; 2 * m],
+            edge_ids: vec![0; 2 * m],
+            mirror: vec![0; 2 * m],
+            endpoints: vec![(0, 0); m],
+        };
+        let mut e = 0usize;
+        for (i, row) in rows.enumerate() {
+            for &s in row {
+                let right = (nl + s as usize) as u32;
+                let cursor = &mut offsets[nl + 1 + s as usize];
+                let t = *cursor as usize;
+                *cursor += 1;
+                g.neighbors[e] = right;
+                g.edge_ids[e] = e as u32;
+                g.mirror[e] = t as u32;
+                g.neighbors[t] = i as u32;
+                g.edge_ids[t] = e as u32;
+                g.mirror[t] = e as u32;
+                g.endpoints[e] = (i as u32, right);
+                e += 1;
+            }
+        }
+        offsets.truncate(n + 1);
+        g.offsets = offsets;
+        debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
+        Ok(g)
+    }
+
+    /// Appends left node `num_left` to a sorted bipartite graph with
+    /// `num_left` left nodes (the layout of [`CsrGraph::sorted_bipartite`]),
+    /// adjacent to the right indices `row` (strictly ascending), in place:
+    /// the result equals `sorted_bipartite` of the old rows plus `row`.
+    ///
+    /// Every right node's id moves up by one, and its slots move up past
+    /// the new left slots and the new edges of smaller right nodes; edge
+    /// ids keep their values. That is `row.len() + 1` block moves and one
+    /// sequential pass over the left slots, O(n + m) without hashing,
+    /// sorting or scattered writes, and no allocation once the buffers
+    /// have room. Fails, leaving `self` unchanged, as the constructor does
+    /// on a bad row.
+    pub fn push_left_node(&mut self, num_left: usize, row: &[u32]) -> Result<(), BuildError> {
+        let nl = num_left;
+        let n = self.num_nodes();
+        assert!(nl <= n, "{nl} left nodes in a graph of {n}");
+        let nr = n - nl;
+        check_row(nl, nl + 1, nr, row)?;
+        let (m, d) = (self.num_edges(), row.len());
+        let (n2, m2) = (n + 1, m + d);
+        self.neighbors.resize(2 * m2, 0);
+        self.edge_ids.resize(2 * m2, 0);
+        self.mirror.resize(2 * m2, 0);
+        self.endpoints.resize(m2, (0, 0));
+        // Right nodes after the k-th new edge's node and up to the next
+        // form block k: their slots move up by d + k, and the new edge of
+        // right node row[k] lands right after block k. Top block first, so
+        // no slot is overwritten before it has moved.
+        for k in (0..=d).rev() {
+            let lo = if k == 0 {
+                m
+            } else {
+                self.offsets[nl + row[k - 1] as usize + 1] as usize
+            };
+            let hi = if k == d {
+                2 * m
+            } else {
+                self.offsets[nl + row[k] as usize + 1] as usize
+            };
+            let shift = d + k;
+            self.neighbors.copy_within(lo..hi, lo + shift);
+            self.edge_ids.copy_within(lo..hi, lo + shift);
+            self.mirror.copy_within(lo..hi, lo + shift);
+            if k < d {
+                let t = hi + shift;
+                self.neighbors[t] = nl as u32;
+                self.edge_ids[t] = (m + k) as u32;
+                self.mirror[t] = (m + k) as u32;
+            }
+        }
+        // Right offsets: node nl + s becomes nl + 1 + s and starts d plus
+        // the new edges of smaller right nodes later. Top down, so each
+        // entry is read before its slot is rewritten.
+        self.offsets.resize(n2 + 1, 0);
+        self.offsets[n2] = (2 * m2) as u32;
+        let mut below = d;
+        for s in (0..nr).rev() {
+            while below > 0 && row[below - 1] as usize > s {
+                below -= 1;
+            }
+            // `below` now counts the row entries <= s.
+            let smaller = below - usize::from(below > 0 && row[below - 1] as usize == s);
+            self.offsets[nl + 1 + s] = self.offsets[nl + s] + (d + smaller) as u32;
+        }
+        // Old left slots: right ids up by one, mirrors follow their right
+        // slot's move.
+        for e in 0..m {
+            let s = self.neighbors[e] as usize - nl;
+            let smaller = row.partition_point(|&r| (r as usize) < s);
+            self.neighbors[e] += 1;
+            self.endpoints[e].1 += 1;
+            self.mirror[e] += (d + smaller) as u32;
+        }
+        for (k, &s) in row.iter().enumerate() {
+            let (e, right) = (m + k, (nl + 1) as u32 + s);
+            self.neighbors[e] = right;
+            self.edge_ids[e] = e as u32;
+            self.mirror[e] = self.offsets[nl + 2 + s as usize] - 1;
+            self.endpoints[e] = (nl as u32, right);
+        }
+        debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
+        Ok(())
+    }
+
+    /// Removes left node `i` from a sorted bipartite graph with `num_left`
+    /// left nodes (the layout of [`CsrGraph::sorted_bipartite`]), in place:
+    /// the result equals `sorted_bipartite` of the remaining rows. Later
+    /// left nodes and every right node move down by one id, edge ids past
+    /// `i`'s close the gap. Two sequential passes over the slots plus one
+    /// mirror pass, O(n + m) without allocation.
+    ///
+    /// # Panics
+    /// If `i >= num_left` or `num_left` exceeds the node count.
+    pub fn remove_left_node(&mut self, num_left: usize, i: usize) {
+        let nl = num_left;
+        let n = self.num_nodes();
+        assert!(i < nl && nl <= n, "left node {i} of {nl} in a graph of {n}");
+        let nr = n - nl;
+        let m = self.num_edges();
+        let (e0, e1) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        let d = e1 - e0;
+        let m2 = m - d;
+        let renumber_left = |c: u32| c - u32::from(c as usize > i);
+        // Left slots close the gap (forward, so every source is read before
+        // it can be overwritten); right ids move down by one.
+        for e2 in 0..m2 {
+            let e = if e2 < e0 { e2 } else { e2 + d };
+            let (c, right) = self.endpoints[e];
+            self.neighbors[e2] = right - 1;
+            self.edge_ids[e2] = e2 as u32;
+            self.endpoints[e2] = (renumber_left(c), right - 1);
+        }
+        for j in i + 1..nl {
+            self.offsets[j] = self.offsets[j + 1] - d as u32;
+        }
+        // Right slots move down past the removed left slots and the
+        // removed edges before them, dropping `i`'s edges on the way.
+        let mut removed = 0usize;
+        for s in 0..nr {
+            let (lo, hi) = (
+                self.offsets[nl + s] as usize,
+                self.offsets[nl + s + 1] as usize,
+            );
+            self.offsets[nl - 1 + s] = (lo - d - removed) as u32;
+            for t in lo..hi {
+                let e = self.edge_ids[t] as usize;
+                if (e0..e1).contains(&e) {
+                    removed += 1;
+                    continue;
+                }
+                let t2 = t - d - removed;
+                let e2 = (if e < e0 { e } else { e - d }) as u32;
+                self.neighbors[t2] = renumber_left(self.neighbors[t]);
+                self.edge_ids[t2] = e2;
+                self.mirror[t2] = e2;
+            }
+        }
+        self.offsets[n - 1] = (2 * m2) as u32;
+        self.offsets.truncate(n);
+        self.neighbors.truncate(2 * m2);
+        self.edge_ids.truncate(2 * m2);
+        self.mirror.truncate(2 * m2);
+        self.endpoints.truncate(m2);
+        for t in m2..2 * m2 {
+            self.mirror[self.edge_ids[t] as usize] = t as u32;
+        }
+        debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
+    }
+
     /// Number of nodes `n`.
     #[inline(always)]
     pub fn num_nodes(&self) -> usize {
@@ -346,5 +579,125 @@ mod tests {
     fn degree_histogram_star() {
         let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
         assert_eq!(g.degree_histogram(), vec![0, 3, 0, 1]);
+    }
+}
+
+/// Checks one adjacency row of a sorted bipartite graph: left node `left`
+/// of `nl`, right indices ascending and below `num_right`.
+fn check_row(left: usize, nl: usize, num_right: usize, row: &[u32]) -> Result<(), BuildError> {
+    for (k, &s) in row.iter().enumerate() {
+        let right = NodeId((nl as u32).saturating_add(s));
+        if s as usize >= num_right {
+            return Err(BuildError::NodeOutOfRange(right, nl + num_right));
+        }
+        if k > 0 && row[k - 1] >= s {
+            return Err(if row[k - 1] == s {
+                BuildError::DuplicateEdge(NodeId::from(left), right)
+            } else {
+                BuildError::UnsortedRow(NodeId::from(left))
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Property tests: the linear bipartite constructor, and the in-place left
+/// node push and removal, are drop-ins for the builder on every sorted
+/// bipartite edge list.
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `nl` ascending rows over `0..nr`, each index kept with `density`.
+    fn random_rows(nl: usize, nr: usize, density: f64, seed: u64) -> Vec<Vec<u32>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..nl)
+            .map(|_| (0..nr as u32).filter(|_| rng.gen_bool(density)).collect())
+            .collect()
+    }
+
+    fn via_builder(nr: usize, rows: &[Vec<u32>]) -> CsrGraph {
+        let nl = rows.len();
+        let mut b = GraphBuilder::new(nl + nr);
+        for (i, row) in rows.iter().enumerate() {
+            for &s in row {
+                b.add_edge(NodeId::from(i), NodeId::from(nl + s as usize))
+                    .unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sorted_bipartite_equals_builder(
+            nl in 0usize..40,
+            nr in 0usize..30,
+            density in 0.0f64..0.6,
+            seed in 0u64..1_000_000,
+        ) {
+            let rows = random_rows(nl, nr, density, seed);
+            let expect = via_builder(nr, &rows);
+            let fresh = CsrGraph::sorted_bipartite(nr, rows.iter().map(Vec::as_slice)).unwrap();
+            prop_assert_eq!(&fresh, &expect);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pushing a left node, or removing any left node, in place equals
+        /// building the changed rows from scratch.
+        #[test]
+        fn push_and_remove_left_node_equal_a_fresh_build(
+            nl in 0usize..30,
+            nr in 0usize..20,
+            density in 0.0f64..0.6,
+            seed in 0u64..1_000_000,
+            pick in 0usize..1000,
+        ) {
+            let mut rows = random_rows(nl + 1, nr, density, seed);
+            let mut g = CsrGraph::sorted_bipartite(nr, rows[..nl].iter().map(Vec::as_slice)).unwrap();
+            g.push_left_node(nl, &rows[nl]).unwrap();
+            prop_assert_eq!(&g, &via_builder(nr, &rows));
+            let i = pick % (nl + 1);
+            g.remove_left_node(nl + 1, i);
+            rows.remove(i);
+            prop_assert_eq!(&g, &via_builder(nr, &rows));
+        }
+    }
+
+    #[test]
+    fn push_left_node_rejects_bad_rows_and_leaves_the_graph_unchanged() {
+        let rows: [&[u32]; 2] = [&[0, 1], &[1]];
+        let mut g = CsrGraph::sorted_bipartite(2, rows).unwrap();
+        let before = g.clone();
+        let cases: [(&[u32], BuildError); 3] = [
+            (&[0, 2], BuildError::NodeOutOfRange(NodeId(5), 5)),
+            (&[1, 1], BuildError::DuplicateEdge(NodeId(2), NodeId(4))),
+            (&[1, 0], BuildError::UnsortedRow(NodeId(2))),
+        ];
+        for (bad, err) in cases {
+            assert_eq!(g.push_left_node(2, bad), Err(err));
+            assert_eq!(g, before);
+        }
+    }
+
+    #[test]
+    fn sorted_bipartite_rejects_bad_rows() {
+        let cases: [(&[u32], BuildError); 3] = [
+            (&[0, 2], BuildError::NodeOutOfRange(NodeId(4), 4)),
+            (&[1, 1], BuildError::DuplicateEdge(NodeId(1), NodeId(3))),
+            (&[1, 0], BuildError::UnsortedRow(NodeId(1))),
+        ];
+        for (bad, err) in cases {
+            let rows: [&[u32]; 2] = [&[0], bad];
+            assert_eq!(CsrGraph::sorted_bipartite(2, rows), Err(err));
+        }
     }
 }

@@ -49,6 +49,16 @@ pub struct Slot<M> {
     pub(crate) msg: M,
 }
 
+impl<M: Default> Slot<M> {
+    /// A never-written slot.
+    fn empty() -> Self {
+        Slot {
+            stamp: STAMP_EMPTY,
+            msg: M::default(),
+        }
+    }
+}
+
 /// The double-buffered flat message arena of one simulation.
 ///
 /// Allocated once (two buffers of `num_slots` slots each); reused across
@@ -74,12 +84,7 @@ pub struct MessageArena<M> {
 impl<M: Default + Send> MessageArena<M> {
     /// An arena with `slots` directed-edge slots per buffer.
     pub fn with_slots(slots: usize) -> Self {
-        let buf = || {
-            DisjointSlots::new_with(slots, |_| Slot {
-                stamp: STAMP_EMPTY,
-                msg: M::default(),
-            })
-        };
+        let buf = || DisjointSlots::new_with(slots, |_| Slot::empty());
         MessageArena {
             bufs: [buf(), buf()],
         }
@@ -93,6 +98,27 @@ impl<M: Default + Send> MessageArena<M> {
     /// Number of slots per buffer.
     pub fn num_slots(&self) -> usize {
         self.bufs[0].len()
+    }
+
+    /// Resizes the arena to `slots` slots per buffer, keeping the buffers'
+    /// allocations: kept slots keep their contents, new ones start
+    /// never-written. The churn plane re-lays its arena this way when
+    /// membership changes the network under a quiescent simulation: slot
+    /// indices move, but every kept stamp is stale as long as the round
+    /// counter only moves forward.
+    pub fn resize(&mut self, slots: usize) {
+        for buf in &mut self.bufs {
+            buf.resize_with(slots, Slot::empty);
+        }
+    }
+
+    /// [`MessageArena::resize`], then clears every slot to the
+    /// never-written state [`MessageArena::with_slots`] starts from.
+    pub fn reset(&mut self, slots: usize) {
+        self.resize(slots);
+        for buf in &mut self.bufs {
+            buf.as_mut_slice().fill_with(Slot::empty);
+        }
     }
 
     /// Rebases the arena's stamps so a long-lived simulation can reset its
@@ -318,6 +344,30 @@ mod tests {
     fn renormalize_rejects_parity_flip() {
         let mut arena: MessageArena<u8> = MessageArena::with_slots(1);
         arena.renormalize(5, 0);
+    }
+
+    #[test]
+    fn resize_keeps_slots_and_reset_clears_them() {
+        let mut arena: MessageArena<u16> = MessageArena::with_slots(4);
+        let (_, w) = arena.epoch(6);
+        unsafe { w.write(1, 9) };
+        arena.resize(6);
+        assert_eq!(arena.num_slots(), 6);
+        let (r, _) = arena.epoch(7);
+        unsafe {
+            assert_eq!(r.get(1), Some(&9), "kept slot keeps its message");
+            assert_eq!(r.get(5), None, "new slot starts empty");
+        }
+        for slots in [6, 2] {
+            arena.reset(slots);
+            assert_eq!(arena.num_slots(), slots);
+            for round in 0..8 {
+                let (r, _) = arena.epoch(round);
+                for s in 0..slots {
+                    assert_eq!(unsafe { r.get(s) }, None, "round {round} slot {s}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,16 @@
 //! mailbox slot it also marks the neighbor in a [`WakeSet`], so the
 //! neighbor is stepped in the round the message is delivered.
 //!
+//! ## Membership churn
+//!
+//! Events that add or remove nodes (a customer joining or leaving) change
+//! the network itself. [`ChurnSim::rewire`] patches a quiescent sim in
+//! place instead of building a new one: the host edits the graph and the
+//! node states, and the sim re-lays its arena and wake set over the same
+//! allocations and moves its round counter to a multiple of the protocol's
+//! period, where the protocol sees exactly what a freshly built sim shows
+//! it at round 0.
+//!
 //! ## Determinism
 //!
 //! As with [`crate::Simulator`], the parallel executor is bit-identical to
@@ -356,6 +366,16 @@ impl WakeSet {
         }
     }
 
+    /// Resizes an idle wake set (nothing marked) to `n` nodes, keeping its
+    /// allocation.
+    fn resize(&mut self, n: usize) {
+        assert!(
+            self.queue.get_mut().is_empty(),
+            "resizing a wake set with nodes still marked"
+        );
+        self.flags.resize_with(n, || AtomicBool::new(false));
+    }
+
     /// Drains the queue into a sorted, duplicate-free awake list and clears
     /// the drained flags (so later marks re-enqueue).
     pub(crate) fn drain_sorted(&self) -> Vec<u32> {
@@ -373,7 +393,8 @@ impl WakeSet {
 /// Unlike [`crate::Simulator`], the `ChurnSim` *owns* its graph, node
 /// states, and message arena, and survives across repair runs: `Halt` means
 /// "quiesce until a message arrives", and the round counter is monotonic so
-/// the arena's stamps keep invalidating stale slots for free.
+/// the arena's stamps keep invalidating stale slots for free. Membership
+/// churn rewires the sim in place ([`ChurnSim::rewire`]).
 ///
 /// ```
 /// use td_local::{ChurnSim, Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
@@ -450,7 +471,8 @@ pub struct ChurnSim<P: Protocol> {
 }
 
 /// The sharded message plane of a [`ChurnSim`], cached across repair runs
-/// (the graph of a `ChurnSim` is immutable, so the partition stays valid).
+/// while the graph stays the same ([`ChurnSim::rewire`] drops it, since its
+/// partition and slot tables belong to the old graph).
 struct ShardState<M> {
     part: Partition,
     plane: ShardPlane<M>,
@@ -519,9 +541,62 @@ impl<P: Protocol> ChurnSim<P> {
         }
     }
 
+    /// Rewires a quiescent sim (nothing awake, nothing in flight) onto a
+    /// changed network in place, for membership churn that adds or removes
+    /// nodes and edges.
+    ///
+    /// `edit` receives the graph and the node states. It must leave one
+    /// state per node of the edited graph, each the state a fresh sim would
+    /// hold for it; typically it patches the graph in its own buffers (e.g.
+    /// [`CsrGraph::push_left_node`]) and inserts or removes states. The sim
+    /// then starts over as [`ChurnSim::new`] would on the edited graph: the
+    /// arena and the wake set are resized, and the cached sharded plane is
+    /// dropped (the next sharded run partitions the new graph). The stamp
+    /// horizon, the round period and the lifetime [`ChurnSim::exec_perf`]
+    /// counters carry over; no buffer is reallocated unless the network
+    /// outgrows it.
+    ///
+    /// The round counter moves up to the next multiple of `lcm(2, period)`
+    /// for the current [round period](ChurnSim::set_round_period) (declare
+    /// a changed period before rewiring): to the protocol that is round 0
+    /// of a fresh sim, and since every stamp left in the arena is older,
+    /// the arena needs no scrub. Only near the stamp horizon is it scrubbed
+    /// and the counter reset to 0.
+    ///
+    /// # Panics
+    /// If a node is awake, if a round-capped run left messages in flight,
+    /// or if `edit` leaves a state count different from the node count.
+    pub fn rewire(&mut self, edit: impl FnOnce(&mut CsrGraph, &mut Vec<P>)) {
+        assert!(
+            self.in_flight.is_none(),
+            "rewiring a sim with messages in flight; finish the capped run first"
+        );
+        assert!(
+            self.wake.queue.get_mut().is_empty(),
+            "rewiring a sim with nodes awake; run them first"
+        );
+        edit(&mut self.graph, &mut self.states);
+        let n = self.graph.num_nodes();
+        assert_eq!(self.states.len(), n, "one state per node required");
+        let slots = self.graph.num_slots();
+        match self.round.checked_next_multiple_of(self.stamp_modulus()) {
+            Some(round) if round < self.stamp_horizon => {
+                self.arena.resize(slots);
+                self.round = round;
+            }
+            _ => {
+                self.arena.reset(slots);
+                self.round = 0;
+            }
+        }
+        self.wake.resize(n);
+        self.sharded = None;
+    }
+
     /// The monotonic round counter (diagnostics; persists across repairs —
     /// and is *rebased* toward zero when it approaches the stamp horizon,
-    /// see [`ChurnSim::set_stamp_horizon`]).
+    /// see [`ChurnSim::set_stamp_horizon`]; [`ChurnSim::rewire`] moves it
+    /// to a multiple of the round period).
     pub fn round(&self) -> u32 {
         self.round
     }
@@ -553,10 +628,26 @@ impl<P: Protocol> ChurnSim<P> {
     /// protocols). Renormalization rebases the round counter by a multiple
     /// of `lcm(2, p)` — a multiple of 2 for the arena's buffer parity, a
     /// multiple of `p` so phase-aligned protocols cannot observe the
-    /// rebase. Defaults to 1 (round-agnostic protocol).
+    /// rebase; [`ChurnSim::rewire`] aligns the counter to such a multiple.
+    /// Defaults to 1 (round-agnostic protocol).
     pub fn set_round_period(&mut self, period: u32) {
         assert!(period >= 1, "a protocol's round period is at least 1");
         self.round_period = period;
+    }
+
+    /// The declared round period (see [`ChurnSim::set_round_period`]).
+    pub fn round_period(&self) -> u32 {
+        self.round_period
+    }
+
+    /// `lcm(2, round_period)`: moving the round counter by a multiple of it
+    /// keeps the arena's buffer parity and the protocol's phase.
+    fn stamp_modulus(&self) -> u32 {
+        if self.round_period.is_multiple_of(2) {
+            self.round_period
+        } else {
+            self.round_period * 2
+        }
     }
 
     /// Renormalizes the round counter and every message plane if `round +
@@ -572,11 +663,7 @@ impl<P: Protocol> ChurnSim<P> {
         if (self.round as u64) + (max_rounds as u64) < self.stamp_horizon as u64 {
             return;
         }
-        let modulus = if self.round_period.is_multiple_of(2) {
-            self.round_period
-        } else {
-            self.round_period * 2
-        };
+        let modulus = self.stamp_modulus();
         let old = self.round;
         let new = old % modulus;
         self.arena.renormalize(old, new);
@@ -646,9 +733,9 @@ impl<P: Protocol> ChurnSim<P> {
     /// and thread count.
     ///
     /// `shards == 1` delegates to the flat plane. The sharded plane is
-    /// built on first use and cached (the graph of a `ChurnSim` never
-    /// changes); a round-capped run must be resumed on the same plane with
-    /// the same shard count.
+    /// built on first use and cached until [`ChurnSim::rewire`] changes the
+    /// graph; a round-capped run must be resumed on the same plane with the
+    /// same shard count.
     pub fn run_sharded(&mut self, shards: usize, threads: usize, max_rounds: u32) -> RepairStats {
         assert!(shards >= 1 && threads >= 1);
         if shards == 1 {
@@ -1791,5 +1878,106 @@ mod tests {
         for v in 0..12 {
             assert_eq!(sim.states()[v].best, 11, "node {v}");
         }
+    }
+
+    /// Rewiring a used sim onto a larger, then a smaller network leaves it
+    /// bit-identical to a sim freshly built on each: both planes, any
+    /// thread count. The arena still holds the old floods' messages (value
+    /// 100, in slots that now belong to other ports), which must never be
+    /// read again; the cached sharded plane of the old graph must go; the
+    /// lifetime counters keep counting.
+    #[test]
+    fn rewire_matches_a_fresh_sim_on_the_new_graph() {
+        let zero = || MaxHold {
+            best: 0,
+            dirty: false,
+        };
+        for (shards, threads) in [(1usize, 1usize), (1, 2), (4, 1), (4, 2)] {
+            let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(6), &[0; 6]);
+            for n in [9usize, 4] {
+                sim.state_mut(NodeId(0)).best = 100;
+                sim.state_mut(NodeId(0)).dirty = true;
+                sim.wake(NodeId(0));
+                assert!(sim.run_sharded(shards, threads, 10_000).completed);
+                let before = sim.exec_perf();
+                sim.rewire(|g, states| {
+                    *g = path(n);
+                    states.clear();
+                    states.resize_with(n, zero);
+                });
+                assert_eq!(sim.round() % 2, 0, "n {n}: parity of a fresh start");
+                assert_eq!(sim.exec_perf(), before, "rewiring is not work");
+                let mut fresh: ChurnSim<MaxHold> = ChurnSim::new(path(n), &vec![0; n]);
+                for s in [&mut sim, &mut fresh] {
+                    s.state_mut(NodeId::from(n - 1)).best = 1;
+                    s.state_mut(NodeId::from(n - 1)).dirty = true;
+                    s.wake(NodeId::from(n - 1));
+                }
+                let a = sim.run_sharded(shards, threads, 10_000);
+                let b = fresh.run_sharded(shards, threads, 10_000);
+                assert_eq!(a, b, "n {n}, shards {shards}, threads {threads}");
+                assert!(a.completed && a.rounds >= n as u32 - 1);
+                for v in 0..n {
+                    assert_eq!(sim.states()[v].best, 1, "node {v}: no stale message read");
+                }
+                let mut expect = before;
+                expect.absorb(fresh.exec_perf());
+                assert_eq!(sim.exec_perf(), expect);
+            }
+        }
+    }
+
+    /// Where aligning the round counter would reach the stamp horizon,
+    /// rewiring scrubs the arena and restarts at round 0 instead.
+    #[test]
+    fn rewire_near_the_stamp_horizon_restarts_at_zero() {
+        let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(6), &[0; 6]);
+        sim.set_stamp_horizon(12);
+        sim.set_round_period(3);
+        sim.state_mut(NodeId(0)).best = 3;
+        sim.state_mut(NodeId(0)).dirty = true;
+        sim.wake(NodeId(0));
+        assert!(sim.run(1, 8).completed);
+        // The next multiple of lcm(2, 3) is the horizon itself.
+        assert!((7..12).contains(&sim.round()), "round {}", sim.round());
+        sim.rewire(|g, states| {
+            *g = path(4);
+            states.truncate(4);
+        });
+        assert_eq!(sim.round(), 0);
+        let mut fresh: ChurnSim<MaxHold> = ChurnSim::new(path(4), &[3; 4]);
+        for s in [&mut sim, &mut fresh] {
+            s.state_mut(NodeId(3)).best = 9;
+            s.state_mut(NodeId(3)).dirty = true;
+            s.wake(NodeId(3));
+        }
+        assert_eq!(sim.run(1, 8), fresh.run(1, 8));
+        assert!(sim.states().iter().all(|s| s.best == 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "nodes awake")]
+    fn rewire_refuses_a_sim_with_nodes_awake() {
+        let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(3), &[0; 3]);
+        sim.wake(NodeId(1));
+        sim.rewire(|_, _| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "in flight")]
+    fn rewire_refuses_a_capped_run() {
+        let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(8), &[0; 8]);
+        sim.state_mut(NodeId(0)).best = 1;
+        sim.state_mut(NodeId(0)).dirty = true;
+        sim.wake(NodeId(0));
+        assert!(!sim.run(1, 2).completed);
+        sim.rewire(|_, _| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "one state per node")]
+    fn rewire_checks_the_state_count() {
+        let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(3), &[0; 3]);
+        sim.rewire(|g, _| *g = path(4));
     }
 }

@@ -30,7 +30,7 @@ use std::cell::UnsafeCell;
 ///   edge (the simulator uses a barrier between the write phase and the next
 ///   read phase).
 pub struct DisjointSlots<T> {
-    slots: Box<[UnsafeCell<T>]>,
+    slots: Vec<UnsafeCell<T>>,
 }
 
 // SAFETY: `DisjointSlots` hands out access only through `write` (whose
@@ -42,8 +42,15 @@ unsafe impl<T: Send> Sync for DisjointSlots<T> {}
 impl<T> DisjointSlots<T> {
     /// Creates a buffer of `len` slots built by `init(i)`.
     pub fn new_with(len: usize, mut init: impl FnMut(usize) -> T) -> Self {
-        let slots: Box<[UnsafeCell<T>]> = (0..len).map(|i| UnsafeCell::new(init(i))).collect();
+        let slots: Vec<UnsafeCell<T>> = (0..len).map(|i| UnsafeCell::new(init(i))).collect();
         DisjointSlots { slots }
+    }
+
+    /// Resizes to `len` slots, filling new ones with `init()`; like
+    /// [`Vec::resize_with`], it keeps the allocation when shrinking or
+    /// regrowing within capacity (no unsafety: `&mut self`).
+    pub fn resize_with(&mut self, len: usize, mut init: impl FnMut() -> T) {
+        self.slots.resize_with(len, || UnsafeCell::new(init()));
     }
 
     /// Number of slots.
@@ -114,7 +121,7 @@ impl<T> DisjointSlots<T> {
     /// Exclusive view of the whole buffer (no unsafety: `&mut self`).
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: exclusive borrow of self gives exclusive access to all cells.
-        unsafe { &mut *(self.slots.as_mut() as *mut [UnsafeCell<T>] as *mut [T]) }
+        unsafe { &mut *(self.slots.as_mut_slice() as *mut [UnsafeCell<T>] as *mut [T]) }
     }
 
     /// Shared view of the whole buffer.
@@ -122,7 +129,7 @@ impl<T> DisjointSlots<T> {
     /// # Safety
     /// No thread may be writing any slot while the returned slice is alive.
     pub unsafe fn as_slice(&self) -> &[T] {
-        &*(self.slots.as_ref() as *const [UnsafeCell<T>] as *const [T])
+        &*(self.slots.as_slice() as *const [UnsafeCell<T>] as *const [T])
     }
 }
 

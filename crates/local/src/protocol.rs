@@ -133,7 +133,7 @@ pub struct Outbox<'a, 'g, M> {
     pub(crate) route: Option<RouteRef<'a, M>>,
 }
 
-impl<M: Clone + Default + Send> Outbox<'_, '_, M> {
+impl<'g, M: Clone + Default + Send> Outbox<'_, 'g, M> {
     /// Sends `msg` over `port`; it arrives at the neighbor next round.
     /// Sending twice on the same port in one round overwrites (one message
     /// per edge per round, as in the LOCAL model).
@@ -175,6 +175,13 @@ impl<M: Clone + Default + Send> Outbox<'_, '_, M> {
     /// Number of ports available (== the node's degree).
     pub fn num_ports(&self) -> usize {
         self.graph.degree(self.node)
+    }
+
+    /// Identifiers of the neighbors, indexed by port: the
+    /// [`NodeInit::neighbor_ids`] of the current network, so a node need
+    /// not keep its own copy.
+    pub fn neighbor_ids(&self) -> &'g [u32] {
+        self.graph.neighbors(self.node)
     }
 }
 

@@ -5,6 +5,12 @@
 //! allocator. We verify this with a counting global allocator: for a
 //! protocol whose own code never allocates, the total allocation count of a
 //! run must be *independent of the number of rounds*.
+//!
+//! The counter is process-global, so nothing else may allocate while a
+//! measurement is open: this file is a `harness = false` test whose `main`
+//! runs the checks one after another on the main thread (libtest's runner
+//! threads and output capture allocate at unpredictable moments). It prints
+//! libtest's report lines so the results read like the rest of the suite.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,10 +19,6 @@ use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Simulator, Status};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// The counter is process-global, so the two tests must not overlap — the
-/// harness runs tests on parallel threads by default.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -95,31 +97,71 @@ fn ring(n: usize) -> td_graph::CsrGraph {
     b.build().unwrap()
 }
 
-#[test]
-fn sequential_allocations_are_round_count_independent() {
-    let _guard = SERIAL.lock().unwrap();
+/// A run's allocation count must not depend on its round count.
+fn allocations_are_round_count_independent(sim: &Simulator) {
     let g = ring(64);
-    let sim = Simulator::sequential();
     // Warm-up: fault in allocator/runtime one-time lazy paths.
-    allocs_during(&sim, &g, 4);
-    let short = allocs_during(&sim, &g, 8);
-    let long = allocs_during(&sim, &g, 256);
+    allocs_during(sim, &g, 4);
+    let short = allocs_during(sim, &g, 8);
+    let long = allocs_during(sim, &g, 256);
     assert_eq!(
         short, long,
         "round loop allocated: {short} allocs for 8 rounds vs {long} for 256"
     );
 }
 
-#[test]
-fn parallel_allocations_are_round_count_independent() {
-    let _guard = SERIAL.lock().unwrap();
-    let g = ring(64);
-    let sim = Simulator::parallel(4);
-    allocs_during(&sim, &g, 4);
-    let short = allocs_during(&sim, &g, 8);
-    let long = allocs_during(&sim, &g, 256);
-    assert_eq!(
-        short, long,
-        "round loop allocated: {short} allocs for 8 rounds vs {long} for 256"
+fn main() {
+    let checks: [(&str, fn()); 2] = [
+        ("sequential_allocations_are_round_count_independent", || {
+            allocations_are_round_count_independent(&Simulator::sequential())
+        }),
+        ("parallel_allocations_are_round_count_independent", || {
+            allocations_are_round_count_independent(&Simulator::parallel(4))
+        }),
+    ];
+    // The libtest command line in brief: `--list`, name filters (substring,
+    // or whole name with `--exact`) and `--skip`; the values of libtest's
+    // other valued flags are not taken for filters, other flags are ignored.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let exact = args.iter().any(|a| a == "--exact");
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--skip" => skips.extend(it.next()),
+            "--format" | "--color" | "--logfile" | "--test-threads" | "-Z" => {
+                it.next();
+            }
+            f if !f.starts_with('-') => filters.push(f),
+            _ => {}
+        }
+    }
+    let matches = |name: &str, f: &str| if exact { name == f } else { name.contains(f) };
+    let selected: Vec<_> = checks
+        .into_iter()
+        .filter(|(name, _)| {
+            (filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+                && !skips.iter().any(|f| name.contains(f.as_str()))
+        })
+        .collect();
+    if args.iter().any(|a| a == "--list") {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return;
+    }
+    let start = std::time::Instant::now();
+    println!("\nrunning {} tests", selected.len());
+    for (name, check) in &selected {
+        // A failed check panics, which exits non-zero with its message.
+        check();
+        println!("test {name} ... ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        selected.len(),
+        checks.len() - selected.len(),
+        start.elapsed().as_secs_f64()
     );
 }

@@ -122,9 +122,32 @@ pub fn phase_len(delta: u32) -> u32 {
 }
 
 /// Total communication rounds of the protocol — the explicit Θ(Δ⁴) of
-/// Theorem 5.1.
+/// Theorem 5.1: `phase_budget(Δ) · phase_len(Δ)`, computed in u64 so it is
+/// defined for every Δ (saturating at `u64::MAX`), including those whose
+/// per-phase figures overflow u32.
 pub fn total_rounds(delta: u32) -> u64 {
-    phase_budget(delta) as u64 * phase_len(delta) as u64
+    let d = u64::from(delta);
+    let cube = d.saturating_mul(d).saturating_mul(d);
+    // phase_len = 3 + 2 · td_budget = 4Δ³ + 4Δ + 19.
+    let len = cube.saturating_mul(4).saturating_add(4 * d + 19);
+    (2 * d + 2).saturating_mul(len)
+}
+
+/// The simulator round cap of a distributed run at maximum degree `delta`:
+/// the protocol's budget plus 16 rounds of slack. Fails with a diagnostic
+/// naming Δ and the budget when the cap does not fit the simulator's u32
+/// round counter, which happens from Δ = 152 on.
+pub fn round_cap(delta: u32) -> Result<u32, String> {
+    let budget = total_rounds(delta);
+    budget
+        .checked_add(16)
+        .and_then(|cap| u32::try_from(cap).ok())
+        .ok_or_else(|| {
+            format!(
+                "Δ = {delta} needs a budget of {budget} rounds, more than the u32 round \
+                 counter holds (the distributed protocol runs up to Δ = 151)"
+            )
+        })
 }
 
 impl OrientNode {
@@ -417,9 +440,9 @@ impl td_local::Summarize for DistributedResult {
 /// checking that the two endpoints of every edge agree.
 pub fn run_distributed(g: &CsrGraph, sim: &Simulator) -> DistributedResult {
     let delta = g.max_degree() as u32;
+    let cap = round_cap(delta).unwrap_or_else(|e| panic!("{e}"));
     let inputs = vec![OrientInput { delta }; g.num_nodes()];
-    let budget = total_rounds(delta);
-    let sim = sim.with_max_rounds((budget + 16).min(u32::MAX as u64) as u32);
+    let sim = sim.with_max_rounds(cap);
     let outcome: SimOutcome<OrientOutput> = sim.run::<OrientNode>(g, &inputs);
     assert!(
         outcome.completed,
@@ -509,6 +532,31 @@ mod tests {
             assert!(r >= (delta as u64).pow(4));
             assert!(r <= 64 * (delta as u64).pow(4) + 512);
         }
+    }
+
+    #[test]
+    fn round_budget_is_exact_and_capped_at_the_u32_counter() {
+        for delta in [0u32, 1, 4, 100, 151, 152, 1023, 1024] {
+            if delta <= 1023 {
+                // Below 1024 the per-phase figures fit u32: same product.
+                let product = phase_budget(delta) as u64 * phase_len(delta) as u64;
+                assert_eq!(total_rounds(delta), product, "Δ = {delta}");
+            }
+            assert_eq!(round_cap(delta).is_ok(), delta <= 151, "Δ = {delta}");
+        }
+        assert_eq!(round_cap(151), Ok(4_186_817_808 + 16));
+        let err = round_cap(152).unwrap_err();
+        assert!(
+            err.contains("Δ = 152") && err.contains("4298644854"),
+            "{err}"
+        );
+        assert_eq!(total_rounds(u32::MAX), u64::MAX, "saturates, never wraps");
+    }
+
+    #[test]
+    #[should_panic(expected = "Δ = 152")]
+    fn oversized_delta_panics_before_simulating() {
+        run_distributed(&star(152), &Simulator::sequential());
     }
 
     #[test]

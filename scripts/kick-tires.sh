@@ -9,7 +9,10 @@
 #      ("misses: 0");
 #   3. double render: plots and the regenerated benchmark document must
 #      be byte-identical across renders of the same cache;
-#   4. schema pins on the manifest, cached results, and benchmark file.
+#   4. schema pins on the manifest, cached results, and benchmark file;
+#   5. regression gate: every rendered benchmark row that the committed
+#      BENCH_10.json also has (same scenario, executor and size) must
+#      repeat its deterministic counters exactly.
 #
 # Everything lands under kick-tires/ (gitignored). The full artifact
 # refresh is scripts/full.sh.
@@ -45,5 +48,8 @@ echo "== schema pins =="
 grep -q '"schema":"td-exp/v1"' "$RESULTS/manifest.json"
 grep -rq '"schema":"td-exp/v1"' "$RESULTS/e17"
 grep -q '"schema":"td-perf/v1"' "$SCRATCH/bench.json"
+
+echo "== deterministic counters must match the committed BENCH_10.json =="
+"$TD" exp check-bench "$SCRATCH/bench.json" BENCH_10.json
 
 echo "kick-tires: OK"

@@ -13,7 +13,7 @@ use token_dropping::core::{game_io, lockstep, TokenGame};
 use token_dropping::graph::{algo, io as gio, CsrGraph};
 use token_dropping::local::Simulator;
 use token_dropping::orient::phases::{solve_stable_orientation, PhaseConfig};
-use token_dropping::orient::protocol::run_distributed;
+use token_dropping::orient::protocol::{round_cap, run_distributed};
 use token_dropping::prelude::*;
 
 const USAGE: &str =
@@ -138,6 +138,15 @@ USAGE:
                                        perf experiment) the td-perf/v1
                                        benchmark file at --bench; pass the
                                        exact flags the cache was run with
+  td exp check-bench <rendered> <committed>
+                                       exit 1 unless every row of a
+                                       rendered td-perf/v1 file matches the
+                                       committed row of the same scenario,
+                                       executor and size on the
+                                       deterministic counters (rounds,
+                                       messages, node_rounds, node_steps,
+                                       halted_scans, sparse_skips,
+                                       stamp_scans)
   td --help | -h                       this text
 
 FILES:
@@ -1448,9 +1457,39 @@ fn cmd_exp(args: &[String]) -> i32 {
         }
         Some("run") => exp_run(&args[1..]),
         Some("render") => exp_render(&args[1..]),
+        Some("check-bench") => exp_check_bench(&args[1..]),
         Some(other) => {
-            eprintln!("td exp: unknown action '{other}' (run|render|--list)");
+            eprintln!("td exp: unknown action '{other}' (run|render|check-bench|--list)");
             2
+        }
+    }
+}
+
+fn exp_check_bench(args: &[String]) -> i32 {
+    use td_bench::exp;
+    let [rendered, committed] = args else {
+        eprintln!("td exp check-bench: expects <rendered.json> <committed.json>");
+        return 2;
+    };
+    let read = |path: &String| {
+        std::fs::read_to_string(path).map_err(|e| eprintln!("td exp check-bench: {path}: {e}"))
+    };
+    let (Ok(r), Ok(c)) = (read(rendered), read(committed)) else {
+        return 1;
+    };
+    match exp::check_bench(&r, &c) {
+        Ok(rows) => {
+            println!(
+                "check-bench: {rows} rows of {rendered} agree with {committed} on {}",
+                exp::BENCH_COUNTERS.join(", ")
+            );
+            0
+        }
+        Err(errors) => {
+            for e in errors {
+                eprintln!("td exp check-bench: {e}");
+            }
+            1
         }
     }
 }
@@ -1775,6 +1814,12 @@ fn cmd_orient(args: &[String]) -> i32 {
     }
     let g = load_graph(path.unwrap_or("-"));
     let orientation = if distributed {
+        // Refuse before simulating: past Δ = 151 the round budget
+        // overflows the simulator's u32 round counter.
+        if let Err(e) = round_cap(u32::try_from(g.max_degree()).unwrap_or(u32::MAX)) {
+            eprintln!("td orient --distributed: {e}");
+            return 2;
+        }
         let res = run_distributed(&g, &Simulator::sequential());
         println!(
             "# distributed protocol: {} LOCAL rounds, {} messages",

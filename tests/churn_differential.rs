@@ -7,8 +7,12 @@
 //! This is the contract that makes incremental repair safe to ship: the
 //! dirty-set optimization and the thread count are pure performance knobs.
 
+use std::path::Path;
 use td_bench::churn::{churn_registry, ChurnScenario};
+use td_bench::{Trace, WorkloadInstance, WorkloadSpec};
 use td_local::churn::RepairMode;
+use td_local::ChurnEvent;
+use token_dropping::assign::repair::AssignChurnEngine;
 
 const THREADS: [usize; 3] = [2, 4, 8];
 
@@ -107,4 +111,56 @@ fn parallel_full_recompute_matches_sequential() {
             assert_eq!(seq.repair, par.repair, "{} threads {t}", sc.name());
         }
     }
+}
+
+/// Joins and leaves patch the live repair network in place, and debug
+/// builds of `AssignChurnEngine` check every patch against a fresh build of
+/// the network from the engine's records. Replays each committed assignment
+/// trace and each `churn-assign` spec of the fuzz corpus through that
+/// oracle, in both repair modes, verifying stability after every event.
+#[test]
+fn membership_patches_match_fresh_builds_on_committed_assignment_workloads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut specs: Vec<(WorkloadSpec, Option<Vec<ChurnEvent>>)> = Vec::new();
+    for name in ["drain-wave", "flash-crowd"] {
+        let text = std::fs::read_to_string(root.join("traces").join(format!("{name}.tdt")))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let t = Trace::read(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        specs.push((t.spec, Some(t.events)));
+    }
+    for entry in std::fs::read_dir(root.join("tests/corpus")).expect("corpus dir") {
+        let text = std::fs::read_to_string(entry.expect("corpus entry").path()).unwrap();
+        for line in text.lines().filter(|l| l.starts_with("churn-assign")) {
+            specs.push((WorkloadSpec::parse(line).unwrap(), None));
+        }
+    }
+    assert!(
+        specs.len() >= 3,
+        "two traces and the corpus's churn-assign specs"
+    );
+    let mut membership = 0;
+    for (spec, recorded) in &specs {
+        let WorkloadInstance::AssignChurn { base, trace } = spec.build().unwrap() else {
+            panic!("{spec}: not an assignment churn workload");
+        };
+        let events = recorded.as_ref().unwrap_or(&trace);
+        for mode in [RepairMode::Incremental, RepairMode::FullRecompute] {
+            let mut eng = AssignChurnEngine::new(&base, mode);
+            eng.stabilize();
+            for (i, ev) in events.iter().enumerate() {
+                eng.apply(ev)
+                    .unwrap_or_else(|e| panic!("{spec} {mode:?} event {i}: {e}"));
+                eng.verify()
+                    .unwrap_or_else(|e| panic!("{spec} {mode:?} after event {i}: {e:?}"));
+                membership += usize::from(matches!(
+                    ev,
+                    ChurnEvent::CustomerJoin { .. } | ChurnEvent::CustomerLeave(_)
+                ));
+            }
+        }
+    }
+    assert!(
+        membership >= 100,
+        "only {membership} joins and leaves replayed"
+    );
 }

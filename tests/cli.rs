@@ -52,6 +52,35 @@ fn orient_produces_all_edges() {
 }
 
 #[test]
+fn orient_distributed_refuses_a_round_budget_past_u32() {
+    // A 152-leaf star: Δ = 152 needs 4,298,644,854 rounds, past u32::MAX.
+    let mut star = String::from("153 152\n");
+    for leaf in 1..=152 {
+        star.push_str(&format!("0 {leaf}\n"));
+    }
+    let mut child = Command::new(BIN)
+        .args(["orient", "-", "--distributed"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(star.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("Δ = 152") && err.contains("4298644854"),
+        "{err}"
+    );
+}
+
+#[test]
 fn game_pipeline_solves_comb() {
     let (game, _, ok) = run_td(&["gen", "comb", "5"], None);
     assert!(ok);
@@ -537,11 +566,42 @@ fn trailing_and_malformed_args_exit_2_everywhere() {
         vec!["assign", "-", "--bounded", "x", "--customers", "4"],
         vec!["assign", "-"],
         vec!["perf", "--quick", "extra-garbage"],
+        vec!["exp", "check-bench"],
+        vec!["exp", "check-bench", "BENCH_10.json"],
     ] {
         let out = Command::new(BIN).args(&bad).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "args {bad:?}");
         assert!(!out.stderr.is_empty(), "args {bad:?}: silent failure");
     }
+}
+
+#[test]
+fn exp_check_bench_accepts_the_committed_file_and_rejects_drift() {
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_10.json");
+    let out = Command::new(BIN)
+        .args(["exp", "check-bench", committed, committed])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let drifted = std::env::temp_dir().join(format!("td-check-bench-{}.json", std::process::id()));
+    let text = std::fs::read_to_string(committed).unwrap();
+    std::fs::write(
+        &drifted,
+        text.replacen("\"rounds\":240,", "\"rounds\":241,", 1),
+    )
+    .unwrap();
+    let out = Command::new(BIN)
+        .args(["exp", "check-bench", drifted.to_str().unwrap(), committed])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&drifted).unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("rounds 241 (committed 240)"), "{err}");
 }
 
 #[test]
