@@ -75,6 +75,9 @@ pub fn read_game(r: impl BufRead) -> Result<TokenGame, GameReadError> {
             }
         }
     }
+    // Every node and edge takes a line, so the lines read bound what the
+    // header may reserve.
+    let body_lines = tokens_of_line.len().saturating_sub(1);
     let mut it = tokens_of_line.into_iter();
     let (hl, header) = it.next().ok_or(GameReadError::Parse {
         line: 0,
@@ -86,9 +89,10 @@ pub fn read_game(r: impl BufRead) -> Result<TokenGame, GameReadError> {
             msg: "header must be '<n> <m>'".into(),
         });
     }
-    let (n, m) = (header[0] as usize, header[1] as usize);
-    let mut level = Vec::with_capacity(n);
-    let mut token = Vec::with_capacity(n);
+    let n = to_u32(header[0], hl, "node count")? as usize;
+    let m = to_u32(header[1], hl, "edge count")? as usize;
+    let mut level = Vec::with_capacity(n.min(body_lines));
+    let mut token = Vec::with_capacity(n.min(body_lines));
     for _ in 0..n {
         let (l, row) = it.next().ok_or(GameReadError::Parse {
             line: 0,
@@ -100,10 +104,10 @@ pub fn read_game(r: impl BufRead) -> Result<TokenGame, GameReadError> {
                 msg: "node line must be '<level> <0|1>'".into(),
             });
         }
-        level.push(row[0] as u32);
+        level.push(to_u32(row[0], l, "level")?);
         token.push(row[1] == 1);
     }
-    let mut b = GraphBuilder::with_capacity(n, m);
+    let mut b = GraphBuilder::with_capacity(n, m.min(body_lines - n));
     for _ in 0..m {
         let (l, row) = it.next().ok_or(GameReadError::Parse {
             line: 0,
@@ -115,7 +119,8 @@ pub fn read_game(r: impl BufRead) -> Result<TokenGame, GameReadError> {
                 msg: "edge line must be '<u> <v>'".into(),
             });
         }
-        b.add_edge(NodeId(row[0] as u32), NodeId(row[1] as u32))
+        let (u, v) = (to_u32(row[0], l, "node id")?, to_u32(row[1], l, "node id")?);
+        b.add_edge(NodeId(u), NodeId(v))
             .map_err(|e| GameReadError::Parse {
                 line: l,
                 msg: e.to_string(),
@@ -134,6 +139,14 @@ pub fn read_game(r: impl BufRead) -> Result<TokenGame, GameReadError> {
     TokenGame::new(graph, level, token).map_err(|e| GameReadError::Parse {
         line: 0,
         msg: e.to_string(),
+    })
+}
+
+/// `x` as a `u32`, or a parse error naming `what` on `line`.
+fn to_u32(x: u64, line: usize, what: &str) -> Result<u32, GameReadError> {
+    u32::try_from(x).map_err(|_| GameReadError::Parse {
+        line,
+        msg: format!("{what} {x} does not fit in 32 bits"),
     })
 }
 
@@ -156,12 +169,17 @@ mod tests {
     fn rejects_malformed() {
         for text in [
             "",
-            "2\n",                       // bad header
-            "2 1\n0 1\n",                // missing node line
-            "2 1\n0 0\n1 2\n0 1\n",      // token flag 2
-            "2 1\n0 0\n1 0\n",           // missing edge
-            "2 1\n0 0\n1 0\n0 1\n0 1\n", // trailing line
-            "2 1\n0 0\n5 0\n0 1\n",      // non-adjacent levels
+            "2\n",                                    // bad header
+            "2 1\n0 1\n",                             // missing node line
+            "2 1\n0 0\n1 2\n0 1\n",                   // token flag 2
+            "2 1\n0 0\n1 0\n",                        // missing edge
+            "2 1\n0 0\n1 0\n0 1\n0 1\n",              // trailing line
+            "2 1\n0 0\n5 0\n0 1\n",                   // non-adjacent levels
+            "2 1\n0 1\n1 0\n4294967296 1\n",          // endpoint past u32
+            "2 1\n4294967296 0\n4294967297 1\n0 1\n", // level past u32
+            "18446744073709551615 0\n",               // node count past u32
+            "100000000000 0\n",                       // node count past u32
+            "4000000000 4000000000\n",                // counts the lines cannot fill
         ] {
             assert!(read_game(text.as_bytes()).is_err(), "{text:?}");
         }

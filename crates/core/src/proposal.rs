@@ -24,6 +24,32 @@
 //! stale for "became occupied" — an unavoidable consequence of the 2-round
 //! encoding. The [`crate::lockstep`] engine models the same staleness, which
 //! makes the two engines' move sequences identical (see tests).
+//!
+//! # Wire format
+//!
+//! A round sends at most one 8-byte [`Msg`] per edge, carrying every flag
+//! relevant to that neighbor:
+//!
+//! | bit | flag | meaning |
+//! |---|---|---|
+//! | 0 | `HELLO` | round-0 introduction; `level` holds the sender's level |
+//! | 1 | `OCCUPIED` | in a hello: the sender starts with a token; later, to a child: it just received one |
+//! | 2 | `EMPTIED` | to a child: the sender just passed its token on |
+//! | 3 | `REQUEST` | child asks the parent for its token |
+//! | 4 | `GRANT` | parent passes its token to this child (consumes the edge) |
+//! | 5 | `GOODBYE` | the sender has terminated and leaves the game |
+//!
+//! `level` is meaningful only in a hello and is 0 otherwise. A port with no
+//! flag to send gets no message.
+//!
+//! # Open-port counts
+//!
+//! A port is *open* while its edge is unconsumed and its neighbor has not
+//! said goodbye. Each node keeps live counts of its open parent and child
+//! ports (set by the hellos of round 1, decremented when a grant consumes an
+//! edge or a goodbye arrives), so the termination rule is O(1) per round:
+//! an occupied node halts when it has no open child, an unoccupied one when
+//! it has no open parent.
 
 use crate::game::TokenGame;
 use crate::solution::{MoveEvent, MoveLog, Solution};
@@ -50,39 +76,31 @@ pub fn inputs(game: &TokenGame) -> Vec<TokenInput> {
         .collect()
 }
 
-/// The (combinable) message exchanged by the protocol. All fields default to
-/// "absent"; a round sends at most one `Msg` per edge carrying every flag
-/// relevant to that neighbor.
+const HELLO: u8 = 1 << 0;
+const OCCUPIED: u8 = 1 << 1;
+const EMPTIED: u8 = 1 << 2;
+const REQUEST: u8 = 1 << 3;
+const GRANT: u8 = 1 << 4;
+const GOODBYE: u8 = 1 << 5;
+
+/// The (combinable) message exchanged by the protocol: a flag byte plus the
+/// sender's level, which only a hello carries (see the module docs for the
+/// wire format).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Msg {
-    /// Round-0 introduction: `(level, initially occupied)`.
-    pub hello: Option<(u32, bool)>,
-    /// Child asks parent for its token.
-    pub request: bool,
-    /// Parent passes its token to this child (consumes the edge).
-    pub grant: bool,
-    /// Occupancy announcement to children: `Some(true)` = became occupied,
-    /// `Some(false)` = became empty.
-    pub occ: Option<bool>,
-    /// The sender has terminated and leaves the game.
-    pub goodbye: bool,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PortKind {
-    Unknown,
-    Parent,
-    Child,
+    level: u32,
+    flags: u8,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct PortState {
-    kind: PortKind,
+    neighbor: u32,
+    /// The neighbor sits one level up (set by its hello; a child otherwise).
+    parent: bool,
     alive: bool,
     consumed: bool,
     /// For parent ports: last known occupancy of the parent.
     parent_occupied: bool,
-    neighbor: u32,
 }
 
 /// Per-node local output, from which the host reconstructs the global
@@ -96,8 +114,6 @@ pub struct NodeOutput {
     pub final_token: bool,
     /// Grants this node sent: `(comm_round, receiver_id)`.
     pub grants_sent: Vec<(u32, u32)>,
-    /// Grants this node received: `(comm_round, sender_id)`.
-    pub grants_recv: Vec<(u32, u32)>,
 }
 
 /// Node state of the proposal algorithm.
@@ -105,33 +121,42 @@ pub struct ProposalNode {
     level: u32,
     occupied: bool,
     initial_token: bool,
-    ports: Vec<PortState>,
-    out_buf: Vec<Msg>,
+    /// Open (alive, unconsumed) parent ports.
+    open_parents: u32,
+    /// Open (alive, unconsumed) child ports.
+    open_children: u32,
+    ports: Box<[PortState]>,
     grants_sent: Vec<(u32, u32)>,
-    grants_recv: Vec<(u32, u32)>,
 }
 
 impl ProposalNode {
-    fn alive_ports(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ports
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.alive)
-            .map(|(i, _)| i)
+    /// Takes port `i` out of the open-port counts, if it is open; the
+    /// caller then marks its edge consumed or its neighbor gone.
+    fn close(&mut self, i: usize) {
+        let p = self.ports[i];
+        if p.alive && !p.consumed {
+            if p.parent {
+                self.open_parents -= 1;
+            } else {
+                self.open_children -= 1;
+            }
+        }
     }
 
-    fn should_terminate(&self) -> bool {
-        if self.occupied {
-            !self
-                .ports
-                .iter()
-                .any(|p| p.alive && !p.consumed && p.kind == PortKind::Child)
-        } else {
-            !self
-                .ports
-                .iter()
-                .any(|p| p.alive && !p.consumed && p.kind == PortKind::Parent)
+    /// The smallest-id open parent known to be occupied, if any.
+    fn best_occupied_parent(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, p) in self.ports.iter().enumerate() {
+            if p.parent
+                && p.alive
+                && !p.consumed
+                && p.parent_occupied
+                && best.is_none_or(|b| p.neighbor < self.ports[b].neighbor)
+            {
+                best = Some(i);
+            }
         }
+        best
     }
 }
 
@@ -145,20 +170,20 @@ impl Protocol for ProposalNode {
             level: node.input.level,
             occupied: node.input.token,
             initial_token: node.input.token,
+            open_parents: 0,
+            open_children: 0,
             ports: node
                 .neighbor_ids
                 .iter()
                 .map(|&nb| PortState {
-                    kind: PortKind::Unknown,
+                    neighbor: nb,
+                    parent: false,
                     alive: true,
                     consumed: false,
                     parent_occupied: false,
-                    neighbor: nb,
                 })
                 .collect(),
-            out_buf: vec![Msg::default(); node.neighbor_ids.len()],
             grants_sent: Vec::new(),
-            grants_recv: Vec::new(),
         }
     }
 
@@ -174,131 +199,111 @@ impl Protocol for ProposalNode {
                 // Isolated node: trivially stuck either way.
                 return Status::Halt;
             }
-            let hello = Msg {
-                hello: Some((self.level, self.occupied)),
-                ..Msg::default()
+            let flags = if self.occupied {
+                HELLO | OCCUPIED
+            } else {
+                HELLO
             };
-            outbox.broadcast(hello);
+            outbox.broadcast(Msg {
+                level: self.level,
+                flags,
+            });
             return Status::Continue;
         }
 
-        // ---- Process the inbox.
+        // ---- Process the inbox, picking the smallest-id open requester
+        // on the way.
         let mut became_occupied = false;
-        let mut grantor: Option<usize> = None;
-        let mut requests: Vec<usize> = Vec::new();
+        let mut requester: Option<usize> = None;
         for (port, msg) in inbox.iter() {
-            let pi = port.idx();
-            if let Some((lvl, occ)) = msg.hello {
-                let my = self.level;
-                let p = &mut self.ports[pi];
-                p.kind = if lvl == my + 1 {
-                    PortKind::Parent
+            let i = port.idx();
+            let f = msg.flags;
+            if f & HELLO != 0 {
+                let parent = msg.level == self.level + 1;
+                self.ports[i].parent = parent;
+                if parent {
+                    self.open_parents += 1;
                 } else {
-                    PortKind::Child
-                };
-                if p.kind == PortKind::Parent {
-                    p.parent_occupied = occ;
+                    self.open_children += 1;
                 }
             }
-            if let Some(o) = msg.occ {
-                let p = &mut self.ports[pi];
-                if p.kind == PortKind::Parent {
-                    p.parent_occupied = o;
-                }
+            if f & (OCCUPIED | EMPTIED) != 0 && self.ports[i].parent {
+                self.ports[i].parent_occupied = f & OCCUPIED != 0;
             }
-            if msg.grant {
+            if f & GRANT != 0 {
                 debug_assert!(!self.occupied, "granted while occupied");
-                debug_assert_eq!(self.ports[pi].kind, PortKind::Parent);
+                debug_assert!(self.ports[i].parent);
                 self.occupied = true;
                 became_occupied = true;
-                grantor = Some(pi);
-                let p = &mut self.ports[pi];
-                p.consumed = true;
-                p.parent_occupied = false;
-                self.grants_recv.push((r, self.ports[pi].neighbor));
+                self.close(i);
+                self.ports[i].consumed = true;
+                self.ports[i].parent_occupied = false;
             }
-            if msg.request {
-                requests.push(pi);
+            if f & GOODBYE != 0 {
+                self.close(i);
+                self.ports[i].alive = false;
             }
-            if msg.goodbye {
-                self.ports[pi].alive = false;
+            let p = self.ports[i];
+            if f & REQUEST != 0
+                && p.alive
+                && !p.consumed
+                && requester.is_none_or(|b| p.neighbor < self.ports[b].neighbor)
+            {
+                debug_assert!(!p.parent);
+                requester = Some(i);
             }
         }
 
         // ---- Act.
-        for m in self.out_buf.iter_mut() {
-            *m = Msg::default();
-        }
+        let mut announce = 0;
+        let mut request: Option<usize> = None;
+        let mut grant: Option<usize> = None;
         if r % 2 == 1 {
             // Request phase.
             if became_occupied {
-                for i in 0..self.ports.len() {
-                    let p = self.ports[i];
-                    if p.alive && p.kind == PortKind::Child && Some(i) != grantor {
-                        self.out_buf[i].occ = Some(true);
-                    }
-                }
+                announce = OCCUPIED;
             }
-            if !self.occupied {
-                let mut best: Option<usize> = None;
-                for i in self.alive_ports() {
-                    let p = self.ports[i];
-                    if p.kind == PortKind::Parent
-                        && !p.consumed
-                        && p.parent_occupied
-                        && best.is_none_or(|b| p.neighbor < self.ports[b].neighbor)
-                    {
-                        best = Some(i);
-                    }
-                }
-                if let Some(i) = best {
-                    self.out_buf[i].request = true;
-                }
+            if !self.occupied && self.open_parents > 0 {
+                request = self.best_occupied_parent();
             }
-        } else {
+        } else if self.occupied {
             // Grant phase (r >= 2).
-            debug_assert!(requests.iter().all(|&i| self.ports[i].alive));
-            if self.occupied {
-                let mut best: Option<usize> = None;
-                for &i in &requests {
-                    let p = self.ports[i];
-                    debug_assert_eq!(p.kind, PortKind::Child);
-                    if p.alive
-                        && !p.consumed
-                        && best.is_none_or(|b| p.neighbor < self.ports[b].neighbor)
-                    {
-                        best = Some(i);
-                    }
-                }
-                if let Some(i) = best {
-                    self.out_buf[i].grant = true;
-                    self.ports[i].consumed = true;
-                    self.occupied = false;
-                    self.grants_sent.push((r, self.ports[i].neighbor));
-                    for j in 0..self.ports.len() {
-                        let p = self.ports[j];
-                        if j != i && p.alive && p.kind == PortKind::Child {
-                            self.out_buf[j].occ = Some(false);
-                        }
-                    }
-                }
+            if let Some(i) = requester {
+                self.close(i);
+                self.ports[i].consumed = true;
+                self.occupied = false;
+                self.grants_sent.push((r, self.ports[i].neighbor));
+                grant = Some(i);
+                announce = EMPTIED;
             }
         }
 
-        // ---- Termination (classification is complete from round 1 on).
-        let die = self.should_terminate();
-        if die {
-            for i in 0..self.ports.len() {
-                if self.ports[i].alive {
-                    self.out_buf[i].goodbye = true;
-                }
-            }
-        }
+        // ---- Termination.
+        let die = if self.occupied {
+            self.open_children == 0
+        } else {
+            self.open_parents == 0
+        };
 
-        // ---- Flush.
-        for (i, m) in self.out_buf.iter().enumerate() {
-            if *m != Msg::default() {
-                outbox.send(Port::from(i), *m);
+        // ---- Send: one message per port that has a flag to carry.
+        if announce != 0 || request.is_some() || die {
+            for (i, p) in self.ports.iter().enumerate() {
+                let mut flags = 0;
+                if p.alive && !p.parent && Some(i) != grant {
+                    flags |= announce;
+                }
+                if Some(i) == request {
+                    flags |= REQUEST;
+                }
+                if Some(i) == grant {
+                    flags |= GRANT;
+                }
+                if die && p.alive {
+                    flags |= GOODBYE;
+                }
+                if flags != 0 {
+                    outbox.send(Port::from(i), Msg { level: 0, flags });
+                }
             }
         }
         if die {
@@ -313,7 +318,6 @@ impl Protocol for ProposalNode {
             initial_token: self.initial_token,
             final_token: self.occupied,
             grants_sent: self.grants_sent,
-            grants_recv: self.grants_recv,
         }
     }
 }
@@ -355,18 +359,40 @@ pub fn run_on_simulator(game: &TokenGame, sim: &Simulator) -> ProtocolRunResult 
     let ins = inputs(game);
     let outcome: SimOutcome<NodeOutput> = sim.run::<ProposalNode>(game.graph(), &ins);
     assert!(outcome.completed, "proposal protocol hit the round cap");
-    let mut events: Vec<MoveEvent> = Vec::new();
-    for (v, out) in outcome.outputs.iter().enumerate() {
-        for &(r, to) in &out.grants_sent {
+    // Counting sort by game round (a grant in comm round r is a move in game
+    // round r / 2 - 1). Nodes are visited in id order and grant at most once
+    // per round, so each round's moves come out sorted by source.
+    let mut next = vec![0usize; (outcome.rounds / 2) as usize];
+    for out in &outcome.outputs {
+        for &(r, _) in &out.grants_sent {
             debug_assert!(r >= 2 && r % 2 == 0);
-            events.push(MoveEvent {
-                round: r / 2 - 1,
-                from: NodeId::from(v),
-                to: NodeId(to),
-            });
+            next[(r / 2 - 1) as usize] += 1;
         }
     }
-    events.sort_by_key(|e| (e.round, e.from));
+    let mut total = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = total;
+        total += count;
+    }
+    let blank = MoveEvent {
+        round: 0,
+        from: NodeId(0),
+        to: NodeId(0),
+    };
+    let mut events = vec![blank; total];
+    for (v, out) in outcome.outputs.iter().enumerate() {
+        for &(r, to) in &out.grants_sent {
+            let round = r / 2 - 1;
+            let slot = &mut next[round as usize];
+            events[*slot] = MoveEvent {
+                round,
+                from: NodeId::from(v),
+                to: NodeId(to),
+            };
+            *slot += 1;
+        }
+    }
     let log = MoveLog { events };
     let solution = Solution::from_moves(game, &log);
     ProtocolRunResult {
@@ -410,6 +436,11 @@ mod tests {
             res.solution.traversals[0].path,
             vec![NodeId(2), NodeId(1), NodeId(0)]
         );
+    }
+
+    #[test]
+    fn message_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Msg>(), 8);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use crate::game::TokenGame;
 use crate::solution::{MoveLog, Solution};
-use std::collections::HashSet;
 use td_graph::NodeId;
 
 /// A violation of the token dropping output specification.
@@ -77,16 +76,17 @@ pub fn verify_solution(game: &TokenGame, sol: &Solution) -> Result<(), Violation
         });
     }
 
-    let mut origins = HashSet::new();
-    let mut destinations = HashSet::new();
-    let mut used_edges = HashSet::new();
+    let n = game.num_nodes();
+    let mut origins = vec![false; n];
+    let mut destinations = vec![false; n];
+    let mut used_edges = vec![false; game.graph().num_edges()];
 
     for t in &sol.traversals {
         let origin = t.origin();
         if !game.has_token(origin) {
             return Err(Violation::OriginHasNoToken(origin));
         }
-        if !origins.insert(origin) {
+        if std::mem::replace(&mut origins[origin.idx()], true) {
             return Err(Violation::DuplicateOrigin(origin));
         }
         for w in t.path.windows(2) {
@@ -97,12 +97,12 @@ pub fn verify_solution(game: &TokenGame, sol: &Solution) -> Result<(), Violation
             if game.level(from) != game.level(to) + 1 {
                 return Err(Violation::NotDescending(from, to));
             }
-            if !used_edges.insert(e) {
+            if std::mem::replace(&mut used_edges[e.idx()], true) {
                 return Err(Violation::EdgeReused(from, to));
             }
         }
         let dest = t.destination();
-        if !destinations.insert(dest) {
+        if std::mem::replace(&mut destinations[dest.idx()], true) {
             return Err(Violation::DuplicateDestination(dest));
         }
     }
@@ -114,10 +114,7 @@ pub fn verify_solution(game: &TokenGame, sol: &Solution) -> Result<(), Violation
         let dest = t.destination();
         for (p, child) in game.children(dest) {
             let e = game.graph().edge_at(dest, p);
-            if used_edges.contains(&e) {
-                continue;
-            }
-            if !destinations.contains(&child) {
+            if !used_edges[e.idx()] && !destinations[child.idx()] {
                 return Err(Violation::NotMaximal {
                     destination: dest,
                     child,
@@ -171,9 +168,13 @@ impl std::error::Error for DynamicsViolation {}
 pub fn verify_dynamics(game: &TokenGame, log: &MoveLog) -> Result<(), DynamicsViolation> {
     let n = game.num_nodes();
     let mut occupied: Vec<bool> = (0..n).map(|v| game.has_token(NodeId::from(v))).collect();
-    let mut consumed: HashSet<td_graph::EdgeId> = HashSet::new();
+    let mut consumed = vec![false; game.graph().num_edges()];
+    // source_batch[v] == b: v sends a token in batch b (1-based, so the
+    // zeroed array marks no node).
+    let mut source_batch = vec![0u32; n];
 
     let mut i = 0;
+    let mut batch_no = 0u32;
     let events = &log.events;
     while i < events.len() {
         let r = events[i].round;
@@ -185,10 +186,16 @@ pub fn verify_dynamics(game: &TokenGame, log: &MoveLog) -> Result<(), DynamicsVi
             return Err(DynamicsViolation::UnsortedLog);
         }
         let batch = &events[i..j];
+        batch_no += 1;
         // No node may appear as both source and destination in one round.
-        let sources: HashSet<NodeId> = batch.iter().map(|e| e.from).collect();
+        // (Out-of-range ids are left to the checks below.)
         for e in batch {
-            if sources.contains(&e.to) {
+            if let Some(b) = source_batch.get_mut(e.from.idx()) {
+                *b = batch_no;
+            }
+        }
+        for e in batch {
+            if source_batch.get(e.to.idx()) == Some(&batch_no) {
                 return Err(DynamicsViolation::SendReceiveSameRound(e.to));
             }
         }
@@ -206,7 +213,7 @@ pub fn verify_dynamics(game: &TokenGame, log: &MoveLog) -> Result<(), DynamicsVi
             if game.level(e.from) != game.level(e.to) + 1 {
                 return Err(DynamicsViolation::IllegalStep(e.from, e.to));
             }
-            if !consumed.insert(edge) {
+            if std::mem::replace(&mut consumed[edge.idx()], true) {
                 return Err(DynamicsViolation::EdgeConsumedTwice(e.from, e.to));
             }
         }

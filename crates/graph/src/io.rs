@@ -95,8 +95,12 @@ pub fn read_edge_list(r: impl BufRead) -> Result<CsrGraph, ReadError> {
         }
         match (&header, &mut builder) {
             (None, _) => {
-                header = Some((a as usize, b as usize));
-                builder = Some(GraphBuilder::with_capacity(a as usize, b as usize));
+                let n = to_u32(a, lineno, "node count")? as usize;
+                let m = to_u32(b, lineno, "edge count")? as usize;
+                header = Some((n, m));
+                // No reservation from the header: the edges must still be
+                // read, and a bogus count must not allocate.
+                builder = Some(GraphBuilder::new(n));
             }
             (Some((_, m)), Some(bld)) => {
                 if edges_seen >= *m {
@@ -105,7 +109,8 @@ pub fn read_edge_list(r: impl BufRead) -> Result<CsrGraph, ReadError> {
                         msg: format!("more than the declared {m} edges"),
                     });
                 }
-                bld.add_edge(NodeId(a as u32), NodeId(b as u32))
+                let (u, v) = (to_u32(a, lineno, "node id")?, to_u32(b, lineno, "node id")?);
+                bld.add_edge(NodeId(u), NodeId(v))
                     .map_err(|e| ReadError::Parse {
                         line: lineno,
                         msg: e.to_string(),
@@ -129,6 +134,14 @@ pub fn read_edge_list(r: impl BufRead) -> Result<CsrGraph, ReadError> {
     builder.unwrap().build().map_err(|e| ReadError::Parse {
         line: 0,
         msg: e.to_string(),
+    })
+}
+
+/// `x` as a `u32`, or a parse error naming `what` on `line`.
+fn to_u32(x: u64, line: usize, what: &str) -> Result<u32, ReadError> {
+    u32::try_from(x).map_err(|_| ReadError::Parse {
+        line,
+        msg: format!("{what} {x} does not fit in 32 bits"),
     })
 }
 
@@ -170,7 +183,16 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for text in ["", "x y\n", "2 1\n0 banana\n", "2 1\n0 1 9\n", "2 1\n0 0\n"] {
+        for text in [
+            "",
+            "x y\n",
+            "2 1\n0 banana\n",
+            "2 1\n0 1 9\n",
+            "2 1\n0 0\n",
+            "3 1\n4294967296 1\n",
+            "18446744073709551615 0\n",
+            "3 18446744073709551615\n0 1\n",
+        ] {
             assert!(read_edge_list(text.as_bytes()).is_err(), "{text:?}");
         }
     }

@@ -92,6 +92,45 @@ fn game_pipeline_solves_comb() {
     assert_eq!(traversals.len(), 5);
 }
 
+/// Numbers past `u32` in a game file or an edge list are rejected with a
+/// line diagnostic and exit 1: never truncated into a different instance,
+/// and never turned into a capacity-overflow panic or a huge allocation.
+#[test]
+fn out_of_range_counts_and_ids_exit_1_with_a_line_diagnostic() {
+    for (cmd, input, line) in [
+        ("game", "2 1\n0 1\n1 0\n4294967296 1\n", 4),
+        ("game", "18446744073709551615 0\n", 1),
+        ("game", "100000000000 0\n", 1),
+        ("orient", "3 1\n4294967296 1\n", 2),
+        ("orient", "18446744073709551615 0\n", 1),
+        ("orient", "100000000000 0\n", 1),
+    ] {
+        let what = match cmd {
+            "game" => "bad game file",
+            _ => "bad edge list",
+        };
+        let needle = format!("{what}: line {line}: ");
+        let mut child = Command::new(BIN)
+            .args([cmd, "-"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        child
+            .stdin
+            .as_mut()
+            .unwrap()
+            .write_all(input.as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "td {cmd} on {input:?}: {err}");
+        assert!(err.contains(&needle), "td {cmd} on {input:?}: {err}");
+        assert!(err.contains("32 bits"), "td {cmd} on {input:?}: {err}");
+    }
+}
+
 #[test]
 fn assign_stable_and_bounded() {
     // A 6-customer, 3-server bipartite graph: customers 0..6, servers 6..9.
