@@ -432,8 +432,6 @@ pub struct AssignChurnEngine {
     alive: Vec<u32>,
     sim: ChurnSim<AssignRepairNode>,
     mode: RepairMode,
-    threads: usize,
-    shards: usize,
     max_rounds: u32,
 }
 
@@ -505,25 +503,23 @@ impl AssignChurnEngine {
             alive,
             sim,
             mode,
-            threads: 1,
-            shards: 1,
             max_rounds: 10_000_000,
         }
     }
 
-    /// Sets the worker thread count (1 = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.threads = threads;
+    /// Accepts only `threads == 1`: repairs always run on the calling
+    /// thread. Kept so existing builder chains still compile.
+    #[deprecated(note = "repairs always run on one thread; drop the call")]
+    pub fn with_threads(self, threads: usize) -> Self {
+        assert_eq!(threads, 1, "repairs run on one thread");
         self
     }
 
-    /// Sets the shard count: `shards > 1` runs repairs on the sharded
-    /// message plane (locality-aware partition, batched boundary delivery);
-    /// repair traces are bit-identical either way.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1);
-        self.shards = shards;
+    /// Accepts only `shards == 1`: repairs always run on one message
+    /// plane. Kept so existing builder chains still compile.
+    #[deprecated(note = "repairs always run on one message plane; drop the call")]
+    pub fn with_shards(self, shards: usize) -> Self {
+        assert_eq!(shards, 1, "repairs run on one message plane");
         self
     }
 
@@ -648,12 +644,7 @@ impl AssignChurnEngine {
     }
 
     fn run_repair(&mut self) -> RepairStats {
-        let stats = if self.shards > 1 {
-            self.sim
-                .run_sharded(self.shards, self.threads, self.max_rounds)
-        } else {
-            self.sim.run(self.threads, self.max_rounds)
-        };
+        let stats = self.sim.run(self.max_rounds);
         assert!(stats.completed, "repair hit the round cap");
         // Sync the maintained assignment from the node snapshots: port `p`
         // of customer `i` leads to server node `nc + s`.
@@ -1159,16 +1150,19 @@ mod tests {
         assert_eq!(eng.server_loads(), vec![1, 1]);
     }
 
-    /// The sharded plane is cached per graph: after each rewire it must be
-    /// rebuilt for the new network, or repairs would route through a stale
-    /// partition. Every event must match the flat sequential engine.
+    /// The deprecated `with_shards(1).with_threads(1)` chain, which older
+    /// callers still build with, leaves the engine on the one churn plane:
+    /// after each rewire it matches a fresh build, and every event matches
+    /// an engine built without the chain. (The test keeps the name it had
+    /// when the chain could select a sharded, threaded plane.)
     #[test]
+    #[allow(deprecated)]
     fn sharded_threaded_engine_follows_rewires() {
         let inst = uniform(40, 8, 31);
         let mut flat = AssignChurnEngine::new(&inst, RepairMode::Incremental);
         let mut sharded = AssignChurnEngine::new(&inst, RepairMode::Incremental)
-            .with_shards(4)
-            .with_threads(2);
+            .with_shards(1)
+            .with_threads(1);
         assert_eq!(sharded.stabilize(), flat.stabilize());
         let mut rng = SmallRng::seed_from_u64(77);
         for step in 0..30 {
@@ -1189,10 +1183,16 @@ mod tests {
             sharded.assert_matches_fresh_build();
         }
         sharded.verify().unwrap();
-        assert_eq!(
-            sharded.exec_perf().node_rounds,
-            flat.exec_perf().node_rounds
-        );
+        assert_eq!(sharded.exec_perf(), flat.exec_perf());
+    }
+
+    /// The deprecated builders reject any count but 1.
+    #[test]
+    #[allow(deprecated)]
+    #[should_panic(expected = "repairs run on one message plane")]
+    fn deprecated_with_shards_rejects_more_than_one() {
+        let inst = uniform(4, 2, 1);
+        let _ = AssignChurnEngine::new(&inst, RepairMode::Incremental).with_shards(4);
     }
 
     #[test]

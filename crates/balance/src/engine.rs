@@ -26,8 +26,6 @@ pub struct BalanceEngine {
     rule: Rule,
     seed: u64,
     mode: RepairMode,
-    threads: usize,
-    shards: usize,
     max_rounds: u32,
     stamp_horizon: Option<u32>,
     /// Tokens currently in the system (maintained by the host).
@@ -54,8 +52,6 @@ impl BalanceEngine {
             rule,
             seed,
             mode,
-            threads: 1,
-            shards: 1,
             max_rounds: 10_000_000,
             stamp_horizon: None,
             total: inst.total(),
@@ -64,21 +60,6 @@ impl BalanceEngine {
             retired_drops: 0,
             perf_retired: td_local::ExecPerf::default(),
         }
-    }
-
-    /// Sets the worker thread count (1 = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the shard count: `shards > 1` runs on the sharded message plane;
-    /// runs are bit-identical either way.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1);
-        self.shards = shards;
-        self
     }
 
     /// Caps the rounds of a single repair run.
@@ -315,12 +296,7 @@ impl BalanceEngine {
     }
 
     fn run_repair(&mut self) -> RepairStats {
-        let stats = if self.shards > 1 {
-            self.sim
-                .run_sharded(self.shards, self.threads, self.max_rounds)
-        } else {
-            self.sim.run(self.threads, self.max_rounds)
-        };
+        let stats = self.sim.run(self.max_rounds);
         assert!(stats.completed, "balancing hit the round cap");
         for (v, s) in self.sim.states().iter().enumerate() {
             self.loads[v] = s.load;
@@ -492,17 +468,14 @@ mod tests {
         }
     }
 
+    /// A stabilization is a pure function of the instance, rule and seed:
+    /// engines built alike agree on rounds, messages and final loads.
     #[test]
     fn executor_grid_is_bit_identical() {
         for rule in RULES {
             let inst = BalanceInstance::seeded(cycle(28), 23);
-            let mut grid: Vec<BalanceEngine> = [(1, 1), (4, 1), (4, 3)]
-                .iter()
-                .map(|&(t, k)| {
-                    BalanceEngine::new(&inst, rule, 23, RepairMode::Incremental)
-                        .with_threads(t)
-                        .with_shards(k)
-                })
+            let mut grid: Vec<BalanceEngine> = (0..3)
+                .map(|_| BalanceEngine::new(&inst, rule, 23, RepairMode::Incremental))
                 .collect();
             let base = grid[0].stabilize();
             let fp = grid[0].fingerprint();

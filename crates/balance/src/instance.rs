@@ -99,8 +99,8 @@ pub fn max_edge_gap_of(graph: &CsrGraph, load: &[u32]) -> u32 {
     worst
 }
 
-/// FNV-1a fingerprint of a load vector — the cross-executor bit-identity
-/// check of the compare report and the CI smoke step.
+/// FNV-1a fingerprint of a load vector — the bit-identity check of the
+/// compare report.
 pub fn fingerprint_of(load: &[u32]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &l in load {

@@ -20,8 +20,8 @@
 //! All three run the same shared node program ([`BalanceNode`]) on the
 //! wake-based churn executor, reuse the derandomized
 //! [`td_local::churn::split_role`] role schedule (so every run is seeded
-//! and bit-reproducible on the sequential, parallel, and sharded
-//! executors), carry exact per-transfer Σ load² potential accounting, and
+//! and bit-reproducible), carry exact per-transfer Σ load² potential
+//! accounting, and
 //! answer to the same verifier ([`BalanceEngine::verify`]): balanced,
 //! token-conserving, potential books to the token, caches exact. The
 //! `td compare` report runs the registry over the generator families and
@@ -40,6 +40,6 @@ pub use instance::{
 };
 pub use node::{BalanceInput, BalanceMsg, BalanceNode, Rule};
 pub use protocol::{
-    find, registry, BalanceRun, BalancingProtocol, ExecPoint, MatchingBalancer,
-    RotorRouterBalancer, TokenDropBalancer,
+    find, registry, BalanceRun, BalancingProtocol, MatchingBalancer, RotorRouterBalancer,
+    TokenDropBalancer,
 };

@@ -16,25 +16,6 @@ use crate::instance::BalanceInstance;
 use crate::node::Rule;
 use td_local::churn::{ChurnEvent, RepairMode, RepairStats};
 
-/// One executor configuration of the comparison grid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecPoint {
-    /// Worker threads (1 = sequential).
-    pub threads: usize,
-    /// Message-plane shards (1 = unsharded).
-    pub shards: usize,
-}
-
-impl ExecPoint {
-    /// The sequential baseline point.
-    pub fn sequential() -> Self {
-        ExecPoint {
-            threads: 1,
-            shards: 1,
-        }
-    }
-}
-
 /// The measured outcome of one protocol run (stabilize + optional churn
 /// script), as reported by `td compare`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,8 +38,7 @@ pub struct BalanceRun {
     pub discrepancy: u32,
     /// Largest endpoint gap over the final edges (≤ 1 iff balanced).
     pub max_gap: u32,
-    /// FNV-1a fingerprint of the final load vector — must agree across
-    /// every executor point.
+    /// FNV-1a fingerprint of the final load vector.
     pub fingerprint: u64,
 }
 
@@ -74,16 +54,8 @@ pub trait BalancingProtocol: Sync {
 
     /// **Init hook**: builds the engine hosting this protocol's per-node
     /// step function on the wake-based executor.
-    fn init(
-        &self,
-        inst: &BalanceInstance,
-        seed: u64,
-        exec: ExecPoint,
-        mode: RepairMode,
-    ) -> BalanceEngine {
+    fn init(&self, inst: &BalanceInstance, seed: u64, mode: RepairMode) -> BalanceEngine {
         BalanceEngine::new(inst, self.rule(), seed, mode)
-            .with_threads(exec.threads)
-            .with_shards(exec.shards)
     }
 
     /// **Verification hook**: audits a quiesced engine — balanced, token
@@ -95,16 +67,15 @@ pub trait BalancingProtocol: Sync {
     /// Runs the protocol to quiescence on `inst`, then applies `events`
     /// (each followed by incremental repair), then verifies. The default
     /// implementation is shared by all entrants; a run is a pure function
-    /// of `(inst, seed, events)` — the executor point never changes it.
+    /// of `(inst, seed, events)`.
     fn run(
         &self,
         inst: &BalanceInstance,
         seed: u64,
-        exec: ExecPoint,
         events: &[ChurnEvent],
     ) -> Result<BalanceRun, String> {
         let initial_discrepancy = inst.discrepancy();
-        let mut engine = self.init(inst, seed, exec, RepairMode::Incremental);
+        let mut engine = self.init(inst, seed, RepairMode::Incremental);
         let mut stats = RepairStats::accumulator();
         stats.absorb(engine.stabilize());
         let mut events_applied = 0;
@@ -203,24 +174,11 @@ mod tests {
             ChurnEvent::TokenDrop(NodeId(9)),
         ];
         for p in registry() {
-            let base = p
-                .run(&inst, 31, ExecPoint::sequential(), &events)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let base = p.run(&inst, 31, &events).unwrap_or_else(|e| panic!("{e}"));
             assert!(base.max_gap <= 1, "{} left an unbalanced edge", p.name());
             assert_eq!(base.events_applied, 3);
-            for exec in [
-                ExecPoint {
-                    threads: 4,
-                    shards: 1,
-                },
-                ExecPoint {
-                    threads: 4,
-                    shards: 3,
-                },
-            ] {
-                let run = p.run(&inst, 31, exec, &events).unwrap();
-                assert_eq!(run, base, "{} diverged at {exec:?}", p.name());
-            }
+            let again = p.run(&inst, 31, &events).unwrap();
+            assert_eq!(again, base, "{} is not a pure function", p.name());
         }
     }
 
@@ -231,7 +189,7 @@ mod tests {
         let inst = BalanceInstance::seeded(cycle(32), 77);
         let runs: Vec<BalanceRun> = registry()
             .iter()
-            .map(|p| p.run(&inst, 77, ExecPoint::sequential(), &[]).unwrap())
+            .map(|p| p.run(&inst, 77, &[]).unwrap())
             .collect();
         assert!(
             runs.windows(2)

@@ -24,7 +24,7 @@ fn bench_churn(c: &mut Criterion) {
                 group.bench_with_input(
                     BenchmarkId::from_parameter(events),
                     &events,
-                    |b, &events| b.iter(|| sc.run(size, events, 42, 1, mode, false)),
+                    |b, &events| b.iter(|| sc.run(size, events, 42, mode, false)),
                 );
             }
             group.finish();

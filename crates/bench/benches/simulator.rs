@@ -20,8 +20,8 @@ fn bench_executors(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| proposal::run_on_simulator(&game, &Simulator::sequential()))
     });
-    group.bench_function("parallel_2", |b| {
-        b.iter(|| proposal::run_on_simulator(&game, &Simulator::parallel(2)))
+    group.bench_function("sparse", |b| {
+        b.iter(|| proposal::run_on_simulator(&game, &Simulator::sparse()))
     });
     group.bench_function("lockstep_fast_path", |b| b.iter(|| lockstep::run(&game)));
     group.finish();
@@ -124,8 +124,8 @@ fn bench_message_plane(c: &mut Criterion) {
     group.bench_function("gossip_u64_seq", |b| {
         b.iter(|| Simulator::sequential().run::<Gossip<u64>>(&g, &inputs))
     });
-    group.bench_function("gossip_u64_par4", |b| {
-        b.iter(|| Simulator::parallel(4).run::<Gossip<u64>>(&g, &inputs))
+    group.bench_function("gossip_u64_sparse", |b| {
+        b.iter(|| Simulator::sparse().run::<Gossip<u64>>(&g, &inputs))
     });
     group.bench_function("gossip_fat_seq", |b| {
         b.iter(|| Simulator::sequential().run::<Gossip<FatMsg>>(&g, &inputs))

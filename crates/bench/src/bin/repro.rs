@@ -75,9 +75,6 @@ fn main() {
     if run("e15") {
         e15();
     }
-    if run("e16") {
-        e16();
-    }
     if run("e17") {
         e17();
     }
@@ -774,20 +771,18 @@ fn e14() {
     println!(" (2Δ+2)·(3 + 2·(2Δ³+2Δ+8)) — the explicit constant behind O(Δ⁴))");
 }
 
-/// E13 — simulator scaling: wall-clock vs threads (round counts identical).
+/// E13 — simulator loops: wall-clock of the dense scan vs the sparse lane
+/// on a large flat game (round counts identical).
 fn e13() {
     banner(
         "E13",
-        "HPC substrate: parallel executor scaling (outputs identical)",
+        "simulator loops: dense scan vs sparse lane (outputs identical)",
     );
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    // A large flat game so per-round work dominates scheduling overhead.
+    // A large flat game so per-round work dominates.
     let mut rng = SmallRng::seed_from_u64(1234);
     let game = td_core::TokenGame::random(&[120_000, 120_000, 120_000, 120_000], 6, 0.5, &mut rng);
     println!(
-        "instance: n = {}, m = {}, Δ = {}, tokens = {} (host cores: {cores})",
+        "instance: n = {}, m = {}, Δ = {}, tokens = {}",
         game.num_nodes(),
         game.graph().num_edges(),
         game.max_degree(),
@@ -810,24 +805,18 @@ fn e13() {
         format!("{seq_ms:.0}"),
         "1.00".into(),
     ]);
-    let mut threads_list = vec![2usize];
-    if cores > 2 {
-        threads_list.push(cores.min(8));
-    }
-    for threads in threads_list {
-        let t0 = Instant::now();
-        let par = proposal::run_on_simulator(&game, &Simulator::parallel(threads));
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(par.log, seq.log, "executor changed the output!");
-        assert_eq!(par.comm_rounds, seq.comm_rounds);
-        t.row(vec![
-            format!("parallel({threads})"),
-            par.comm_rounds.to_string(),
-            par.messages.to_string(),
-            format!("{ms:.0}"),
-            format!("{:.2}", seq_ms / ms),
-        ]);
-    }
+    let t0 = Instant::now();
+    let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(sp.log, seq.log, "executor changed the output!");
+    assert_eq!(sp.comm_rounds, seq.comm_rounds);
+    t.row(vec![
+        "sparse".into(),
+        sp.comm_rounds.to_string(),
+        sp.messages.to_string(),
+        format!("{ms:.0}"),
+        format!("{:.2}", seq_ms / ms),
+    ]);
     t.print();
     println!("(rounds and outputs are bit-identical across executors; only wall time varies)");
 
@@ -842,86 +831,6 @@ fn e13() {
         "lockstep engine: {} game rounds in {lock_ms:.0} ms; centralized greedy: {greedy_ms:.0} ms",
         lock.rounds
     );
-
-    // The proposal protocol is memory-bound (scattered mailbox writes), so
-    // shared-bus cores gain little. A compute-heavy protocol shows the
-    // executor's scaling when node computation dominates.
-    println!("\ncompute-heavy protocol (hash-mixing gossip, same executor machinery):");
-    let mut rng = SmallRng::seed_from_u64(4321);
-    let g = td_graph::gen::random::gnm(20_000, 60_000, &mut rng);
-    let inputs = vec![(); g.num_nodes()];
-    let mut t = Table::new(&["executor", "rounds", "wall time (ms)", "speedup"]);
-    let t0 = Instant::now();
-    let seq = Simulator::sequential().run::<HeavyGossip>(&g, &inputs);
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    t.row(vec![
-        "sequential".into(),
-        seq.rounds.to_string(),
-        format!("{seq_ms:.0}"),
-        "1.00".into(),
-    ]);
-    {
-        let threads = 2usize;
-        let t0 = Instant::now();
-        let par = Simulator::parallel(threads).run::<HeavyGossip>(&g, &inputs);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(par.outputs, seq.outputs);
-        t.row(vec![
-            format!("parallel({threads})"),
-            par.rounds.to_string(),
-            format!("{ms:.0}"),
-            format!("{:.2}", seq_ms / ms),
-        ]);
-    }
-    t.print();
-}
-
-/// A deterministic compute-heavy protocol: every round each node mixes its
-/// state with incoming digests through a few thousand xorshift steps, then
-/// broadcasts. Used only to measure executor scaling under CPU-bound load.
-struct HeavyGossip {
-    state: u64,
-}
-
-impl td_local::Protocol for HeavyGossip {
-    type Input = ();
-    type Message = u64;
-    type Output = u64;
-
-    fn init(node: td_local::NodeInit<'_, ()>) -> Self {
-        HeavyGossip {
-            state: 0x9E3779B97F4A7C15u64.wrapping_mul(node.id.0 as u64 + 1),
-        }
-    }
-
-    fn round(
-        &mut self,
-        ctx: &td_local::RoundCtx,
-        inbox: &td_local::Inbox<'_, u64>,
-        outbox: &mut td_local::Outbox<'_, '_, u64>,
-    ) -> td_local::Status {
-        let mut acc = self.state;
-        for (_, &m) in inbox.iter() {
-            acc ^= m;
-        }
-        // ~4k xorshift* steps of "local computation".
-        for _ in 0..4096 {
-            acc ^= acc << 13;
-            acc ^= acc >> 7;
-            acc ^= acc << 17;
-        }
-        self.state = acc;
-        outbox.broadcast(acc);
-        if ctx.round >= 14 {
-            td_local::Status::Halt
-        } else {
-            td_local::Status::Continue
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.state
-    }
 }
 
 /// E15 — dynamic churn: incremental repair of a stable solution is
@@ -958,7 +867,7 @@ fn e15() {
         let mut rep_steps = Vec::new();
         let mut rec_steps = Vec::new();
         for &size in sizes {
-            let rep = sc.run(size, EVENTS, SEEDS[0], 1, RepairMode::Incremental, true);
+            let rep = sc.run(size, EVENTS, SEEDS[0], RepairMode::Incremental, true);
             let rec = rep.recompute.expect("measured");
             let e = EVENTS as f64;
             let (a, b) = (rep.repair.node_steps as f64 / e, rec.node_steps as f64 / e);
@@ -985,118 +894,6 @@ fn e15() {
     }
     println!("(every event verified stability before the next one was applied;");
     println!(" the differential suite proves repair == full-recompute bit-for-bit)");
-}
-
-/// E16 — the sharded executor: shard-count sweep on the rotor sweep
-/// (locality-friendly, quiesces level by level) plus the server farm
-/// (the bad-locality control). Outputs stay bit-identical at every grid
-/// point; only the partition cut, the skipped shard-rounds, and wall time
-/// change.
-fn e16() {
-    banner(
-        "E16",
-        "sharded executor: BFS-grown shards, batched boundary delivery, quiesced-shard skips",
-    );
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let threads = cores.clamp(2, 8);
-    const WIDTH: usize = 2_000; // 6 levels -> n = 12_000
-    let game = scenario::rotor_sweep_game(WIDTH);
-    let m = game.graph().num_edges();
-    println!(
-        "rotor-sweep: n = {}, m = {m}, threads = {threads} (host cores: {cores})",
-        game.num_nodes()
-    );
-    let t0 = Instant::now();
-    let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = Instant::now();
-    let par = proposal::run_on_simulator(&game, &Simulator::parallel(threads));
-    let par_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(par.log, seq.log, "parallel executor changed the output!");
-    let mut t = Table::new(&[
-        "executor",
-        "shards",
-        "cut edges",
-        "cut %",
-        "rounds",
-        "messages",
-        "skipped shard-rounds",
-        "wall (ms)",
-        "vs parallel",
-    ]);
-    t.row(vec![
-        "sequential".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        seq.comm_rounds.to_string(),
-        seq.messages.to_string(),
-        "-".into(),
-        format!("{seq_ms:.1}"),
-        format!("{:.2}x", par_ms / seq_ms),
-    ]);
-    t.row(vec![
-        format!("parallel({threads})"),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        par.comm_rounds.to_string(),
-        par.messages.to_string(),
-        "-".into(),
-        format!("{par_ms:.1}"),
-        "1.00x".into(),
-    ]);
-    for shards in [2usize, 4, 8, 16, 32] {
-        let t0 = Instant::now();
-        let sh = proposal::run_on_simulator(&game, &Simulator::sharded(shards, threads));
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(sh.log, seq.log, "sharded executor changed the output!");
-        assert_eq!(sh.comm_rounds, seq.comm_rounds);
-        assert_eq!(sh.messages, seq.messages);
-        let stats = sh.sharding.expect("sharded stats");
-        t.row(vec![
-            format!("sharded({shards})"),
-            shards.to_string(),
-            stats.cut_edges.to_string(),
-            format!("{:.1}", 100.0 * stats.cut_edges as f64 / m as f64),
-            sh.comm_rounds.to_string(),
-            sh.messages.to_string(),
-            stats.shard_rounds_skipped.to_string(),
-            format!("{ms:.1}"),
-            format!("{:.2}x", par_ms / ms),
-        ]);
-    }
-    t.print();
-    println!("(rounds/messages identical everywhere — sharding is a pure performance knob;");
-    println!(" the rotor sweep drains top-down, so drained level bands skip their rounds)");
-
-    // The control: the Zipf server farm's bipartite hot-server network has
-    // no locality for any partition to find — the same sweep through the
-    // registry interface documents the overhead floor.
-    println!("\nserver-farm control (size 16, bad locality — tiny network, huge round count):");
-    let sc = scenario::find("server-farm").expect("registered");
-    let mut t = Table::new(&["executor", "rounds", "messages", "wall (ms)"]);
-    for (label, sim) in [
-        ("sequential".to_string(), Simulator::sequential()),
-        (format!("parallel({threads})"), Simulator::parallel(threads)),
-        (
-            format!("sharded(8, {threads})"),
-            Simulator::sharded(8, threads),
-        ),
-    ] {
-        let rep = sc.run(16, 42, &sim);
-        t.row(vec![
-            label,
-            rep.rounds.to_string(),
-            rep.messages.to_string(),
-            format!("{:.1}", rep.wall.as_secs_f64() * 1e3),
-        ]);
-    }
-    t.print();
-    println!("(per-round work there is tiny, so epoch + boundary overhead dominates — shard");
-    println!(" when regions are big enough to amortize; see EXPERIMENTS.md)");
 }
 
 /// E17 — round/message scaling across the generated workload families of
@@ -1210,9 +1007,8 @@ fn e18() {
     use td_bench::perf::{self, SweepConfig};
     // The drain-wave (rolling-restart analogue: a fixed frontier works
     // while the drained majority idles) and the rotor sweep (its tail
-    // quiesces level by level), each on the dense sequential executor vs
-    // sharded(1,1) — the sparse scheduler with parallelism and
-    // partitioning stripped away, so the delta is scheduling alone.
+    // quiesces level by level), each on the dense sequential scan vs the
+    // sparse lane, so the delta is scheduling alone.
     let mut t = Table::new(&[
         "scenario",
         "n",
@@ -1244,7 +1040,7 @@ fn e18() {
                     .expect("grid point measured")
             };
             let seq = by("sequential");
-            let sparse = by("sharded(1,1)");
+            let sparse = by("sparse");
             assert_eq!(seq.rounds, sparse.rounds, "bit-identical contract");
             assert_eq!(seq.messages, sparse.messages, "bit-identical contract");
             assert_eq!(seq.counters.halted_scans, sparse.counters.sparse_skips);

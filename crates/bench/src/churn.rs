@@ -93,7 +93,6 @@ pub trait ChurnScenario: Sync {
         size: u32,
         events: u32,
         seed: u64,
-        threads: usize,
         mode: RepairMode,
         with_recompute: bool,
     ) -> ChurnReport;
@@ -139,14 +138,12 @@ impl ChurnScenario for EdgeFlipChurn {
         size: u32,
         events: u32,
         seed: u64,
-        threads: usize,
         mode: RepairMode,
         with_recompute: bool,
     ) -> ChurnReport {
         let g = Self::graph(size, seed);
         let t0 = Instant::now();
-        let mut eng = OrientChurnEngine::new(g.clone(), Orientation::toward_larger(&g), mode)
-            .with_threads(threads);
+        let mut eng = OrientChurnEngine::new(g.clone(), Orientation::toward_larger(&g), mode);
         eng.stabilize();
         eng.verify().expect("initial stabilization");
         let mut repair = RepairStats::accumulator();
@@ -184,8 +181,7 @@ impl ChurnScenario for EdgeFlipChurn {
                     eng.graph().clone(),
                     Orientation::toward_larger(eng.graph()),
                     RepairMode::FullRecompute,
-                )
-                .with_threads(threads);
+                );
                 acc.absorb(fresh.stabilize());
             }
         }
@@ -287,7 +283,6 @@ impl ChurnScenario for FlashCrowdChurn {
         size: u32,
         events: u32,
         seed: u64,
-        threads: usize,
         mode: RepairMode,
         with_recompute: bool,
     ) -> ChurnReport {
@@ -295,7 +290,7 @@ impl ChurnScenario for FlashCrowdChurn {
         let mut rng = SmallRng::seed_from_u64(seed);
         let base = AssignmentInstance::random(2 * ns, ns, 1..=3.min(ns), &mut rng);
         let t0 = Instant::now();
-        let mut eng = AssignChurnEngine::new(&base, mode).with_threads(threads);
+        let mut eng = AssignChurnEngine::new(&base, mode);
         eng.stabilize();
         eng.verify().expect("initial stabilization");
         let mut repair = RepairStats::accumulator();
@@ -321,8 +316,7 @@ impl ChurnScenario for FlashCrowdChurn {
             repair.absorb(stats);
             if let Some(acc) = recompute.as_mut() {
                 let (inst, _, _) = eng.effective_instance();
-                let mut fresh =
-                    AssignChurnEngine::new(&inst, RepairMode::FullRecompute).with_threads(threads);
+                let mut fresh = AssignChurnEngine::new(&inst, RepairMode::FullRecompute);
                 acc.absorb(fresh.stabilize());
             }
         }
@@ -382,7 +376,6 @@ impl ChurnScenario for RollingRestartChurn {
         size: u32,
         events: u32,
         seed: u64,
-        threads: usize,
         mode: RepairMode,
         with_recompute: bool,
     ) -> ChurnReport {
@@ -391,7 +384,7 @@ impl ChurnScenario for RollingRestartChurn {
         // Degree ≥ 2 so drained customers always have an alternative.
         let base = AssignmentInstance::random(3 * ns, ns, 2.min(ns)..=3.min(ns), &mut rng);
         let t0 = Instant::now();
-        let mut eng = AssignChurnEngine::new(&base, mode).with_threads(threads);
+        let mut eng = AssignChurnEngine::new(&base, mode);
         eng.stabilize();
         eng.verify().expect("initial stabilization");
         let mut repair = RepairStats::accumulator();
@@ -414,8 +407,7 @@ impl ChurnScenario for RollingRestartChurn {
             repair.absorb(stats);
             if let Some(acc) = recompute.as_mut() {
                 let (inst, _, _) = eng.effective_instance();
-                let mut fresh =
-                    AssignChurnEngine::new(&inst, RepairMode::FullRecompute).with_threads(threads);
+                let mut fresh = AssignChurnEngine::new(&inst, RepairMode::FullRecompute);
                 acc.absorb(fresh.stabilize());
             }
         }
@@ -478,7 +470,6 @@ impl ChurnScenario for SmallWorldFlux {
         size: u32,
         events: u32,
         seed: u64,
-        threads: usize,
         mode: RepairMode,
         with_recompute: bool,
     ) -> ChurnReport {
@@ -492,8 +483,7 @@ impl ChurnScenario for SmallWorldFlux {
             unreachable!("small-world builds an orientation churn instance");
         };
         let t0 = Instant::now();
-        let mut eng = OrientChurnEngine::new(g.clone(), Orientation::toward_larger(&g), mode)
-            .with_threads(threads);
+        let mut eng = OrientChurnEngine::new(g.clone(), Orientation::toward_larger(&g), mode);
         eng.stabilize();
         eng.verify().expect("initial stabilization");
         let mut repair = RepairStats::accumulator();
@@ -509,8 +499,7 @@ impl ChurnScenario for SmallWorldFlux {
                     eng.graph().clone(),
                     Orientation::toward_larger(eng.graph()),
                     RepairMode::FullRecompute,
-                )
-                .with_threads(threads);
+                );
                 acc.absorb(fresh.stabilize());
             }
         }
@@ -604,7 +593,7 @@ mod tests {
                 ScenarioKind::Orientation => 64,
                 _ => 6,
             };
-            let rep = s.run(size, 6, 42, 1, RepairMode::Incremental, true);
+            let rep = s.run(size, 6, 42, RepairMode::Incremental, true);
             assert_eq!(rep.scenario, s.name());
             assert_eq!(rep.events, 6);
             assert!(rep.repair.completed, "{}", s.name());
@@ -626,15 +615,15 @@ mod tests {
                 ScenarioKind::Orientation => 24,
                 _ => 5,
             };
-            let a = s.run(size, 5, 7, 1, RepairMode::Incremental, false);
-            let b = s.run(size, 5, 7, 1, RepairMode::Incremental, false);
+            let a = s.run(size, 5, 7, RepairMode::Incremental, false);
+            let b = s.run(size, 5, 7, RepairMode::Incremental, false);
             assert_eq!(
                 a.fingerprint,
                 b.fingerprint,
                 "{} not deterministic",
                 s.name()
             );
-            let c = s.run(size, 5, 7, 1, RepairMode::FullRecompute, false);
+            let c = s.run(size, 5, 7, RepairMode::FullRecompute, false);
             assert_eq!(
                 a.fingerprint,
                 c.fingerprint,

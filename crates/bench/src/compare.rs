@@ -2,9 +2,8 @@
 //!
 //! Runs every registered balancer ([`td_balance::registry`]) over the same
 //! instances — the generator families of the [`crate::spec`] registry
-//! and/or recorded [`crate::trace`] corpus files — on an executor grid
-//! (sequential, parallel, sharded), checks bit-identity across the grid
-//! and each protocol's own verifier, and reports convergence rounds, total
+//! and/or recorded [`crate::trace`] corpus files — checks each protocol's
+//! own verifier, and reports convergence rounds, total
 //! messages, tokens moved, and final discrepancy per (instance, protocol)
 //! pair. Reports render as an aligned table, as golden-snapshot lines, or
 //! as schema-versioned [`SCHEMA`] JSON.
@@ -21,7 +20,7 @@
 
 use crate::spec::{WorkloadInstance, WorkloadSpec, FAMILIES};
 use crate::trace::Trace;
-use td_balance::{registry, BalanceInstance, BalanceRun, BalancingProtocol, ExecPoint};
+use td_balance::{registry, BalanceInstance, BalanceRun, BalancingProtocol};
 use td_graph::{CsrGraph, GraphBuilder, NodeId};
 use td_local::churn::ChurnEvent;
 
@@ -37,10 +36,6 @@ pub struct CompareConfig {
     pub seed: u64,
     /// Protocol names to run (must resolve via [`td_balance::find`]).
     pub protocols: Vec<String>,
-    /// Worker threads of the parallel grid points.
-    pub threads: usize,
-    /// Shards of the sharded grid point.
-    pub shards: usize,
     /// Cap on replayed churn events per instance (`None` = all).
     pub max_events: Option<usize>,
 }
@@ -51,36 +46,12 @@ impl Default for CompareConfig {
             size: None,
             seed: 42,
             protocols: registry().iter().map(|p| p.name().to_string()).collect(),
-            threads: 4,
-            shards: 3,
             max_events: None,
         }
     }
 }
 
 impl CompareConfig {
-    /// The executor grid the sweep checks bit-identity over: sequential,
-    /// parallel unsharded, parallel sharded (deduplicated if the
-    /// configured points coincide).
-    pub fn grid(&self) -> Vec<ExecPoint> {
-        let mut points = vec![ExecPoint::sequential()];
-        for p in [
-            ExecPoint {
-                threads: self.threads,
-                shards: 1,
-            },
-            ExecPoint {
-                threads: self.threads,
-                shards: self.shards,
-            },
-        ] {
-            if !points.contains(&p) {
-                points.push(p);
-            }
-        }
-        points
-    }
-
     /// Resolves the configured protocol names against the registry.
     pub fn resolve_protocols(&self) -> Result<Vec<&'static dyn BalancingProtocol>, String> {
         let known = || {
@@ -113,15 +84,14 @@ pub struct CompareRow {
     pub edges: usize,
     /// Churn events replayed after the initial stabilization.
     pub events: u32,
-    /// The measured run (identical on every grid point, by construction).
+    /// The measured run.
     pub run: BalanceRun,
 }
 
 impl CompareRow {
     /// The cache-stable canonical serialization of this row: its
-    /// protocol-prefixed deterministic outcomes as flat integer metrics
-    /// (bit-identical across the executor grid by construction, so no
-    /// grid point appears in the name). What the experiment cache stores.
+    /// protocol-prefixed deterministic outcomes as flat integer metrics.
+    /// What the experiment cache stores.
     pub fn canonical_metrics(&self) -> Vec<(String, u64)> {
         let p = self.protocol;
         vec![
@@ -186,8 +156,8 @@ fn bipartite_graph(inst: &td_assign::AssignmentInstance) -> Result<CsrGraph, Str
         .map_err(|e| format!("bipartite projection: {e:?}"))
 }
 
-/// Runs every configured protocol on one instance over the executor grid,
-/// checking bit-identity across the grid. Returns one row per protocol.
+/// Runs every configured protocol on one instance. Returns one row per
+/// protocol.
 fn run_instance(
     label: &str,
     graph: CsrGraph,
@@ -197,34 +167,18 @@ fn run_instance(
     let inst = BalanceInstance::seeded(graph, cfg.seed);
     let nodes = inst.graph.num_nodes();
     let edges = inst.graph.num_edges();
-    let grid = cfg.grid();
     let mut rows = Vec::new();
     for proto in cfg.resolve_protocols()? {
-        let base = proto
-            .run(&inst, cfg.seed, grid[0], events)
+        let run = proto
+            .run(&inst, cfg.seed, events)
             .map_err(|e| format!("{label}: {e}"))?;
-        for &point in &grid[1..] {
-            let run = proto
-                .run(&inst, cfg.seed, point, events)
-                .map_err(|e| format!("{label}: {e}"))?;
-            if run != base {
-                return Err(format!(
-                    "{label}: {} diverged between {:?} and {point:?} \
-                     (fingerprints {:016x} vs {:016x})",
-                    proto.name(),
-                    grid[0],
-                    base.fingerprint,
-                    run.fingerprint
-                ));
-            }
-        }
         rows.push(CompareRow {
             instance: label.to_string(),
             protocol: proto.name(),
             nodes,
             edges,
-            events: base.events_applied,
-            run: base,
+            events: run.events_applied,
+            run,
         });
     }
     Ok(rows)
@@ -358,20 +312,9 @@ impl CompareReport {
 pub fn write_json(r: &CompareReport) -> String {
     let mut s = String::new();
     s.push_str(&format!("{{\n\"schema\":\"{SCHEMA}\",\n"));
-    s.push_str(&format!(
-        "\"seed\":{},\"threads\":{},\"shards\":{},",
-        r.config.seed, r.config.threads, r.config.shards
-    ));
-    // Schema-additive header fields: the resolved executor grid, the size
-    // override, and the event cap — everything a cache needs to key a
-    // report faithfully.
-    let execs: Vec<String> = r
-        .config
-        .grid()
-        .iter()
-        .map(|p| format!("\"{}x{}\"", p.threads, p.shards))
-        .collect();
-    s.push_str(&format!("\"executors\":[{}],", execs.join(",")));
+    // The seed, the size override and the event cap: everything a cache
+    // needs to key a report faithfully.
+    s.push_str(&format!("\"seed\":{},", r.config.seed));
     match r.config.size {
         Some(size) => s.push_str(&format!("\"size\":{size},")),
         None => s.push_str("\"size\":null,"),
@@ -421,8 +364,6 @@ mod tests {
         CompareConfig {
             size: Some(12),
             seed: 7,
-            threads: 2,
-            shards: 2,
             ..CompareConfig::default()
         }
     }
@@ -466,8 +407,6 @@ mod tests {
         let cfg = CompareConfig {
             size: Some(16),
             seed: 3,
-            threads: 2,
-            shards: 2,
             max_events: Some(6),
             ..CompareConfig::default()
         };
@@ -478,9 +417,8 @@ mod tests {
 
     #[test]
     fn json_report_round_trips_with_header_fields() {
-        // The header now records the resolved executor grid, size
-        // override, and event cap (schema-additive); pin by parsing the
-        // document back with the in-tree JSON reader.
+        // The header records the seed, size override and event cap; pin
+        // by parsing the document back with the in-tree JSON reader.
         let cfg = CompareConfig {
             max_events: Some(6),
             ..tiny_cfg()
@@ -491,14 +429,7 @@ mod tests {
         assert_eq!(parsed.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
         assert_eq!(parsed.get("size").and_then(|v| v.as_u64()), Some(12));
         assert_eq!(parsed.get("max_events").and_then(|v| v.as_u64()), Some(6));
-        let execs: Vec<&str> = parsed
-            .get("executors")
-            .and_then(|e| e.as_arr())
-            .expect("executors array")
-            .iter()
-            .filter_map(|e| e.as_str())
-            .collect();
-        assert_eq!(execs, vec!["1x1", "2x1", "2x2"]);
+        assert_eq!(parsed.get("seed").and_then(|v| v.as_u64()), Some(7));
         let rows = parsed.get("rows").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(rows.len(), report.rows.len());
         for (j, row) in rows.iter().zip(&report.rows) {

@@ -4,7 +4,7 @@
 //! prints tables, `td perf` overwrites its benchmark file, and rerunning
 //! anything repays the full cost. This module adopts the
 //! skip-existing-results pattern (mergeable-etcd's experiment runner, see
-//! SNIPPETS.md): a registry of experiment definitions — the E15–E18
+//! SNIPPETS.md): a registry of experiment definitions — the E15, E17 and E18
 //! reproductions, the E21 protocol race, and the full perf trajectory —
 //! where each *configuration* hashes its identity (experiment id, workload
 //! spec string, executor grid point, seed, repeat count, schema version)
@@ -50,10 +50,6 @@ pub const VERSION: u32 = 1;
 pub struct ExpConfig {
     /// Base seed (also part of every cache key).
     pub seed: u64,
-    /// Worker threads for the parallel/sharded grid points.
-    pub threads: usize,
-    /// Shards for the sharded grid points.
-    pub shards: usize,
     /// Timing repetitions for wall-clocked units (min-of-N, like
     /// [`SweepConfig::repeat`]).
     pub repeat: usize,
@@ -65,8 +61,6 @@ impl Default for ExpConfig {
     fn default() -> Self {
         ExpConfig {
             seed: 42,
-            threads: 4,
-            shards: 4,
             repeat: 3,
             quick: false,
         }
@@ -74,12 +68,10 @@ impl Default for ExpConfig {
 }
 
 impl ExpConfig {
-    /// The kick-tires configuration: small sizes on a 2-thread 2-shard
-    /// grid, single repetition. What `scripts/kick-tires.sh` and CI run.
+    /// The kick-tires configuration: small sizes, single repetition. What
+    /// `scripts/kick-tires.sh` and CI run.
     pub fn quick() -> Self {
         ExpConfig {
-            threads: 2,
-            shards: 2,
             repeat: 1,
             quick: true,
             ..ExpConfig::default()
@@ -295,12 +287,6 @@ pub static REGISTRY: &[ExperimentDef] = &[
         units: e15_units,
     },
     ExperimentDef {
-        id: "e16",
-        plane: "sharded",
-        about: "shard-count sweep over the rotor-sweep game: cut edges and skipped shard-rounds",
-        units: e16_units,
-    },
-    ExperimentDef {
         id: "e17",
         plane: "scaling",
         about: "one-shot family scaling: rounds and messages across the generator families (sequential)",
@@ -437,14 +423,8 @@ impl Manifest {
         let mut s = String::new();
         s.push_str(&format!(
             "{{\n\"schema\":\"{SCHEMA}\",\n\"version\":{VERSION},\n\
-             \"quick\":{},\n\"force\":{},\n\"seed\":{},\n\"threads\":{},\n\
-             \"shards\":{},\n\"repeat\":{},\n",
-            self.config.quick,
-            self.force,
-            self.config.seed,
-            self.config.threads,
-            self.config.shards,
-            self.config.repeat
+             \"quick\":{},\n\"force\":{},\n\"seed\":{},\n\"repeat\":{},\n",
+            self.config.quick, self.force, self.config.seed, self.config.repeat
         ));
         let exps: Vec<String> = self
             .experiments
@@ -581,14 +561,13 @@ pub fn render(cfg: &ExpConfig, ids: &[String], results: &Path) -> Result<Rendere
         let units = load_units(def, cfg, results)?;
         let (table, plot) = match def.id {
             "e15" => (render_e15_table(&units), Some(render_e15_plot(&units))),
-            "e16" => (render_e16_table(&units), None),
             "e17" => (render_e17_table(&units), None),
             "e18" => (render_e18_table(&units), Some(render_e18_plot(&units))),
             "e19" => (render_e19_table(&units), None),
             "e21" => (render_e21_table(&units), Some(render_e21_plot(&units))),
             "perf" => {
                 out.bench = Some(render_bench(cfg, &units)?);
-                (render_perf_table(&units), Some(render_perf_plot(&units)))
+                (render_perf_table(&units), None)
             }
             other => return Err(format!("no renderer for experiment '{other}'")),
         };
@@ -663,10 +642,10 @@ fn e15_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
                     "churn:{}:size={size}:seed={seed}:events={events}",
                     sc.name()
                 ),
-                "repair(1)+recompute",
+                "repair+recompute",
                 1,
                 move || {
-                    let rep = sc.run(size, events, seed, 1, RepairMode::Incremental, true);
+                    let rep = sc.run(size, events, seed, RepairMode::Incremental, true);
                     if !rep.repair.completed {
                         return Err("repair hit the round cap".into());
                     }
@@ -751,89 +730,6 @@ fn render_e15_plot(units: &[(ExpUnit, UnitData)]) -> (String, String) {
     (
         "repair-locality.svg".into(),
         plot::render_line_chart(&chart, &series),
-    )
-}
-
-// ------------------------------------------------ experiment: e16 sharded ---
-
-fn e16_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
-    let width: usize = if cfg.quick { 200 } else { 2000 };
-    let shard_ladder: &[usize] = if cfg.quick {
-        &[2, 4]
-    } else {
-        &[2, 4, 8, 16, 32]
-    };
-    let threads = cfg.threads;
-    let spec = format!("rotor-sweep:width={width}");
-    let mut units = vec![ExpUnit::new(
-        "sequential",
-        spec.clone(),
-        "sequential",
-        1,
-        move || e16_run(width, None, 1),
-    )];
-    for &k in shard_ladder {
-        units.push(ExpUnit::new(
-            format!("sharded/{k}"),
-            spec.clone(),
-            format!("sharded({k},{threads})"),
-            1,
-            move || e16_run(width, Some(k), threads),
-        ));
-    }
-    Ok(units)
-}
-
-fn e16_run(width: usize, shards: Option<usize>, threads: usize) -> Result<UnitData, String> {
-    let game = crate::scenario::rotor_sweep_game(width);
-    let sim = match shards {
-        Some(k) => Simulator::sharded(k, threads),
-        None => Simulator::sequential(),
-    };
-    let res = proposal::run_on_simulator(&game, &sim);
-    td_core::verify_solution(&game, &res.solution).map_err(|e| format!("verify: {e:?}"))?;
-    let mut metrics = vec![
-        ("n".into(), game.num_nodes() as u64),
-        ("m".into(), game.graph().num_edges() as u64),
-        ("rounds".into(), res.comm_rounds as u64),
-        ("messages".into(), res.messages),
-        ("boundary_messages".into(), res.perf.boundary_messages),
-    ];
-    if let Some(sh) = &res.sharding {
-        metrics.push(("cut_edges".into(), sh.cut_edges as u64));
-        metrics.push(("shard_rounds_stepped".into(), sh.shard_rounds_stepped));
-        metrics.push(("shard_rounds_skipped".into(), sh.shard_rounds_skipped));
-    }
-    Ok(UnitData {
-        metrics,
-        ..UnitData::default()
-    })
-}
-
-fn render_e16_table(units: &[(ExpUnit, UnitData)]) -> String {
-    let mut rows = Vec::new();
-    for (u, d) in units {
-        rows.push(vec![
-            u.grid.clone(),
-            metric(d, "n").unwrap_or(0).to_string(),
-            metric(d, "rounds").unwrap_or(0).to_string(),
-            metric(d, "messages").unwrap_or(0).to_string(),
-            metric(d, "cut_edges").map_or("-".into(), |v| v.to_string()),
-            metric(d, "boundary_messages").unwrap_or(0).to_string(),
-            metric(d, "shard_rounds_skipped").map_or("-".into(), |v| v.to_string()),
-        ]);
-    }
-    md_table(
-        &[
-            "executor",
-            "n",
-            "rounds",
-            "messages",
-            "cut edges",
-            "boundary msgs",
-            "shard-rounds skipped",
-        ],
-        &rows,
     )
 }
 
@@ -963,18 +859,10 @@ fn e18_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
             units.push(ExpUnit::new(
                 format!("{scenario}/{size}"),
                 format!("{scenario}:size={size}:seed={seed}"),
-                "sequential+sharded(1,1)",
+                "sequential+sparse",
                 repeat,
                 move || {
-                    let pcfg = SweepConfig {
-                        scenario: Some(scenario.into()),
-                        sizes: Some(vec![size]),
-                        seed,
-                        threads: 1,
-                        shards: 1,
-                        quick: false,
-                        repeat,
-                    };
+                    let pcfg = perf_cfg(scenario, size, seed, repeat);
                     let rep = perf::run_sweep(&pcfg)?;
                     let by = |label: &str| {
                         rep.points
@@ -983,7 +871,7 @@ fn e18_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
                             .ok_or_else(|| format!("missing {label} point"))
                     };
                     let seq = by("sequential")?;
-                    let sparse = by("sharded(1,1)")?;
+                    let sparse = by("sparse")?;
                     let dense = seq.nodes as u64 * seq.rounds;
                     let active_ppm = seq
                         .counters
@@ -1075,17 +963,17 @@ fn render_e18_plot(units: &[(ExpUnit, UnitData)]) -> (String, String) {
 
 fn e19_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
     let budget: u32 = if cfg.quick { 64 } else { 256 };
-    let (seed, threads, shards) = (cfg.seed, cfg.threads, cfg.shards);
+    let seed = cfg.seed;
     let mut units = Vec::new();
     for family in ["churn-orient", "churn-assign"] {
-        let scfg = e19_config(family, seed, budget, threads, shards)?;
+        let scfg = e19_config(family, seed, budget)?;
         units.push(ExpUnit::new(
             family,
             scfg.spec.to_string(),
-            format!("serve({threads},{shards})"),
+            "serve",
             1,
             move || {
-                let scfg = e19_config(family, seed, budget, threads, shards)?;
+                let scfg = e19_config(family, seed, budget)?;
                 let rep = crate::serve::serve(&scfg)?;
                 let mut metrics = rep.canonical_metrics();
                 // Wall-clock extras: nondeterministic, excluded from the
@@ -1103,19 +991,11 @@ fn e19_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
     Ok(units)
 }
 
-fn e19_config(
-    family: &str,
-    seed: u64,
-    budget: u32,
-    threads: usize,
-    shards: usize,
-) -> Result<ServeConfig, String> {
+fn e19_config(family: &str, seed: u64, budget: u32) -> Result<ServeConfig, String> {
     let mut scfg = ServeConfig::new(family)?;
     scfg.spec = scfg.spec.with_seed(seed).with_param("events", budget);
     scfg.budget = budget;
     scfg.rate = 0;
-    scfg.threads = threads;
-    scfg.shards = shards;
     Ok(scfg)
 }
 
@@ -1155,20 +1035,10 @@ const E21_FAMILIES_QUICK: &[&str] = &["grid", "torus"];
 const E21_SIZES_FULL: &[u32] = &[8, 16, 32];
 const E21_SIZES_QUICK: &[u32] = &[8];
 
-fn e21_grid_label(ccfg: &CompareConfig) -> String {
-    ccfg.grid()
-        .iter()
-        .map(|p| format!("{}x{}", p.threads, p.shards))
-        .collect::<Vec<_>>()
-        .join("+")
-}
-
-fn e21_config(size: u32, seed: u64, threads: usize, shards: usize) -> CompareConfig {
+fn e21_config(size: u32, seed: u64) -> CompareConfig {
     CompareConfig {
         size: Some(size),
         seed,
-        threads,
-        shards,
         max_events: None,
         ..CompareConfig::default()
     }
@@ -1180,21 +1050,20 @@ fn e21_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
     } else {
         (E21_FAMILIES_FULL, E21_SIZES_FULL)
     };
-    let (seed, threads, shards) = (cfg.seed, cfg.threads, cfg.shards);
+    let seed = cfg.seed;
     let mut units = Vec::new();
     for &family in families {
         for &size in sizes {
-            let ccfg = e21_config(size, seed, threads, shards);
             units.push(ExpUnit::new(
                 format!("{family}/{size}"),
                 WorkloadSpec::new(family)?
                     .with_size(size)
                     .with_seed(seed)
                     .to_string(),
-                e21_grid_label(&ccfg),
+                "churn",
                 1,
                 move || {
-                    let ccfg = e21_config(size, seed, threads, shards);
+                    let ccfg = e21_config(size, seed);
                     let rep = crate::compare::compare_families(&ccfg, &[family.to_string()])?;
                     let mut metrics = Vec::new();
                     for (i, row) in rep.rows.iter().enumerate() {
@@ -1298,20 +1167,18 @@ fn render_e21_plot(units: &[(ExpUnit, UnitData)]) -> (String, String) {
 // -------------------------------------------------- experiment: perf plane ---
 
 fn perf_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
-    let (seed, threads, shards, repeat) = (cfg.seed, cfg.threads, cfg.shards, cfg.repeat);
+    let (seed, repeat) = (cfg.seed, cfg.repeat);
     let mut units = Vec::new();
     for sc in perf::REGISTRY {
         let sizes: &[u32] = if cfg.quick { &sc.sizes[..1] } else { sc.sizes };
         for &size in sizes {
-            let pcfg = perf_cfg(sc.name, size, seed, threads, shards, repeat);
-            let grid = perf::grid_labels(&pcfg, sc.name).join("+");
             units.push(ExpUnit::new(
                 format!("{}/{size}", sc.name),
                 format!("{}:size={size}:seed={seed}", sc.name),
-                grid,
+                perf::grid_labels(sc.name).join("+"),
                 repeat,
                 move || {
-                    let pcfg = perf_cfg(sc.name, size, seed, threads, shards, repeat);
+                    let pcfg = perf_cfg(sc.name, size, seed, repeat);
                     let rep = perf::run_sweep(&pcfg)?;
                     let mut metrics = Vec::new();
                     let mut fragments = Vec::new();
@@ -1332,20 +1199,11 @@ fn perf_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
     Ok(units)
 }
 
-fn perf_cfg(
-    scenario: &str,
-    size: u32,
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    repeat: usize,
-) -> SweepConfig {
+fn perf_cfg(scenario: &str, size: u32, seed: u64, repeat: usize) -> SweepConfig {
     SweepConfig {
         scenario: Some(scenario.into()),
         sizes: Some(vec![size]),
         seed,
-        threads,
-        shards,
         quick: false,
         repeat,
     }
@@ -1395,62 +1253,10 @@ fn render_perf_table(units: &[(ExpUnit, UnitData)]) -> String {
     )
 }
 
-fn render_perf_plot(units: &[(ExpUnit, UnitData)]) -> (String, String) {
-    // Parallel speedup per scenario over its size ladder, in integer
-    // permille (seq wall x1000 / parallel wall) so the layout stays
-    // platform-stable.
-    let mut series: Vec<Series> = Vec::new();
-    for (u, d) in units {
-        let scenario = u.label.split('/').next().unwrap_or(&u.label).to_string();
-        let size = u
-            .label
-            .rsplit('/')
-            .next()
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(0);
-        let execs = perf_executors(d);
-        let base = ["sequential", "churn(1,1)"]
-            .iter()
-            .find(|b| execs.iter().any(|e| e == *b))
-            .copied();
-        let par = execs
-            .iter()
-            .find(|e| e.starts_with("parallel(") || (e.starts_with("churn(") && *e != "churn(1,1)"))
-            .cloned();
-        let (Some(base), Some(par)) = (base, par) else {
-            continue;
-        };
-        let seq_wall = metric(d, &format!("{base}/wall_ns")).unwrap_or(0);
-        let par_wall = metric(d, &format!("{par}/wall_ns")).unwrap_or(0);
-        if par_wall == 0 {
-            continue;
-        }
-        let permille = seq_wall.saturating_mul(1000) / par_wall;
-        match series.iter_mut().find(|s| s.name == scenario) {
-            Some(s) => s.points.push((size, permille)),
-            None => series.push(Series {
-                name: scenario,
-                points: vec![(size, permille)],
-            }),
-        }
-    }
-    let chart = Chart {
-        title: "perf: parallel speedup vs sequential (x1000)".into(),
-        x_label: "size".into(),
-        y_label: "speedup x1000".into(),
-        log_x: true,
-        log_y: false,
-    };
-    (
-        "speedup.svg".into(),
-        plot::render_line_chart(&chart, &series),
-    )
-}
-
 /// Regenerates the `td-perf/v1` benchmark document from the cached perf
 /// units: the header is rebuilt from `cfg`, the cached point fragments are
-/// spliced back verbatim, and the derived speedups are recomputed from the
-/// cached wall-clock metrics — the same ratios [`perf::write_json`] emits,
+/// spliced back verbatim, and the derived speedup is recomputed from the
+/// cached wall-clock metrics — the same ratio [`perf::write_json`] emits,
 /// sourced from the cache instead of a live sweep.
 fn render_bench(cfg: &ExpConfig, units: &[(ExpUnit, UnitData)]) -> Result<String, String> {
     let mut executors: Vec<String> = Vec::new();
@@ -1473,7 +1279,7 @@ fn render_bench(cfg: &ExpConfig, units: &[(ExpUnit, UnitData)]) -> Result<String
             inners.push(inner.to_string());
         }
     }
-    let mut s = perf::header_json(cfg.threads, cfg.shards, cfg.seed, cfg.repeat, &executors);
+    let mut s = perf::header_json(cfg.seed, cfg.repeat, &executors);
     s.push_str("\"points\":[\n");
     s.push_str(&inners.join(",\n"));
     s.push_str("\n],\n\"derived\":{");
@@ -1495,16 +1301,9 @@ fn render_bench(cfg: &ExpConfig, units: &[(ExpUnit, UnitData)]) -> Result<String
         let Some(seq) = wall("sequential") else {
             continue;
         };
-        if let Some(w) = wall("sharded(1,1)") {
+        if let Some(w) = wall("sparse") {
             speedups.push(format!(
                 "\"sparse_speedup_{}\":{:.3}",
-                sc.name,
-                seq as f64 / w as f64
-            ));
-        }
-        if let Some(w) = wall(&format!("parallel({})", cfg.threads)) {
-            speedups.push(format!(
-                "\"parallel_speedup_{}\":{:.3}",
                 sc.name,
                 seq as f64 / w as f64
             ));
@@ -1515,9 +1314,8 @@ fn render_bench(cfg: &ExpConfig, units: &[(ExpUnit, UnitData)]) -> Result<String
     Ok(s)
 }
 
-/// The counters of a `td-perf/v1` row that are deterministic on any host,
-/// which [`check_bench`] compares exactly. The local/boundary message split
-/// is left out: `parallel(T)` resolves its shard count from the host.
+/// The work counters of a `td-perf/v1` row that [`check_bench`] compares
+/// exactly: each is deterministic on any host.
 pub const BENCH_COUNTERS: [&str; 7] = [
     "rounds",
     "messages",
@@ -1531,8 +1329,11 @@ pub const BENCH_COUNTERS: [&str; 7] = [
 /// Checks the benchmark document `rendered` against `committed`: every row
 /// of `rendered` whose (scenario, executor, size) also has a row in
 /// `committed` must agree with it on each [`BENCH_COUNTERS`] entry the
-/// committed row carries. Returns the number of rows compared, or one line
-/// per disagreement; documents that do not parse, or share no row, fail.
+/// committed row carries, and every (scenario, executor) pair of
+/// `committed` must have a rendered row at some size — so a renamed or
+/// dropped executor fails the gate instead of shrinking it. Returns the
+/// number of rows compared, or one line per disagreement; documents that
+/// do not parse, or share no row, fail.
 pub fn check_bench(rendered: &str, committed: &str) -> Result<usize, Vec<String>> {
     let points = |doc: &str, what: &str| -> Result<Vec<json::Json>, Vec<String>> {
         json::parse(doc)
@@ -1540,22 +1341,17 @@ pub fn check_bench(rendered: &str, committed: &str) -> Result<usize, Vec<String>
             .and_then(|d| d.get("points").and_then(|p| p.as_arr()).map(<[_]>::to_vec))
             .ok_or_else(|| vec![format!("{what}: not a td-perf document with points")])
     };
-    let key = |p: &json::Json| {
-        (
-            p.get("scenario")
-                .and_then(|v| v.as_str())
-                .map(str::to_owned),
-            p.get("executor")
-                .and_then(|v| v.as_str())
-                .map(str::to_owned),
-            p.get("size").and_then(|v| v.as_u64()),
-        )
-    };
+    let field =
+        |p: &json::Json, name: &str| p.get(name).and_then(|v| v.as_str()).map(str::to_owned);
+    let pair = |p: &json::Json| (field(p, "scenario"), field(p, "executor"));
+    let key = |p: &json::Json| (pair(p), p.get("size").and_then(|v| v.as_u64()));
+    let show = |v: &Option<String>| v.clone().unwrap_or_else(|| "?".into());
     let committed = points(committed, "committed")?;
+    let rendered = points(rendered, "rendered")?;
     let mut compared = 0;
     let mut errors = Vec::new();
-    for row in points(rendered, "rendered")? {
-        let k = key(&row);
+    for row in &rendered {
+        let k = key(row);
         let Some(want) = committed.iter().find(|c| key(c) == k) else {
             continue;
         };
@@ -1564,17 +1360,31 @@ pub fn check_bench(rendered: &str, committed: &str) -> Result<usize, Vec<String>
             let expected = want.get(counter).and_then(|v| v.as_u64());
             let got = row.get(counter).and_then(|v| v.as_u64());
             if expected.is_some() && got != expected {
-                let (scenario, executor, size) = &k;
+                let ((scenario, executor), size) = &k;
                 errors.push(format!(
                     "{} {} size {}: {counter} {} (committed {})",
-                    scenario.as_deref().unwrap_or("?"),
-                    executor.as_deref().unwrap_or("?"),
+                    show(scenario),
+                    show(executor),
                     size.unwrap_or(0),
                     got.map_or("missing".into(), |g| g.to_string()),
                     expected.unwrap_or(0)
                 ));
             }
         }
+    }
+    let mut uncovered = Vec::new();
+    for row in &committed {
+        let p = pair(row);
+        if !uncovered.contains(&p) && !rendered.iter().any(|r| pair(r) == p) {
+            uncovered.push(p);
+        }
+    }
+    for (scenario, executor) in &uncovered {
+        errors.push(format!(
+            "{} {}: committed, but no rendered row at any size",
+            show(scenario),
+            show(executor)
+        ));
     }
     if compared == 0 {
         errors.push("no (scenario, executor, size) row in common".into());
@@ -1605,19 +1415,16 @@ mod tests {
                 1000 + rounds
             )
         };
-        let committed = doc(&[
-            &row("sequential", 64, 26, 9),
-            &row("parallel(4)", 64, 26, 9),
-        ]);
-        // Same counters, other wall time and local/boundary split; a row
-        // the committed file lacks is ignored.
+        let committed = doc(&[&row("sequential", 64, 26, 9), &row("sparse", 64, 26, 9)]);
+        // Same counters, other wall time and message split; a row the
+        // committed file lacks is ignored.
         let same = doc(&[
             &row("sequential", 64, 26, 9),
-            &row("parallel(4)", 64, 26, 5),
+            &row("sparse", 64, 26, 5),
             &row("sequential", 128, 99, 9),
         ]);
         assert_eq!(check_bench(&same, &committed), Ok(2));
-        let off = doc(&[&row("sequential", 64, 27, 9)]);
+        let off = doc(&[&row("sequential", 64, 27, 9), &row("sparse", 64, 26, 9)]);
         let errs = check_bench(&off, &committed).unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(
@@ -1627,6 +1434,54 @@ mod tests {
         let disjoint = doc(&[&row("sequential", 128, 26, 9)]);
         assert!(check_bench(&disjoint, &committed).is_err());
         assert!(check_bench("not json", &committed).is_err());
+    }
+
+    /// A committed (scenario, executor) pair with no rendered row at any
+    /// size fails the gate, even when every shared row agrees: a renamed
+    /// or dropped executor cannot shrink the comparison silently.
+    #[test]
+    fn check_bench_fails_when_a_committed_pair_has_no_rendered_row() {
+        let doc = |rows: &[(&str, &str, u32)]| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|(scenario, exec, size)| {
+                    format!(
+                        "{{\"scenario\":\"{scenario}\",\"executor\":\"{exec}\",\
+                         \"size\":{size},\"rounds\":7}}"
+                    )
+                })
+                .collect();
+            format!("{{\"points\":[{}]}}", rows.join(","))
+        };
+        let committed = doc(&[
+            ("rotor", "sequential", 64),
+            ("rotor", "sequential", 256),
+            ("rotor", "sparse", 256),
+            ("torus", "sequential", 6),
+        ]);
+        // Every pair covered, at any committed size: the gate passes.
+        let covered = doc(&[
+            ("rotor", "sequential", 64),
+            ("rotor", "sparse", 64),
+            ("torus", "sequential", 6),
+        ]);
+        assert_eq!(check_bench(&covered, &committed), Ok(2));
+        // The sparse rows were renamed away: the shared rows still agree,
+        // but the committed pair is reported.
+        let renamed = doc(&[
+            ("rotor", "sequential", 64),
+            ("rotor", "sparse-lane", 64),
+            ("torus", "sequential", 6),
+        ]);
+        let errs = check_bench(&renamed, &committed).unwrap_err();
+        assert_eq!(
+            errs,
+            vec!["rotor sparse: committed, but no rendered row at any size".to_string()]
+        );
+        // A dropped scenario is reported once, not once per committed size.
+        let dropped = doc(&[("torus", "sequential", 6)]);
+        let errs = check_bench(&dropped, &committed).unwrap_err();
+        assert_eq!(errs.len(), 2, "{errs:?}");
     }
 
     #[test]
@@ -1659,7 +1514,7 @@ mod tests {
         let variants = [
             canonical_key_string("e15", "grid:size=8:seed=42", "sequential", 42, 1, VERSION),
             canonical_key_string("e17", "grid:size=9:seed=42", "sequential", 42, 1, VERSION),
-            canonical_key_string("e17", "grid:size=8:seed=42", "sharded(2,2)", 42, 1, VERSION),
+            canonical_key_string("e17", "grid:size=8:seed=42", "sparse", 42, 1, VERSION),
             canonical_key_string("e17", "grid:size=8:seed=42", "sequential", 43, 1, VERSION),
             canonical_key_string("e17", "grid:size=8:seed=42", "sequential", 42, 3, VERSION),
             canonical_key_string(

@@ -5,11 +5,10 @@
 //! 1. **verifier acceptance** — every output passes the family's verifier
 //!    (rules 1–3 + dynamics replay, orientation stability, assignment
 //!    stability / k-boundedness), after every churn event on live traces;
-//! 2. **executor differential** — the sequential executor and the
-//!    pinned-worker sharded engine, both as `parallel(T)` and at explicit
-//!    shard grids (and, on churn traces, incremental repair vs full
-//!    recompute) must be *bit-identical*: same outputs, same rounds, same
-//!    message counts;
+//! 2. **executor differential** — the dense sequential scan and the sparse
+//!    lane (and, on churn traces, incremental repair vs full recompute)
+//!    must be *bit-identical*: same outputs, same rounds, same message
+//!    counts;
 //! 3. **metamorphic relabeling** — re-running on a seeded node relabeling
 //!    of the same instance must still verify, with label-invariant
 //!    structure (node/edge/token counts, degree multiset) preserved;
@@ -31,7 +30,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use td_assign::protocol::run_distributed_assignment;
 use td_assign::repair::AssignChurnEngine;
 use td_assign::AssignmentInstance;
-use td_balance::{total_of, BalanceInstance, ExecPoint};
+use td_balance::{total_of, BalanceInstance};
 use td_core::{proposal, TokenGame};
 use td_graph::{CsrGraph, NodeId};
 use td_local::churn::{ChurnEvent, RepairMode, RepairStats};
@@ -52,8 +51,8 @@ pub struct FuzzReport {
     pub rounds: u64,
     /// Messages of the sequential reference run.
     pub messages: u64,
-    /// Executor / mode grid points that were compared bit-for-bit against
-    /// the reference (not counting the reference itself).
+    /// Other runs checked against the reference: the sparse lane or the
+    /// full recompute, and the relabeled twin.
     pub compared: usize,
 }
 
@@ -115,7 +114,7 @@ pub fn corpus(count: usize, base_seed: u64) -> Vec<WorkloadSpec> {
 ///
 /// let spec = WorkloadSpec::parse("rotor:size=4:seed=1").unwrap();
 /// let rep = fuzz::check(&spec).expect("rotor at width 4 fuzzes clean");
-/// assert!(rep.compared >= 3); // executor/mode grid points vs the reference
+/// assert_eq!(rep.compared, 2); // the sparse lane and a relabeled twin
 /// assert_eq!(fuzz::repro_line(&spec), "td fuzz --spec 'rotor:size=4:seed=1'");
 /// ```
 pub fn check(spec: &WorkloadSpec) -> Result<FuzzReport, String> {
@@ -204,17 +203,13 @@ fn compare_counts(label: &str, got: (u64, u64), reference: (u64, u64)) -> Result
 
 /// Runs the balance-protocol differential for one spec: every registered
 /// balancer ([`td_balance::registry`]) on the spec's projected node-load
-/// workload ([`crate::compare::balance_workload`]), cross-checked three
+/// workload ([`crate::compare::balance_workload`]), cross-checked two
 /// ways — **verifier acceptance** (each protocol's own verifier accepts
-/// every run: balanced, token-conserving, potential books to the token),
-/// **executor differential** (the sequential reference vs parallel and
-/// thread × shard grid points must produce bit-identical [`BalanceRun`]s,
-/// fingerprints included), and **metamorphic relabeling** (a seeded node
-/// relabeling of the instance, loads and churn events carried along, must
-/// still verify, balance, and conserve the token total). Panics are caught
-/// like [`check`].
-///
-/// [`BalanceRun`]: td_balance::BalanceRun
+/// every run: balanced, token-conserving, potential books to the token)
+/// and **metamorphic relabeling** (a seeded node relabeling of the
+/// instance, loads and churn events carried along, must still verify,
+/// balance, and conserve the token total). Panics are caught like
+/// [`check`].
 ///
 /// ```
 /// use td_bench::fuzz;
@@ -222,7 +217,7 @@ fn compare_counts(label: &str, got: (u64, u64), reference: (u64, u64)) -> Result
 ///
 /// let spec = WorkloadSpec::parse("rotor:size=4:seed=1").unwrap();
 /// let rep = fuzz::check_balance(&spec).expect("rotor at width 4 balances clean");
-/// assert!(rep.compared >= 4); // grid points + relabeled twin, per protocol
+/// assert!(rep.compared >= 3); // one relabeled twin per protocol
 /// ```
 pub fn check_balance(spec: &WorkloadSpec) -> Result<FuzzReport, String> {
     let spec = spec.clone();
@@ -251,51 +246,20 @@ fn check_balance_inner(spec: &WorkloadSpec) -> Result<FuzzReport, String> {
     }
     let r_events: Vec<ChurnEvent> = events.iter().map(|ev| relabel_event(ev, &perm)).collect();
 
-    let grid = [
-        ExecPoint {
-            threads: 3,
-            shards: 1,
-        },
-        ExecPoint {
-            threads: 2,
-            shards: 2,
-        },
-        ExecPoint {
-            threads: 4,
-            shards: 3,
-        },
-    ];
     let mut rounds = 0u64;
     let mut messages = 0u64;
     let mut compared = 0usize;
     for proto in td_balance::registry() {
         let name = proto.name();
         let base = proto
-            .run(&inst, spec.seed, ExecPoint::sequential(), &events)
-            .map_err(|e| format!("balance/{name} sequential: {e}"))?;
+            .run(&inst, spec.seed, &events)
+            .map_err(|e| format!("balance/{name}: {e}"))?;
         rounds += base.rounds;
         messages += base.messages;
-        for exec in grid {
-            let run = proto
-                .run(&inst, spec.seed, exec, &events)
-                .map_err(|e| format!("balance/{name} at {exec:?}: {e}"))?;
-            compare_counts(
-                &format!("balance/{name} at {}x{}", exec.threads, exec.shards),
-                (run.rounds, run.messages),
-                (base.rounds, base.messages),
-            )?;
-            if run != base {
-                return Err(format!(
-                    "balance/{name} at {}x{} diverged: fingerprint {:016x} != {:016x}",
-                    exec.threads, exec.shards, run.fingerprint, base.fingerprint
-                ));
-            }
-            compared += 1;
-        }
         // The twin takes its own trajectory (roles follow ids) but must
         // still verify, balance, and hold the original's token total.
         let twin = proto
-            .run(&r_inst, spec.seed, ExecPoint::sequential(), &r_events)
+            .run(&r_inst, spec.seed, &r_events)
             .map_err(|e| format!("balance/{name} relabeled: {e}"))?;
         if total_of(&twin.loads) != total_of(&base.loads) {
             return Err(format!(
@@ -377,22 +341,15 @@ fn check_game(spec: &WorkloadSpec, game: TokenGame) -> Result<FuzzReport, String
     td_core::verify_solution(&game, &seq.solution).map_err(|e| format!("verifier: {e:?}"))?;
     td_core::verify_dynamics(&game, &seq.log).map_err(|e| format!("dynamics: {e:?}"))?;
 
-    let grid: [(&str, Simulator); 3] = [
-        ("parallel(3)", Simulator::parallel(3)),
-        ("sharded(2,2)", Simulator::sharded(2, 2)),
-        ("sharded(4,2)", Simulator::sharded(4, 2)),
-    ];
-    for (name, sim) in &grid {
-        let run = proposal::run_on_simulator(&game, sim);
-        if run.solution != seq.solution || run.log != seq.log {
-            return Err(format!("{name}: output diverges from sequential"));
-        }
-        compare_counts(
-            name,
-            (run.comm_rounds as u64, run.messages),
-            (seq.comm_rounds as u64, seq.messages),
-        )?;
+    let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
+    if sp.solution != seq.solution || sp.log != seq.log {
+        return Err("sparse: output diverges from sequential".into());
     }
+    compare_counts(
+        "sparse",
+        (sp.comm_rounds as u64, sp.messages),
+        (seq.comm_rounds as u64, seq.messages),
+    )?;
 
     // Metamorphic relabeling: permute node ids, rerun, re-verify.
     let perm = permutation(game.num_nodes(), spec.seed);
@@ -419,7 +376,7 @@ fn check_game(spec: &WorkloadSpec, game: TokenGame) -> Result<FuzzReport, String
         edges: game.graph().num_edges(),
         rounds: seq.comm_rounds as u64,
         messages: seq.messages,
-        compared: grid.len() + 1,
+        compared: 2,
     })
 }
 
@@ -461,21 +418,15 @@ fn check_orientation(spec: &WorkloadSpec, graph: CsrGraph) -> Result<FuzzReport,
         .verify_stable(&graph)
         .map_err(|e| format!("verifier: {e:?}"))?;
 
-    let grid: [(&str, Simulator); 2] = [
-        ("parallel(3)", Simulator::parallel(3)),
-        ("sharded(4,2)", Simulator::sharded(4, 2)),
-    ];
-    for (name, sim) in &grid {
-        let run = run_distributed(&graph, sim);
-        if run.orientation != seq.orientation {
-            return Err(format!("{name}: orientation diverges from sequential"));
-        }
-        compare_counts(
-            name,
-            (run.comm_rounds as u64, run.messages),
-            (seq.comm_rounds as u64, seq.messages),
-        )?;
+    let sp = run_distributed(&graph, &Simulator::sparse());
+    if sp.orientation != seq.orientation {
+        return Err("sparse: orientation diverges from sequential".into());
     }
+    compare_counts(
+        "sparse",
+        (sp.comm_rounds as u64, sp.messages),
+        (seq.comm_rounds as u64, seq.messages),
+    )?;
 
     // Metamorphic relabeling.
     let perm = permutation(n, spec.seed);
@@ -493,7 +444,7 @@ fn check_orientation(spec: &WorkloadSpec, graph: CsrGraph) -> Result<FuzzReport,
         edges: m,
         rounds: seq.comm_rounds as u64,
         messages: seq.messages,
-        compared: grid.len() + 1,
+        compared: 2,
     })
 }
 
@@ -534,21 +485,15 @@ fn check_assignment(
     let seq = run_distributed_assignment(&inst, bound, &Simulator::sequential());
     verify(&seq.assignment, "verifier")?;
 
-    let grid: [(&str, Simulator); 2] = [
-        ("parallel(3)", Simulator::parallel(3)),
-        ("sharded(3,2)", Simulator::sharded(3, 2)),
-    ];
-    for (name, sim) in &grid {
-        let run = run_distributed_assignment(&inst, bound, sim);
-        if run.assignment != seq.assignment {
-            return Err(format!("{name}: assignment diverges from sequential"));
-        }
-        compare_counts(
-            name,
-            (run.comm_rounds as u64, run.messages),
-            (seq.comm_rounds as u64, seq.messages),
-        )?;
+    let sp = run_distributed_assignment(&inst, bound, &Simulator::sparse());
+    if sp.assignment != seq.assignment {
+        return Err("sparse: assignment diverges from sequential".into());
     }
+    compare_counts(
+        "sparse",
+        (sp.comm_rounds as u64, sp.messages),
+        (seq.comm_rounds as u64, seq.messages),
+    )?;
 
     // Metamorphic relabeling: permute server ids and customer order.
     let sperm = permutation(ns, spec.seed);
@@ -580,7 +525,7 @@ fn check_assignment(
         edges,
         rounds: seq.comm_rounds as u64,
         messages: seq.messages,
-        compared: grid.len() + 1,
+        compared: 2,
     })
 }
 
@@ -593,12 +538,8 @@ pub(crate) fn orient_trace_run(
     graph: &CsrGraph,
     trace: &[ChurnEvent],
     mode: RepairMode,
-    threads: usize,
-    shards: usize,
 ) -> Result<(RepairStats, Vec<u32>), String> {
-    let mut eng = OrientChurnEngine::new(graph.clone(), Orientation::toward_larger(graph), mode)
-        .with_threads(threads)
-        .with_shards(shards);
+    let mut eng = OrientChurnEngine::new(graph.clone(), Orientation::toward_larger(graph), mode);
     let mut total = RepairStats::accumulator();
     total.absorb(eng.stabilize());
     eng.verify()
@@ -656,8 +597,8 @@ fn check_orient_churn(
         _ => {}
     }
 
-    let (base_stats, base_fp) = orient_trace_run(&graph, &trace, RepairMode::Incremental, 1, 1)?;
-    let (rec_stats, rec_fp) = orient_trace_run(&graph, &trace, RepairMode::FullRecompute, 1, 1)?;
+    let (base_stats, base_fp) = orient_trace_run(&graph, &trace, RepairMode::Incremental)?;
+    let (rec_stats, rec_fp) = orient_trace_run(&graph, &trace, RepairMode::FullRecompute)?;
     if rec_fp != base_fp {
         return Err("full recompute diverges from incremental repair".into());
     }
@@ -666,13 +607,6 @@ fn check_orient_churn(
         (rec_stats.rounds as u64, rec_stats.messages),
         (base_stats.rounds as u64, base_stats.messages),
     )?;
-    for (threads, shards) in [(2, 1), (2, 2)] {
-        let (stats, fp) =
-            orient_trace_run(&graph, &trace, RepairMode::Incremental, threads, shards)?;
-        if fp != base_fp || stats != base_stats {
-            return Err(format!("threads {threads} x shards {shards} diverges"));
-        }
-    }
 
     // Metamorphic relabeling: permute node ids in the graph *and* the trace.
     let perm = permutation(n, spec.seed);
@@ -695,7 +629,7 @@ fn check_orient_churn(
             ref other => other.clone(),
         })
         .collect();
-    let (_, rfp) = orient_trace_run(&rg, &rtrace, RepairMode::Incremental, 1, 1)?;
+    let (_, rfp) = orient_trace_run(&rg, &rtrace, RepairMode::Incremental)?;
     if rfp.len() != base_fp.len() {
         return Err("relabeled trace changed the final edge count".into());
     }
@@ -705,7 +639,7 @@ fn check_orient_churn(
         edges: graph.num_edges(),
         rounds: base_stats.rounds as u64,
         messages: base_stats.messages,
-        compared: 4,
+        compared: 2,
     })
 }
 
@@ -714,12 +648,8 @@ pub(crate) fn assign_trace_run(
     base: &AssignmentInstance,
     trace: &[ChurnEvent],
     mode: RepairMode,
-    threads: usize,
-    shards: usize,
 ) -> Result<(RepairStats, Vec<u32>), String> {
-    let mut eng = AssignChurnEngine::new(base, mode)
-        .with_threads(threads)
-        .with_shards(shards);
+    let mut eng = AssignChurnEngine::new(base, mode);
     let mut total = RepairStats::accumulator();
     total.absorb(eng.stabilize());
     eng.verify()
@@ -750,8 +680,8 @@ fn check_assign_churn(
         return Err("churn-assign: base instance shape drifted".into());
     }
 
-    let (base_stats, base_fp) = assign_trace_run(&base, &trace, RepairMode::Incremental, 1, 1)?;
-    let (rec_stats, rec_fp) = assign_trace_run(&base, &trace, RepairMode::FullRecompute, 1, 1)?;
+    let (base_stats, base_fp) = assign_trace_run(&base, &trace, RepairMode::Incremental)?;
+    let (rec_stats, rec_fp) = assign_trace_run(&base, &trace, RepairMode::FullRecompute)?;
     if rec_fp != base_fp {
         return Err("full recompute diverges from incremental repair".into());
     }
@@ -760,13 +690,6 @@ fn check_assign_churn(
         (rec_stats.rounds as u64, rec_stats.messages),
         (base_stats.rounds as u64, base_stats.messages),
     )?;
-    for (threads, shards) in [(2, 1), (2, 2)] {
-        let (stats, fp) =
-            assign_trace_run(&base, &trace, RepairMode::Incremental, threads, shards)?;
-        if fp != base_fp || stats != base_stats {
-            return Err(format!("threads {threads} x shards {shards} diverges"));
-        }
-    }
 
     // Metamorphic relabeling: permute server ids in the instance and trace.
     let sperm = permutation(ns, spec.seed);
@@ -792,7 +715,7 @@ fn check_assign_churn(
             other => other.clone(),
         })
         .collect();
-    let (_, rfp) = assign_trace_run(&rbase, &rtrace, RepairMode::Incremental, 1, 1)?;
+    let (_, rfp) = assign_trace_run(&rbase, &rtrace, RepairMode::Incremental)?;
     if rfp.len() != base_fp.len() {
         return Err("relabeled trace changed the customer count".into());
     }
@@ -803,7 +726,7 @@ fn check_assign_churn(
         edges,
         rounds: base_stats.rounds as u64,
         messages: base_stats.messages,
-        compared: 4,
+        compared: 2,
     })
 }
 
@@ -842,7 +765,8 @@ mod tests {
                 spec = spec.with_param("bound", 2); // keep the lib test fast
             }
             let rep = check(&spec).unwrap_or_else(|e| panic!("{}: {e}", repro_line(&spec)));
-            assert!(rep.compared >= 3, "{name}");
+            // The sparse lane or the full recompute, plus the relabeled twin.
+            assert_eq!(rep.compared, 2, "{name}");
             assert!(rep.rounds > 0, "{name}");
         }
     }
@@ -857,8 +781,8 @@ mod tests {
                 spec = spec.with_param("bound", 2);
             }
             let rep = check_balance(&spec).unwrap_or_else(|e| panic!("{}: {e}", repro_line(&spec)));
-            // 3 protocols x (3 grid points + relabeled twin).
-            assert_eq!(rep.compared, 12, "{name}");
+            // 3 protocols x one relabeled twin.
+            assert_eq!(rep.compared, 3, "{name}");
             assert!(rep.rounds > 0, "{name}");
         }
     }

@@ -5,19 +5,15 @@
 //! EXPERIMENTS.md); this module turns them into data. One sweep —
 //! scenario × executor × size — runs representative workloads from the
 //! [`crate::spec`] families plus one synthetic quiescing showcase through
-//! the sequential executor and the pinned-worker sharded engine — both as
-//! `parallel(T)` (auto shard count) and at explicit shard grids — (and the
-//! churn engines through their thread/shard grid), collecting for each
-//! point:
+//! the dense `sequential` scan and the `sparse` lane (and the churn
+//! engines through their one `churn` loop), collecting for each point:
 //!
 //! * the headline costs: rounds, messages, wall-clock (total and per
 //!   round);
-//! * the [`ExecPerf`] work counters every executor now maintains: node
-//!   rounds stepped, halted residents scanned past (dense executors) vs
-//!   halted node-rounds never visited (the sharded executor's node-granular
-//!   sparse scheduler), messages routed locally vs over the batched
-//!   boundary, and arena stamp scans;
-//! * the sharded partition stats ([`ShardExecStats`]) where applicable;
+//! * the [`ExecPerf`] work counters every executor maintains: node rounds
+//!   stepped, halted nodes scanned past (the dense scan) vs halted
+//!   node-rounds never visited (the sparse lane), messages, and arena
+//!   stamp scans;
 //! * a down-sampled per-round curve of active nodes and messages (the
 //!   active-fraction trajectory experiment E18 fits).
 //!
@@ -33,9 +29,9 @@
 //! cfg.scenario = Some("drain-wave".into());
 //! let report = perf::run_sweep(&cfg).unwrap();
 //! assert!(report.points.iter().all(|p| p.rounds > 0));
-//! // The sparse scheduler never scans a halted resident…
-//! let sharded = report.points.iter().find(|p| p.executor.starts_with("sharded")).unwrap();
-//! assert_eq!(sharded.counters.halted_scans, 0);
+//! // The sparse lane never scans a halted node…
+//! let sparse = report.points.iter().find(|p| p.executor == "sparse").unwrap();
+//! assert_eq!(sparse.counters.halted_scans, 0);
 //! // …while the dense sequential baseline pays for every one of them.
 //! let seq = report.points.iter().find(|p| p.executor == "sequential").unwrap();
 //! assert!(seq.counters.halted_scans > 0);
@@ -47,7 +43,7 @@ use td_assign::repair::AssignChurnEngine;
 use td_core::proposal;
 use td_local::{
     ExecPerf, Inbox, NodeInit, Outbox, Protocol, RepairMode, RepairStats, RoundCtx, RoundStats,
-    ShardExecStats, SimOutcome, Simulator, Status,
+    SimOutcome, Simulator, Status,
 };
 use td_orient::protocol::run_distributed;
 use td_orient::repair::OrientChurnEngine;
@@ -106,8 +102,7 @@ pub struct PerfPoint {
     /// Pipeline kind label (game / orientation / assignment / churn /
     /// synthetic).
     pub kind: &'static str,
-    /// Executor label (`sequential`, `parallel(T)`, `sharded(K,T)`,
-    /// `churn(T,K)`).
+    /// Executor label (`sequential`, `sparse`, `churn`).
     pub executor: String,
     /// The scenario's size knob for this point.
     pub size: u32,
@@ -129,8 +124,6 @@ pub struct PerfPoint {
     /// Executor work counters (zeroed on churn rows, which report
     /// `node_steps` instead).
     pub counters: ExecPerf,
-    /// Sharded-executor stats, where the run was sharded.
-    pub sharding: Option<ShardExecStats>,
     /// Down-sampled per-round trajectory (one-shot rows only).
     pub curve: Curve,
     /// Churn rows: node steps of the repair trace (the wake-driven
@@ -161,10 +154,6 @@ impl PerfPoint {
                 m.push((format!("{e}/boundary_messages"), c.boundary_messages));
             }
         }
-        if let Some(sh) = &self.sharding {
-            m.push((format!("{e}/cut_edges"), sh.cut_edges as u64));
-            m.push((format!("{e}/shard_rounds_skipped"), sh.shard_rounds_skipped));
-        }
         m
     }
 
@@ -183,10 +172,6 @@ impl PerfPoint {
 /// A full sweep: configuration echo plus every measured point.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
-    /// Worker threads used by the parallel/sharded rows.
-    pub threads: usize,
-    /// Shard count used by the sharded rows.
-    pub shards: usize,
     /// Base seed.
     pub seed: u64,
     /// Timing repetitions each point ran (min-of-N wall clock).
@@ -204,31 +189,16 @@ impl PerfReport {
             .max_by_key(|p| p.size)
     }
 
-    /// Wall-clock ratio of the `sequential` row over the `executor` row for
-    /// `scenario` at the largest measured size (both rows must exist at
-    /// that size). `> 1` means the executor beat sequential.
-    fn speedup_vs_sequential(&self, scenario: &str, executor: &str) -> Option<f64> {
+    /// Wall-clock speedup of the `sparse` lane over the dense `sequential`
+    /// scan for `scenario`, at the largest measured size (both rows must
+    /// exist at that size). `> 1` means the sparse lane won.
+    pub fn sparse_speedup(&self, scenario: &str) -> Option<f64> {
         let seq = self.best_point(scenario, "sequential")?;
-        let other = self.best_point(scenario, executor)?;
-        if other.size != seq.size || other.wall_ns == 0 {
+        let sparse = self.best_point(scenario, "sparse")?;
+        if sparse.size != seq.size || sparse.wall_ns == 0 {
             return None;
         }
-        Some(seq.wall_ns as f64 / other.wall_ns as f64)
-    }
-
-    /// Wall-clock speedup of the sparse sharded executor (1 shard, 1
-    /// thread — pure scheduling, no parallelism) over the dense sequential
-    /// baseline for `scenario`, at the largest measured size.
-    pub fn sparse_speedup(&self, scenario: &str) -> Option<f64> {
-        self.speedup_vs_sequential(scenario, "sharded(1,1)")
-    }
-
-    /// Wall-clock speedup of the pinned-worker engine at the sweep's
-    /// thread count (`parallel(T)`) over the sequential baseline for
-    /// `scenario`, at the largest measured size — the seq-vs-parallel
-    /// column of the committed benchmark.
-    pub fn parallel_speedup(&self, scenario: &str) -> Option<f64> {
-        self.speedup_vs_sequential(scenario, &format!("parallel({})", self.threads))
+        Some(seq.wall_ns as f64 / sparse.wall_ns as f64)
     }
 }
 
@@ -333,10 +303,6 @@ pub struct SweepConfig {
     pub sizes: Option<Vec<u32>>,
     /// Base seed.
     pub seed: u64,
-    /// Worker threads for the parallel/sharded rows (>= 1).
-    pub threads: usize,
-    /// Shards for the sharded rows (>= 1).
-    pub shards: usize,
     /// Trim every ladder to its smallest rung (smoke mode).
     pub quick: bool,
     /// Timing repetitions per point: each point runs `repeat` times and
@@ -352,8 +318,6 @@ impl Default for SweepConfig {
             scenario: None,
             sizes: None,
             seed: 42,
-            threads: 4,
-            shards: 4,
             quick: false,
             repeat: 3,
         }
@@ -362,11 +326,9 @@ impl Default for SweepConfig {
 
 impl SweepConfig {
     /// A smoke-sized configuration: every scenario at its smallest size
-    /// only, on a 2-thread 2-shard grid. What CI and the library tests run.
+    /// only, one repetition. What CI and the library tests run.
     pub fn quick() -> Self {
         SweepConfig {
-            threads: 2,
-            shards: 2,
             quick: true,
             repeat: 1,
             ..SweepConfig::default()
@@ -421,68 +383,30 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<PerfReport, String> {
         }
     }
     Ok(PerfReport {
-        threads: cfg.threads,
-        shards: cfg.shards,
         seed: cfg.seed,
         repeat: cfg.repeat.max(1),
         points,
     })
 }
 
-/// The executor labels a sweep of `scenario` under `cfg` produces, in
-/// sweep order — the resolved grid the report header now records, and the
-/// experiment cache keys off.
-pub fn grid_labels(cfg: &SweepConfig, scenario: &str) -> Vec<String> {
+/// The executor labels a sweep of `scenario` produces, in sweep order —
+/// the grid the report header records, and the experiment cache keys off.
+pub fn grid_labels(scenario: &str) -> Vec<&'static str> {
     if matches!(scenario, "churn-orient" | "churn-assign") {
-        let mut grid: Vec<(String, ())> = vec![
-            ("churn(1,1)".into(), ()),
-            (format!("churn({},1)", cfg.threads), ()),
-            (format!("churn({},{})", cfg.threads, cfg.shards), ()),
-        ];
-        dedup_by_label(&mut grid);
-        grid.into_iter().map(|(l, ())| l).collect()
+        vec!["churn"]
     } else {
-        executor_grid(cfg).into_iter().map(|(l, _)| l).collect()
+        executor_grid().map(|(label, _)| label).to_vec()
     }
 }
 
 /// The executor grid every one-shot scenario is swept over: the dense
-/// sequential reference, the pinned-worker engine as `parallel(T)` (auto
-/// shard count — the seq-vs-parallel headline row), the engine at the
-/// configured explicit shard grid point, and `sharded(1,1)` — the sparse
-/// scheduler with parallelism and partitioning stripped away, so its row
-/// isolates the node-granular active-list win against `sequential`.
-/// Rows whose labels collide (e.g. `--shards 1 --threads 1` makes the
-/// configured sharded point *be* `sharded(1,1)`) are emitted once.
-fn executor_grid(cfg: &SweepConfig) -> Vec<(String, Simulator)> {
-    let mut grid: Vec<(String, Simulator)> = vec![
-        ("sequential".into(), Simulator::sequential()),
-        (
-            format!("parallel({})", cfg.threads),
-            Simulator::parallel(cfg.threads),
-        ),
-        (
-            format!("sharded({},{})", cfg.shards, cfg.threads),
-            Simulator::sharded(cfg.shards, cfg.threads),
-        ),
-        ("sharded(1,1)".into(), Simulator::sharded(1, 1)),
-    ];
-    dedup_by_label(&mut grid);
-    grid
-}
-
-/// Drops later grid entries whose label already appeared (duplicate rows
-/// would double the work and make by-label lookups ambiguous).
-fn dedup_by_label<T>(grid: &mut Vec<(String, T)>) {
-    let mut seen: Vec<String> = Vec::new();
-    grid.retain(|(label, _)| {
-        if seen.contains(label) {
-            false
-        } else {
-            seen.push(label.clone());
-            true
-        }
-    });
+/// sequential reference and the sparse lane, whose row isolates the
+/// node-granular active-list win against `sequential`.
+fn executor_grid() -> [(&'static str, Simulator); 2] {
+    [
+        ("sequential", Simulator::sequential()),
+        ("sparse", Simulator::sparse()),
+    ]
 }
 
 struct OneShot {
@@ -492,7 +416,6 @@ struct OneShot {
     messages: u64,
     wall_ns: u128,
     counters: ExecPerf,
-    sharding: Option<ShardExecStats>,
     curve: Curve,
 }
 
@@ -518,25 +441,22 @@ fn point(
         messages: o.messages,
         wall_ns: o.wall_ns,
         counters: o.counters,
-        sharding: o.sharding,
         curve: o.curve,
         node_steps: None,
     }
 }
 
 /// Cross-executor differential: every grid row must report the reference
-/// row's rounds and messages (`ref_label` names that row — `sequential`
-/// on one-shot grids, `churn(1,1)` on churn grids).
+/// row's rounds and messages (the `sequential` row).
 fn check_reference(
     scenario: &str,
     executor: &str,
     got: (u64, u64),
     reference: Option<(u64, u64)>,
-    ref_label: &str,
 ) -> Result<(), String> {
     match reference {
         Some(r) if r != got => Err(format!(
-            "perf {scenario}: {executor} rounds/messages {}/{} diverge from {ref_label} {}/{}",
+            "perf {scenario}: {executor} rounds/messages {}/{} diverge from sequential {}/{}",
             got.0, got.1, r.0, r.1
         )),
         _ => Ok(()),
@@ -602,7 +522,7 @@ fn run_drain_wave(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
     let spec = format!("drain-wave:size={n}:frontier={frontier}:rounds={DRAIN_ROUNDS}");
     let mut out = Vec::new();
     let mut reference = None;
-    for (label, sim) in executor_grid(cfg) {
+    for (label, sim) in executor_grid() {
         let mut wall_ns = u128::MAX;
         let mut last = None;
         for _ in 0..cfg.repeat.max(1) {
@@ -626,17 +546,16 @@ fn run_drain_wave(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
         }
         check_reference(
             "drain-wave",
-            &label,
+            label,
             (outcome.rounds as u64, outcome.messages),
             reference,
-            "sequential",
         )?;
         reference.get_or_insert((outcome.rounds as u64, outcome.messages));
         out.push(point(
             "drain-wave",
             "synthetic",
             spec.clone(),
-            label,
+            label.to_string(),
             size,
             cfg.seed,
             OneShot {
@@ -646,7 +565,6 @@ fn run_drain_wave(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
                 messages: outcome.messages,
                 wall_ns,
                 counters: outcome.perf,
-                sharding: outcome.sharding,
                 curve: Curve::from_trace(outcome.trace.as_deref().unwrap_or(&[])),
             },
         ));
@@ -667,7 +585,7 @@ fn run_game(cfg: &SweepConfig, family: &'static str, size: u32) -> Result<Vec<Pe
     };
     let mut out = Vec::new();
     let mut reference = None;
-    for (label, sim) in executor_grid(cfg) {
+    for (label, sim) in executor_grid() {
         let mut wall_ns = u128::MAX;
         let mut last = None;
         for _ in 0..cfg.repeat.max(1) {
@@ -680,17 +598,16 @@ fn run_game(cfg: &SweepConfig, family: &'static str, size: u32) -> Result<Vec<Pe
         td_core::verify_solution(&game, &res.solution).map_err(|e| format!("{family}: {e:?}"))?;
         check_reference(
             family,
-            &label,
+            label,
             (res.comm_rounds as u64, res.messages),
             reference,
-            "sequential",
         )?;
         reference.get_or_insert((res.comm_rounds as u64, res.messages));
         out.push(point(
             family,
             "game",
             spec.to_string(),
-            label,
+            label.to_string(),
             size,
             cfg.seed,
             OneShot {
@@ -700,7 +617,6 @@ fn run_game(cfg: &SweepConfig, family: &'static str, size: u32) -> Result<Vec<Pe
                 messages: res.messages,
                 wall_ns,
                 counters: res.perf,
-                sharding: res.sharding,
                 curve: Curve::from_trace(res.trace.as_deref().unwrap_or(&[])),
             },
         ));
@@ -715,7 +631,7 @@ fn run_orientation(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, Strin
     };
     let mut out = Vec::new();
     let mut reference = None;
-    for (label, sim) in executor_grid(cfg) {
+    for (label, sim) in executor_grid() {
         let mut wall_ns = u128::MAX;
         let mut last = None;
         for _ in 0..cfg.repeat.max(1) {
@@ -730,17 +646,16 @@ fn run_orientation(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, Strin
             .map_err(|e| format!("torus: {e:?}"))?;
         check_reference(
             "torus",
-            &label,
+            label,
             (res.comm_rounds as u64, res.messages),
             reference,
-            "sequential",
         )?;
         reference.get_or_insert((res.comm_rounds as u64, res.messages));
         out.push(point(
             "torus",
             "orientation",
             spec.to_string(),
-            label,
+            label.to_string(),
             size,
             cfg.seed,
             OneShot {
@@ -750,7 +665,6 @@ fn run_orientation(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, Strin
                 messages: res.messages,
                 wall_ns,
                 counters: res.perf,
-                sharding: res.sharding,
                 curve: Curve::from_trace(res.trace.as_deref().unwrap_or(&[])),
             },
         ));
@@ -765,7 +679,7 @@ fn run_assignment(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
     };
     let mut out = Vec::new();
     let mut reference = None;
-    for (label, sim) in executor_grid(cfg) {
+    for (label, sim) in executor_grid() {
         let mut wall_ns = u128::MAX;
         let mut last = None;
         for _ in 0..cfg.repeat.max(1) {
@@ -791,10 +705,9 @@ fn run_assignment(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
         }
         check_reference(
             "zipf-cluster",
-            &label,
+            label,
             (res.comm_rounds as u64, res.messages),
             reference,
-            "sequential",
         )?;
         reference.get_or_insert((res.comm_rounds as u64, res.messages));
         let edges = (0..inst.num_customers())
@@ -804,7 +717,7 @@ fn run_assignment(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
             "zipf-cluster",
             "assignment",
             spec.to_string(),
-            label,
+            label.to_string(),
             size,
             cfg.seed,
             OneShot {
@@ -814,7 +727,6 @@ fn run_assignment(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
                 messages: res.messages,
                 wall_ns,
                 counters: res.perf,
-                sharding: res.sharding,
                 curve: Curve::from_trace(res.trace.as_deref().unwrap_or(&[])),
             },
         ));
@@ -826,67 +738,42 @@ fn run_assignment(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
 
 fn run_churn(cfg: &SweepConfig, family: &'static str, size: u32) -> Result<Vec<PerfPoint>, String> {
     let spec = build_spec(family, size, cfg.seed)?;
-    let mut grid: Vec<(String, (usize, usize))> = vec![
-        ("churn(1,1)".into(), (1, 1)),
-        (format!("churn({},1)", cfg.threads), (cfg.threads, 1)),
-        (
-            format!("churn({},{})", cfg.threads, cfg.shards),
-            (cfg.threads, cfg.shards),
-        ),
-    ];
-    dedup_by_label(&mut grid);
-    let mut out = Vec::new();
-    let mut reference: Option<(u64, u64)> = None;
-    for (label, (threads, shards)) in grid {
-        let mut wall_ns = u128::MAX;
-        let mut last = None;
-        for _ in 0..cfg.repeat.max(1) {
-            let built = spec.build()?;
-            let t0 = Instant::now();
-            let measured = run_churn_once(family, built, threads, shards)?;
-            wall_ns = wall_ns.min(t0.elapsed().as_nanos());
-            last = Some(measured);
-        }
-        let (stats, nodes, edges) = last.expect("repeat >= 1");
-        if !stats.completed {
-            return Err(format!("{family} {label}: repair hit the round cap"));
-        }
-        check_reference(
-            family,
-            &label,
-            (stats.rounds as u64, stats.messages),
-            reference,
-            "churn(1,1)",
-        )?;
-        reference.get_or_insert((stats.rounds as u64, stats.messages));
-        out.push(PerfPoint {
-            scenario: family,
-            spec: spec.to_string(),
-            kind: "churn",
-            executor: label,
-            size,
-            seed: cfg.seed,
-            nodes,
-            edges,
-            rounds: stats.rounds as u64,
-            messages: stats.messages,
-            wall_ns,
-            counters: ExecPerf::default(),
-            sharding: None,
-            curve: Curve::default(),
-            node_steps: Some(stats.node_steps),
-        });
+    let mut wall_ns = u128::MAX;
+    let mut last = None;
+    for _ in 0..cfg.repeat.max(1) {
+        let built = spec.build()?;
+        let t0 = Instant::now();
+        let measured = run_churn_once(family, built)?;
+        wall_ns = wall_ns.min(t0.elapsed().as_nanos());
+        last = Some(measured);
     }
-    Ok(out)
+    let (stats, nodes, edges) = last.expect("repeat >= 1");
+    if !stats.completed {
+        return Err(format!("{family}: repair hit the round cap"));
+    }
+    Ok(vec![PerfPoint {
+        scenario: family,
+        spec: spec.to_string(),
+        kind: "churn",
+        executor: "churn".into(),
+        size,
+        seed: cfg.seed,
+        nodes,
+        edges,
+        rounds: stats.rounds as u64,
+        messages: stats.messages,
+        wall_ns,
+        counters: ExecPerf::default(),
+        curve: Curve::default(),
+        node_steps: Some(stats.node_steps),
+    }])
 }
 
-/// One timed repetition of a churn grid point: stabilize, stream the
-/// trace, verify after every event.
+/// One timed repetition of a churn row: stabilize, stream the trace,
+/// verify after every event.
 fn run_churn_once(
     family: &'static str,
     built: WorkloadInstance,
-    threads: usize,
-    shards: usize,
 ) -> Result<(RepairStats, usize, usize), String> {
     Ok(match built {
         WorkloadInstance::OrientChurn { graph, trace } => {
@@ -894,9 +781,7 @@ fn run_churn_once(
                 graph.clone(),
                 Orientation::toward_larger(&graph),
                 RepairMode::Incremental,
-            )
-            .with_threads(threads)
-            .with_shards(shards);
+            );
             let mut total = RepairStats::accumulator();
             total.absorb(eng.stabilize());
             eng.verify()
@@ -912,9 +797,7 @@ fn run_churn_once(
             (total, eng.graph().num_nodes(), eng.graph().num_edges())
         }
         WorkloadInstance::AssignChurn { base, trace } => {
-            let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental)
-                .with_threads(threads)
-                .with_shards(shards);
+            let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental);
             let mut total = RepairStats::accumulator();
             total.absorb(eng.stabilize());
             eng.verify()
@@ -947,20 +830,13 @@ fn json_array_u64<I: IntoIterator<Item = u64>>(vals: I) -> String {
 
 /// The report header shared by `td perf` output and the experiment
 /// cache's benchmark regeneration: schema tag, trajectory point, the
-/// sweep knobs, the timing repeat count, and the resolved executor grid
-/// (schema-additive over earlier `td-perf/v1` documents). Ends mid-object,
+/// seed, the timing repeat count, and the executor grid. Ends mid-object,
 /// ready for `"points"`.
-pub fn header_json(
-    threads: usize,
-    shards: usize,
-    seed: u64,
-    repeat: usize,
-    executors: &[String],
-) -> String {
+pub fn header_json(seed: u64, repeat: usize, executors: &[String]) -> String {
     let execs: Vec<String> = executors.iter().map(|e| format!("\"{e}\"")).collect();
     format!(
-        "{{\n\"schema\":\"{SCHEMA}\",\n\"bench\":10,\n\"threads\":{threads},\n\"shards\":{shards},\n\
-         \"seed\":{seed},\n\"repeat\":{repeat},\n\"executors\":[{}],\n",
+        "{{\n\"schema\":\"{SCHEMA}\",\n\"bench\":10,\n\"seed\":{seed},\n\"repeat\":{repeat},\n\
+         \"executors\":[{}],\n",
         execs.join(",")
     )
 }
@@ -997,22 +873,6 @@ pub fn point_json(p: &PerfPoint) -> String {
             push_kv_u64(&mut s, "stamp_scans", c.stamp_scans, true);
         }
     }
-    if let Some(sh) = &p.sharding {
-        push_kv_u64(&mut s, "exec_shards", sh.shards as u64, true);
-        push_kv_u64(&mut s, "cut_edges", sh.cut_edges as u64, true);
-        push_kv_u64(
-            &mut s,
-            "shard_rounds_stepped",
-            sh.shard_rounds_stepped,
-            true,
-        );
-        push_kv_u64(
-            &mut s,
-            "shard_rounds_skipped",
-            sh.shard_rounds_skipped,
-            true,
-        );
-    }
     s.push_str(&format!("\"active_fraction\":{:.6},", p.active_fraction()));
     if p.curve.rounds.is_empty() {
         s.push_str("\"curve\":null");
@@ -1041,13 +901,7 @@ pub fn write_json(report: &PerfReport) -> String {
             executors.push(p.executor.clone());
         }
     }
-    let mut s = header_json(
-        report.threads,
-        report.shards,
-        report.seed,
-        report.repeat,
-        &executors,
-    );
+    let mut s = header_json(report.seed, report.repeat, &executors);
     s.push_str("\"points\":[\n");
     let fragments: Vec<String> = report.points.iter().map(point_json).collect();
     s.push_str(&fragments.join(",\n"));
@@ -1056,9 +910,6 @@ pub fn write_json(report: &PerfReport) -> String {
     for sc in REGISTRY {
         if let Some(x) = report.sparse_speedup(sc.name) {
             speedups.push(format!("\"sparse_speedup_{}\":{x:.3}", sc.name));
-        }
-        if let Some(x) = report.parallel_speedup(sc.name) {
-            speedups.push(format!("\"parallel_speedup_{}\":{x:.3}", sc.name));
         }
     }
     s.push_str(&speedups.join(","));
@@ -1147,22 +998,17 @@ mod tests {
         let rep = run_sweep(&cfg).unwrap();
         let by = |ex: &str| rep.points.iter().find(|p| p.executor == ex).unwrap();
         let seq = by("sequential");
-        let sparse = by("sharded(1,1)");
+        let sparse = by("sparse");
         // Bit-identical round/message counts…
         assert_eq!(seq.rounds, sparse.rounds);
         assert_eq!(seq.messages, sparse.messages);
         assert_eq!(seq.counters.node_rounds, sparse.counters.node_rounds);
-        // …but the dense scan pays for every halted resident while the
-        // sparse scheduler skips exactly the same node-rounds untouched.
+        // …but the dense scan pays for every halted node while the sparse
+        // lane skips exactly the same node-rounds untouched.
         assert!(seq.counters.halted_scans > 0);
         assert_eq!(sparse.counters.halted_scans, 0);
         assert_eq!(seq.counters.halted_scans, sparse.counters.sparse_skips);
-        // Boundary routing is visible on the multi-shard row.
-        let sharded = by("sharded(2,2)");
-        assert_eq!(
-            sharded.counters.local_messages + sharded.counters.boundary_messages,
-            sharded.messages
-        );
+        assert_eq!(sparse.counters.local_messages, sparse.messages);
     }
 
     #[test]
@@ -1199,12 +1045,8 @@ mod tests {
             // dense grid.
             assert!(p.active_fraction() < 1.0, "{}", p.executor);
         }
-        // All three grid points agree on rounds/messages (checked inside
-        // run_sweep, re-asserted here on the output).
-        let r0 = (rep.points[0].rounds, rep.points[0].messages);
-        for p in &rep.points {
-            assert_eq!((p.rounds, p.messages), r0, "{}", p.executor);
-        }
+        assert_eq!(rep.points.len(), 1, "one churn row per size");
+        assert_eq!(rep.points[0].executor, "churn");
     }
 
     /// A tiny structural validator: balanced braces/brackets outside
@@ -1277,16 +1119,14 @@ mod tests {
                 Some(p.wall_ns as u64)
             );
         }
-        // The recorded grid is exactly what grid_labels resolves for the
-        // same configuration — cache keys and report headers agree.
-        let mut cfg = SweepConfig::quick();
-        cfg.scenario = Some("rotor".into());
-        assert_eq!(grid_labels(&cfg, "rotor"), execs);
+        // The recorded grid is exactly what grid_labels resolves — cache
+        // keys and report headers agree.
+        assert_eq!(grid_labels("rotor"), execs);
     }
 
-    /// The churn-assign rows of the committed BENCH_10.json, on all three
-    /// churn executors: rounds, messages and node-steps (joins and leaves
-    /// patch the repair network in place and must repeat them exactly).
+    /// The churn-assign rows of the committed BENCH_10.json: rounds,
+    /// messages and node-steps (joins and leaves patch the repair network
+    /// in place and must repeat them exactly).
     #[test]
     fn churn_assign_rows_repeat_bench_10() {
         let cfg = SweepConfig {
@@ -1309,37 +1149,17 @@ mod tests {
                 )
             })
             .collect();
-        let mut want = Vec::new();
-        for (size, rounds, messages, steps) in [(8, 253, 506, 946), (16, 231, 526, 1067)] {
-            for exec in ["churn(1,1)", "churn(4,1)", "churn(4,4)"] {
-                want.push((size, exec, rounds, messages, Some(steps)));
-            }
-        }
+        let want = [(8, 253, 506, 946), (16, 231, 526, 1067)]
+            .map(|(size, rounds, messages, steps)| (size, "churn", rounds, messages, Some(steps)));
         assert_eq!(rows, want);
     }
 
     #[test]
     fn grid_labels_cover_churn_and_oneshot_shapes() {
-        let cfg = SweepConfig::default();
-        assert_eq!(
-            grid_labels(&cfg, "churn-orient"),
-            vec!["churn(1,1)", "churn(4,1)", "churn(4,4)"]
-        );
-        assert_eq!(
-            grid_labels(&cfg, "drain-wave"),
-            vec!["sequential", "parallel(4)", "sharded(4,4)", "sharded(1,1)"]
-        );
-        // Colliding labels dedup, same as the executors actually run.
-        let one = SweepConfig {
-            threads: 1,
-            shards: 1,
-            ..SweepConfig::default()
-        };
-        assert_eq!(grid_labels(&one, "churn-assign"), vec!["churn(1,1)"]);
-        assert_eq!(
-            grid_labels(&one, "rotor"),
-            vec!["sequential", "parallel(1)", "sharded(1,1)"]
-        );
+        assert_eq!(grid_labels("churn-orient"), vec!["churn"]);
+        assert_eq!(grid_labels("churn-assign"), vec!["churn"]);
+        assert_eq!(grid_labels("drain-wave"), vec!["sequential", "sparse"]);
+        assert_eq!(grid_labels("rotor"), vec!["sequential", "sparse"]);
     }
 
     #[test]
@@ -1373,10 +1193,5 @@ mod tests {
         let s = rep.sparse_speedup("drain-wave").expect("both rows present");
         assert!(s > 0.0);
         assert!(rep.sparse_speedup("no-such").is_none());
-        let p = rep
-            .parallel_speedup("drain-wave")
-            .expect("parallel row present");
-        assert!(p > 0.0);
-        assert!(rep.parallel_speedup("no-such").is_none());
     }
 }

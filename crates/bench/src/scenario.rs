@@ -149,6 +149,12 @@ pub trait Scenario: Sync {
     fn description(&self) -> &'static str;
     /// The size used when the caller does not specify one.
     fn default_size(&self) -> u32;
+    /// The smallest size the scenario can build an instance at; smaller
+    /// sizes are usage errors. Most scenarios clamp their knob and accept
+    /// any size.
+    fn min_size(&self) -> u32 {
+        0
+    }
     /// Builds the instance, solves it on `sim`, verifies, reports.
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport;
 }
@@ -171,6 +177,9 @@ impl Scenario for LayeredGame {
     }
     fn default_size(&self) -> u32 {
         6
+    }
+    fn min_size(&self) -> u32 {
+        1
     }
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport {
         let game = workloads::layered_game(size as usize, 4, seed);
@@ -210,6 +219,9 @@ impl Scenario for ContentionComb {
     fn default_size(&self) -> u32 {
         16
     }
+    fn min_size(&self) -> u32 {
+        1
+    }
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport {
         let game = TokenGame::contention_comb(size as usize);
         let t0 = Instant::now();
@@ -247,6 +259,9 @@ impl Scenario for Waterfall {
     fn default_size(&self) -> u32 {
         8
     }
+    fn min_size(&self) -> u32 {
+        1
+    }
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport {
         let k = size as usize;
         let game = TokenGame::waterfall(k, k);
@@ -276,9 +291,8 @@ impl Scenario for Waterfall {
 struct RotorSweep;
 
 /// The rotor-sweep instance at level width `w` (the same construction the
-/// `rotor-sweep` scenario runs) — exposed for experiment E16 and the
-/// sharded criterion bench, which need the raw [`TokenGame`] to reach the
-/// executor's sharding statistics.
+/// `rotor-sweep` scenario runs) — exposed for the `rotor` spec family and
+/// the tests that need the raw [`TokenGame`].
 pub fn rotor_sweep_game(w: usize) -> TokenGame {
     RotorSweep::build(w.max(2))
 }
@@ -778,7 +792,7 @@ mod tests {
     fn reports_are_executor_independent() {
         let s = find("layered-game").unwrap();
         let a = s.run(4, 7, &Simulator::sequential());
-        let b = s.run(4, 7, &Simulator::parallel(3));
+        let b = s.run(4, 7, &Simulator::sparse());
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.messages, b.messages);
     }

@@ -255,10 +255,6 @@ pub struct ServeConfig {
     pub rate: u64,
     /// Total events to emit (the run ends when the budget is exhausted).
     pub budget: u32,
-    /// Repair worker threads inside the engine.
-    pub threads: usize,
-    /// Engine shard count (>1 = sharded message plane).
-    pub shards: usize,
     /// Request channel capacity; a full channel is the backpressure signal.
     pub queue: usize,
     /// Interleave a load query after every `query_every` events (0 = never).
@@ -292,8 +288,6 @@ impl ServeConfig {
             spec,
             rate: 0,
             budget: 256,
-            threads: 1,
-            shards: 1,
             queue: 1024,
             query_every: 64,
             stamp_horizon: None,
@@ -393,10 +387,6 @@ pub struct ServeReport {
     pub rate: u64,
     /// Event budget of the run.
     pub budget: u32,
-    /// Engine threads.
-    pub threads: usize,
-    /// Engine shards.
-    pub shards: usize,
     /// Request channel capacity.
     pub queue: usize,
     /// Live nodes at the end of the run.
@@ -488,10 +478,6 @@ impl ServeReport {
         let mut row = |k: &str, v: String| t.row(vec![k.to_string(), v]);
         row("spec", self.spec.clone());
         row("engine", self.engine.to_string());
-        row(
-            "threads/shards",
-            format!("{}/{}", self.threads, self.shards),
-        );
         row(
             "offered rate",
             if self.rate == 0 {
@@ -599,18 +585,14 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
                 graph.clone(),
                 Orientation::toward_larger(&graph),
                 RepairMode::Incremental,
-            )
-            .with_threads(cfg.threads)
-            .with_shards(cfg.shards);
+            );
             if let Some(h) = cfg.stamp_horizon {
                 eng = eng.with_max_rounds(h / 2).with_stamp_horizon(h);
             }
             (ServeEngine::Orient(Box::new(eng)), trace)
         }
         WorkloadInstance::AssignChurn { base, trace } => {
-            let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental)
-                .with_threads(cfg.threads)
-                .with_shards(cfg.shards);
+            let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental);
             if let Some(h) = cfg.stamp_horizon {
                 eng = eng.with_max_rounds(h / 2).with_stamp_horizon(h);
             }
@@ -724,8 +706,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         seed: spec.seed,
         rate: cfg.rate,
         budget,
-        threads: cfg.threads,
-        shards: cfg.shards,
         queue: cfg.queue,
         nodes: outcome.engine.nodes(),
         events: outcome.events,
@@ -761,8 +741,6 @@ pub fn write_json(r: &ServeReport) -> String {
     s.push_str(&format!("\"size\":{},\"seed\":{},", r.size, r.seed));
     push_kv_u64(&mut s, "rate", r.rate, true);
     push_kv_u64(&mut s, "budget", r.budget as u64, true);
-    push_kv_u64(&mut s, "threads", r.threads as u64, true);
-    push_kv_u64(&mut s, "shards", r.shards as u64, true);
     push_kv_u64(&mut s, "queue", r.queue as u64, true);
     s.push('\n');
     push_kv_u64(&mut s, "nodes", r.nodes as u64, true);
@@ -927,8 +905,6 @@ mod tests {
             seed: 1,
             rate,
             budget: events,
-            threads: 1,
-            shards: 1,
             queue: 16,
             nodes: 8,
             events,
@@ -995,13 +971,6 @@ mod tests {
         assert_eq!(a.repair, b.repair);
         assert_eq!(a.perf, b.perf);
         assert_eq!(a.queries, b.queries);
-        // Threads change scheduling, never results.
-        let mut par = cfg.clone();
-        par.threads = 4;
-        par.shards = 4;
-        let c = serve(&par).expect("serve run");
-        assert_eq!(a.fingerprint, c.fingerprint);
-        assert_eq!(a.repair, c.repair);
     }
 
     #[test]

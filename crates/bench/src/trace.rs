@@ -483,19 +483,13 @@ pub struct ReplayOutcome {
     pub solution_fp: u64,
 }
 
-/// Replays the trace through the incremental-repair engine for its family,
-/// verifying stability after every event. `threads` / `shards` select the
-/// executor (sequential, parallel, or sharded) — the outcome is
-/// bit-identical across all of them.
-pub fn replay_engine(
-    trace: &Trace,
-    mode: RepairMode,
-    threads: usize,
-    shards: usize,
-) -> Result<ReplayOutcome, String> {
+/// Replays the trace through the repair engine for its family, verifying
+/// stability after every event. `mode` selects incremental repair or the
+/// full recompute; the final solution is the same either way.
+pub fn replay_engine(trace: &Trace, mode: RepairMode) -> Result<ReplayOutcome, String> {
     match trace.spec.build()? {
         WorkloadInstance::OrientChurn { graph, .. } => {
-            let (stats, fp) = fuzz::orient_trace_run(&graph, &trace.events, mode, threads, shards)?;
+            let (stats, fp) = fuzz::orient_trace_run(&graph, &trace.events, mode)?;
             Ok(ReplayOutcome {
                 events: trace.events.len(),
                 stats,
@@ -503,7 +497,7 @@ pub fn replay_engine(
             })
         }
         WorkloadInstance::AssignChurn { base, .. } => {
-            let (stats, fp) = fuzz::assign_trace_run(&base, &trace.events, mode, threads, shards)?;
+            let (stats, fp) = fuzz::assign_trace_run(&base, &trace.events, mode)?;
             Ok(ReplayOutcome {
                 events: trace.events.len(),
                 stats,
@@ -518,8 +512,8 @@ pub fn replay_engine(
 }
 
 /// Replays the trace through the fuzz plane's full differential:
-/// incremental vs full recompute, thread × shard executor grid, and the
-/// metamorphic relabeling, all over the recorded events.
+/// incremental vs full recompute and the metamorphic relabeling, all over
+/// the recorded events.
 pub fn replay_differential(trace: &Trace) -> Result<FuzzReport, String> {
     fuzz::check_churn_trace(&trace.spec, &trace.events)
 }
@@ -527,17 +521,10 @@ pub fn replay_differential(trace: &Trace) -> Result<FuzzReport, String> {
 /// Streams the trace through a full `td serve` session (daemon + open-loop
 /// generator) in place of the spec's generated mix. The effective budget
 /// is the trace length; `rate` 0 means unpaced.
-pub fn replay_serve(
-    trace: &Trace,
-    rate: u64,
-    threads: usize,
-    shards: usize,
-) -> Result<ServeReport, String> {
+pub fn replay_serve(trace: &Trace, rate: u64) -> Result<ServeReport, String> {
     let mut cfg = ServeConfig::new(trace.spec.family)?;
     cfg.spec = trace.spec.clone();
     cfg.rate = rate;
-    cfg.threads = threads;
-    cfg.shards = shards;
     cfg.trace = Some(trace.events.clone());
     serve(&cfg)
 }
@@ -918,7 +905,7 @@ mod tests {
             assert_eq!(t.spec.family, s.family, "{}", s.name);
             // Engine replay verifies stability after every event — an
             // invalid event stream fails here.
-            let seq = replay_engine(&t, RepairMode::Incremental, 1, 1)
+            let seq = replay_engine(&t, RepairMode::Incremental)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name));
             assert_eq!(seq.events, 48, "{}", s.name);
         }
@@ -943,16 +930,13 @@ mod tests {
     #[test]
     fn replay_is_bit_identical_across_engines_executors_and_serve() {
         let t = Trace::from_shape("rack-burst", 32, 5, 40).unwrap();
-        let seq = replay_engine(&t, RepairMode::Incremental, 1, 1).unwrap();
-        for (threads, shards) in [(2, 1), (2, 2), (4, 4)] {
-            let par = replay_engine(&t, RepairMode::Incremental, threads, shards).unwrap();
-            assert_eq!(par, seq, "threads {threads} x shards {shards}");
-        }
-        let rec = replay_engine(&t, RepairMode::FullRecompute, 1, 1).unwrap();
+        let seq = replay_engine(&t, RepairMode::Incremental).unwrap();
+        assert_eq!(replay_engine(&t, RepairMode::Incremental).unwrap(), seq);
+        let rec = replay_engine(&t, RepairMode::FullRecompute).unwrap();
         assert_eq!(rec.solution_fp, seq.solution_fp, "recompute agrees");
         // The serve daemon consumes the same stream and lands on the same
         // solution fingerprint.
-        let report = replay_serve(&t, 0, 1, 1).unwrap();
+        let report = replay_serve(&t, 0).unwrap();
         assert_eq!(report.events as usize, seq.events);
         assert_eq!(report.fingerprint, seq.solution_fp);
         // And the fuzz differential accepts the recorded stream wholesale.

@@ -33,10 +33,8 @@ pub mod dot;
 pub mod gen;
 pub mod ids;
 pub mod io;
-pub mod partition;
 
 pub use bipartite::Bipartition;
 pub use builder::{BuildError, GraphBuilder};
 pub use csr::CsrGraph;
 pub use ids::{EdgeId, NodeId, Port};
-pub use partition::Partition;

@@ -20,19 +20,15 @@
 //! avoids an O(m) clear every round — crucial when round counts reach Θ(Δ⁴)
 //! on small graphs.
 //!
-//! ## Concurrency discipline
+//! ## Aliasing discipline
 //!
-//! The pinned-worker engine ([`crate::shard`]) gives every **worker** its
-//! own set of per-shard arenas, built inside the worker's thread and owned
-//! by it for the whole run: a shard's arena is only ever written by its
-//! owning worker (local sends and same-worker cross-shard sends write the
-//! sibling arena directly; cross-worker traffic arrives as batches over
-//! the SPSC boundary rings and is written into the arena by the consuming
-//! worker itself). The structural one-writer-per-slot guarantee spelled
-//! out in [`crate::disjoint`] still holds within a round — the slot of
-//! `(receiver, port)` is written by exactly one node — but cross-thread
-//! ordering now comes from the epoch protocol's acquire/release progress
-//! stamps rather than a global barrier. The slot array is a
+//! Every executor steps its nodes on the calling thread, but a round holds
+//! the read view of one buffer and the write view of the other at once,
+//! both borrowed from the shared arena, and every stepped node writes
+//! through the same write view. That is sound because of the structural
+//! one-writer-per-slot guarantee spelled out in [`crate::disjoint`]: the
+//! slot of `(receiver, port)` is written by exactly one node per round, and
+//! nothing reads the write buffer until the next round. The slot array is a
 //! [`DisjointSlots`], so the unsafe surface stays in one module.
 
 use crate::disjoint::DisjointSlots;
@@ -205,8 +201,8 @@ impl<'a, M> ArenaReader<'a, M> {
     /// The message in `slot`, if one was sent for this round.
     ///
     /// # Safety
-    /// No thread may be writing this buffer (the executor guarantees this:
-    /// writes go to the other buffer, epochs are barrier-separated).
+    /// Nothing may be writing this buffer (the executors guarantee this:
+    /// writes go to the other buffer until the round ends).
     #[inline(always)]
     pub(crate) unsafe fn get(&self, slot: usize) -> Option<&'a M> {
         let s = self.slots.read(slot);
@@ -237,7 +233,7 @@ impl<M> ArenaWriter<'_, M> {
     /// Writes `msg` into `slot` in place and publishes its stamp.
     ///
     /// # Safety
-    /// Within the current round, no other thread may access `slot` in this
+    /// Within the current round, nothing else may access `slot` in this
     /// buffer. The simulator's one-writer-per-slot discipline (see
     /// [`crate::disjoint`]) provides exactly this.
     #[inline(always)]

@@ -1,34 +1,31 @@
-//! A shared-slice cell for provably disjoint concurrent writes.
+//! A shared-slice cell for provably disjoint writes through `&self`.
 //!
-//! The simulator's message-delivery phase has a structural no-alias
-//! guarantee: the arena slot for `(receiver, port)` is written only by the
-//! unique neighbor sitting at the other end of that port, and every node is
-//! stepped by exactly one worker thread per round. Hence, within one round,
-//! **every message slot has at most one writer** and no readers (reads happen
-//! on the *other* buffer of the double-buffered [`crate::arena`], separated
-//! by a barrier). [`DisjointSlots`] encapsulates the single `unsafe` needed
-//! to exploit this: plain (non-atomic) writes through a shared reference.
-//! The arena stores its stamp and payload arrays as two separate
-//! `DisjointSlots` (structure-of-arrays), both covered by the same
-//! discipline.
+//! The message arena hands out a read view of one buffer and a write view
+//! of the other for the same round, both borrowed from `&self`, and the
+//! write view is used by every node stepped in that round. The structural
+//! guarantee that makes this sound: the arena slot for `(receiver, port)`
+//! is written only by the unique neighbor sitting at the other end of that
+//! port, so within one round **every message slot has at most one writer**
+//! and no reader (reads happen on the *other* buffer of the double-buffered
+//! [`crate::arena`]). [`DisjointSlots`] encapsulates the `unsafe` needed to
+//! exploit this: plain writes through a shared reference.
 //!
-//! This is the standard "disjoint index sets" pattern used in parallel graph
-//! kernels; the alternative (a mutex or atomic per slot) would put
-//! synchronization on the hot path for no semantic benefit.
+//! The contract is the standard "disjoint index sets" one of parallel graph
+//! kernels, so it also holds across threads (the type is `Sync`), although
+//! every executor of this crate steps its nodes on the calling thread.
 
 use std::cell::UnsafeCell;
 
-/// A fixed-size buffer allowing concurrent writes to *disjoint* indices from
-/// multiple threads, plus exclusive access for the owner.
+/// A fixed-size buffer allowing writes to *disjoint* indices through a
+/// shared reference, plus exclusive access for the owner.
 ///
 /// # Safety contract
 ///
-/// * [`DisjointSlots::write`] may be called concurrently from many threads
-///   **only if** no two calls in the same synchronization epoch target the
-///   same index, and no call races with [`DisjointSlots::as_mut_slice`] /
-///   reads of the same index. Epochs must be separated by a happens-before
-///   edge (the simulator uses a barrier between the write phase and the next
-///   read phase).
+/// * [`DisjointSlots::write`] may be called through shared references
+///   **only if** no two calls in the same epoch target the same index while
+///   a reference to that index is alive, and no call overlaps a read of the
+///   same index. Epochs (one round of the arena) must be separated by a
+///   happens-before edge; on one thread, program order is that edge.
 pub struct DisjointSlots<T> {
     slots: Vec<UnsafeCell<T>>,
 }
@@ -88,21 +85,6 @@ impl<T> DisjointSlots<T> {
         &*self.slots[idx].get()
     }
 
-    /// Exclusive in-place access to slot `idx` through a shared reference —
-    /// for slots holding growable containers (the sharded executor's batch
-    /// queues) that are mutated rather than overwritten.
-    ///
-    /// # Safety
-    /// `idx < len()` (checked only in debug builds), and within the current
-    /// synchronization epoch no other access (read or write) to slot `idx`
-    /// may exist, including through previously returned references.
-    #[inline(always)]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, idx: usize) -> &mut T {
-        debug_assert!(idx < self.slots.len());
-        &mut *self.slots[idx].get()
-    }
-
     /// Shared view of the contiguous subrange `[start, start + len)`.
     ///
     /// # Safety
@@ -122,14 +104,6 @@ impl<T> DisjointSlots<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: exclusive borrow of self gives exclusive access to all cells.
         unsafe { &mut *(self.slots.as_mut_slice() as *mut [UnsafeCell<T>] as *mut [T]) }
-    }
-
-    /// Shared view of the whole buffer.
-    ///
-    /// # Safety
-    /// No thread may be writing any slot while the returned slice is alive.
-    pub unsafe fn as_slice(&self) -> &[T] {
-        &*(self.slots.as_slice() as *const [UnsafeCell<T>] as *const [T])
     }
 }
 

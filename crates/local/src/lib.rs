@@ -16,17 +16,11 @@
 //!   the local output).
 //! * [`Simulator`] — executes a protocol on a [`td_graph::CsrGraph`] until
 //!   all nodes halt (or a round cap is hit), counting rounds and messages.
-//! * Two executors with **bit-identical** semantics: a sequential dense
-//!   scan, and the **pinned-worker sharded engine** ([`shard`]): BFS-grown
-//!   shards owned long-term by pinned worker threads, per-shard
-//!   double-buffered arenas owned by their worker (see [`arena`] and
-//!   [`disjoint`]), cross-worker traffic batched per (src, dst) shard pair
-//!   through SPSC rings, and a round-stamped **epoch protocol** in place of
-//!   any global barrier — a shard advances to round `r + 1` as soon as its
-//!   *neighbors* have finished round `r`. Fully quiesced shards retire and
-//!   skip all remaining rounds. `Executor::Parallel` is an alias for this
-//!   engine with an automatic shard count. Round counts and outputs never
-//!   depend on the executor; tests enforce this.
+//! * Two one-shot loops with **bit-identical** semantics, both on the
+//!   calling thread: the dense reference scan ([`Simulator::sequential`]),
+//!   which visits every node every round, and the sparse lane
+//!   ([`Simulator::sparse`]), which stops visiting a node once it halts.
+//!   Round counts and outputs never depend on the loop; tests enforce this.
 //! * A zero-allocation hot loop: the [`arena::MessageArena`] is allocated
 //!   once per run, payloads are overwritten in place, and round delivery is
 //!   a buffer-parity flip.
@@ -81,13 +75,11 @@ pub mod classics;
 pub mod disjoint;
 pub mod metrics;
 pub mod protocol;
-pub mod shard;
 pub mod sim;
-mod spsc;
 
 pub use churn::{
     ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats, TraceRecorder, WakeSet,
 };
-pub use metrics::{ExecPerf, RoundStats, RunSummary, ShardExecStats, SimOutcome, Summarize};
+pub use metrics::{ExecPerf, RoundStats, RunSummary, SimOutcome, Summarize};
 pub use protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 pub use sim::{Executor, Simulator};

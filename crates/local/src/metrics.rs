@@ -11,37 +11,18 @@ pub struct RoundStats {
     pub messages: u64,
 }
 
-/// Statistics of one sharded-executor run: how the partition looked and
-/// how many shard-rounds the quiesced-shard retirement saved. `None` on
-/// the sequential executor only — [`crate::Executor::Parallel`] is an
-/// alias for the pinned-worker sharded engine and reports these too.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardExecStats {
-    /// Number of shards the run used.
-    pub shards: usize,
-    /// Boundary edges of the partition (cross-shard traffic candidates).
-    pub cut_edges: usize,
-    /// Shard-rounds actually stepped (a shard stepped in one round = 1).
-    pub shard_rounds_stepped: u64,
-    /// Shard-rounds skipped because the shard was fully quiesced.
-    pub shard_rounds_skipped: u64,
-}
-
 /// Uniform low-level work counters, collected by **every** executor (the
 /// perf telemetry plane reads them; collection is a handful of integer adds
 /// per stepped node, so they are always on).
 ///
 /// The sparse-scheduling story is told by two mirrored counters:
 /// [`ExecPerf::halted_scans`] is the price the dense sequential scan pays
-/// for iterating past already-halted residents, while
-/// [`ExecPerf::sparse_skips`] counts the halted node-rounds the
-/// pinned-worker engine's node-granular active lists never touched at all.
-/// For the same run the identity is exact: `halted_scans` on the
-/// sequential executor equals `sparse_skips` on the engine (retired shards
-/// contribute their full resident count per skipped round), and an engine
-/// run reports `halted_scans == 0`. All engine counters are per-worker
-/// accumulators merged once at join, so they are deterministic across
-/// scheduling interleavings.
+/// for iterating past already-halted nodes, while
+/// [`ExecPerf::sparse_skips`] counts the halted node-rounds the sparse lane
+/// and the churn plane never touched at all. For the same run the identity
+/// is exact: `halted_scans` of [`crate::Executor::Sequential`] equals
+/// `sparse_skips` of [`crate::Executor::Sparse`], and a sparse run reports
+/// `halted_scans == 0`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecPerf {
     /// Protocol `round()` invocations (node-rounds actually stepped).
@@ -50,9 +31,10 @@ pub struct ExecPerf {
     pub halted_scans: u64,
     /// Halted node-rounds the sparse scheduler never visited.
     pub sparse_skips: u64,
-    /// Messages delivered by a direct (same-arena) write.
+    /// Messages delivered by a direct arena write: every message.
     pub local_messages: u64,
-    /// Messages routed through the batched cross-shard boundary queues.
+    /// Always 0: every executor writes every message straight into the one
+    /// arena. Kept so existing struct literals of `ExecPerf` still build.
     pub boundary_messages: u64,
     /// Arena inbox stamps exposed to stepped nodes (Σ degree over all
     /// `round()` invocations) — the read-side scan work a protocol can pay.
@@ -86,9 +68,6 @@ pub struct SimOutcome<O> {
     pub completed: bool,
     /// Per-round statistics if tracing was enabled.
     pub trace: Option<Vec<RoundStats>>,
-    /// Sharded-engine statistics ([`crate::Executor::Sharded`] and
-    /// [`crate::Executor::Parallel`]; `None` on the sequential executor).
-    pub sharding: Option<ShardExecStats>,
     /// Low-level work counters (collected by every executor).
     pub perf: ExecPerf,
 }

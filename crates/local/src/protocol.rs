@@ -2,21 +2,7 @@
 
 use crate::arena::{ArenaReader, ArenaWriter};
 use crate::churn::WakeSet;
-use crate::shard::{PinnedRoute, ShardRoute};
 use td_graph::{CsrGraph, NodeId, Port};
-
-/// The shard-routing view an [`Outbox`] carries, when any: the churn
-/// executor's barrier-phase batched route, or the pinned-worker engine's
-/// direct/staged route. `None` in the outbox means the unsharded executors
-/// (sequential, single-shard fast path): every send is a direct arena write.
-pub(crate) enum RouteRef<'a, M> {
-    /// Churn executor: cross-shard sends append to S×S batch queues,
-    /// flushed in a barrier-separated deliver phase.
-    Batched(&'a ShardRoute<'a, M>),
-    /// Pinned-worker engine: same-worker sends write arenas directly,
-    /// cross-worker sends stage for the SPSC boundary rings.
-    Pinned(&'a PinnedRoute<'a, M>),
-}
 
 /// Everything a node is allowed to see when it boots, matching the paper's
 /// Section 3: "initially, the only information that a node u has are the
@@ -74,8 +60,8 @@ impl<'a, M> Inbox<'a, M> {
     #[inline]
     pub fn get(&self, port: Port) -> Option<&'a M> {
         debug_assert!(port.idx() < self.degree);
-        // SAFETY: the read buffer is not written during the read phase
-        // (double buffering + barrier separation).
+        // SAFETY: the read buffer is not written during the round (writes
+        // go to the other buffer of the double-buffered arena).
         unsafe { self.reader.get(self.base + port.idx()) }
     }
 
@@ -120,17 +106,10 @@ pub struct Outbox<'a, 'g, M> {
     pub(crate) graph: &'g CsrGraph,
     pub(crate) node: NodeId,
     pub(crate) sent: u64,
-    /// Of `sent`, how many crossed a shard boundary (batched delivery).
-    pub(crate) boundary_sent: u64,
     /// Wake side-channel of the churn executor: sending schedules the
     /// receiver for the delivery round. `None` under the one-shot
     /// [`crate::Simulator`].
-    pub(crate) wake: Option<&'a WakeSet>,
-    /// Shard routing of the sharded executors: intra-shard sends write the
-    /// local arena directly, cross-shard sends are batched (churn) or
-    /// staged for the SPSC boundary rings (pinned-worker engine). `None`
-    /// under the unsharded executors.
-    pub(crate) route: Option<RouteRef<'a, M>>,
+    pub(crate) wake: Option<&'a mut WakeSet>,
 }
 
 impl<'g, M: Clone + Default + Send> Outbox<'_, 'g, M> {
@@ -141,25 +120,11 @@ impl<'g, M: Clone + Default + Send> Outbox<'_, 'g, M> {
     pub fn send(&mut self, port: Port, msg: M) {
         let slot = self.graph.slot(self.node, port);
         let mirror = self.graph.mirror_slot(slot);
-        match &self.route {
-            // SAFETY: slot `mirror` belongs to (neighbor, its port); the
-            // only writer of that slot in this round is this node, which is
-            // stepped by exactly one thread.
-            None => unsafe {
-                self.writer.write(mirror, msg);
-            },
-            Some(RouteRef::Batched(route)) => {
-                if route.deliver(mirror, &self.writer, msg) {
-                    self.boundary_sent += 1;
-                }
-            }
-            Some(RouteRef::Pinned(route)) => {
-                if route.deliver(mirror, &self.writer, msg) {
-                    self.boundary_sent += 1;
-                }
-            }
-        }
-        if let Some(wake) = self.wake {
+        // SAFETY: slot `mirror` belongs to (neighbor, its port); the only
+        // writer of that slot in this round is this node, and nothing reads
+        // the write buffer until the next round.
+        unsafe { self.writer.write(mirror, msg) };
+        if let Some(wake) = self.wake.as_deref_mut() {
             wake.mark(self.graph.neighbor_at(self.node, port));
         }
         self.sent += 1;

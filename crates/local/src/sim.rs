@@ -1,62 +1,24 @@
-//! The simulator driver: sequential and pinned-worker executors with
-//! identical semantics.
+//! The one-shot simulator: a dense reference scan and a sparse single-thread
+//! lane, with identical semantics.
 
 use crate::arena::MessageArena;
 use crate::metrics::{ExecPerf, RoundStats, SimOutcome};
 use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 use td_graph::{CsrGraph, NodeId};
 
-/// Which engine steps the nodes. All engines implement the *same*
-/// synchronous semantics; outputs and round counts are identical (tests
-/// enforce this). Parallelism and sharding affect wall-clock time only.
+/// Which loop steps the nodes. Both implement the *same* synchronous
+/// semantics on the calling thread; outputs, rounds, messages and traces are
+/// identical (tests enforce this). They differ only in which work counters
+/// they pay: the dense scan visits halted nodes, the sparse lane never does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Executor {
-    /// Step nodes one by one on the calling thread (the dense reference
-    /// scan the sparse engine is measured against).
+    /// Visit every node every round and skip halted ones by flag: the
+    /// reference oracle the sparse lane is checked and measured against.
     Sequential,
-    /// Alias for the pinned-worker sharded engine with an automatic shard
-    /// count: `threads` is clamped to the available hardware parallelism
-    /// and the shard count is derived from the graph size (about four
-    /// BFS-grown shards per worker, never finer than ~1k nodes per shard).
-    /// The former strided executor — global barrier per round, every
-    /// worker scanning its stride — is retired; see [`crate::shard`] for
-    /// the replacement's epoch protocol.
-    Parallel {
-        /// Number of worker threads (>= 1; clamped to hardware threads).
-        threads: usize,
-    },
-    /// Step nodes shard by shard on a locality-aware BFS-grown partition,
-    /// with per-shard worker-owned message arenas, SPSC-batched boundary
-    /// delivery and barrier-free epoch synchronization (see
-    /// [`crate::shard`]). Fully quiesced shards retire and skip rounds
-    /// entirely.
-    Sharded {
-        /// Number of shards (>= 1).
-        shards: usize,
-        /// Number of worker threads (>= 1; clamped to `shards`).
-        threads: usize,
-    },
-}
-
-/// Worker threads the host actually has; the pinned-worker engine never
-/// spawns more (oversubscribed workers just preempt each other between the
-/// epoch gates and make everything slower).
-fn hw_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-}
-
-/// Shard count for [`Executor::Parallel`]: about four BFS-grown shards per
-/// worker so the epoch protocol can pipeline (a worker runs an interior
-/// shard ahead while a foreign-owned neighbor lags), but never finer than
-/// ~1k nodes per shard — tiny shards turn everything into boundary traffic.
-fn auto_shards(n: usize, workers: usize) -> usize {
-    if workers <= 1 || n <= 1 {
-        return 1;
-    }
-    let cap = (n / 1024).max(workers);
-    (workers * 4).min(cap).max(workers).min(n)
+    /// Iterate `0..n` with no bookkeeping while no node has halted, then a
+    /// compacting list of the nodes still running: halted nodes are never
+    /// visited again.
+    Sparse,
 }
 
 /// Configurable simulator for [`Protocol`]s. See the crate docs for an
@@ -69,33 +31,21 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// A sequential simulator with a generous default round cap.
+    fn with_executor(executor: Executor) -> Self {
+        Simulator {
+            executor,
+            max_rounds: 10_000_000,
+            trace: false,
+        }
+    }
+
+    /// The dense reference scan with a generous default round cap.
     pub fn sequential() -> Self {
-        Simulator {
-            executor: Executor::Sequential,
-            max_rounds: 10_000_000,
-            trace: false,
-        }
+        Self::with_executor(Executor::Sequential)
     }
 
-    /// A parallel simulator over `threads` workers: an alias for the
-    /// pinned-worker sharded engine with an automatic shard count (see
-    /// [`Executor::Parallel`]). Outputs are bit-identical to
-    /// [`Simulator::sequential`] for every thread count.
-    pub fn parallel(threads: usize) -> Self {
-        assert!(threads >= 1);
-        Simulator {
-            executor: Executor::Parallel { threads },
-            max_rounds: 10_000_000,
-            trace: false,
-        }
-    }
-
-    /// A sharded simulator: `shards` locality-aware shards (BFS-grown
-    /// partition, per-shard arenas, batched boundary delivery, node-granular
-    /// sparse scheduling — see [`crate::shard`]) stepped by `threads`
-    /// workers. Outputs are bit-identical to [`Simulator::sequential`] for
-    /// every shard and thread count.
+    /// The sparse lane (see [`Executor::Sparse`]) with the same default
+    /// round cap. Outputs are bit-identical to [`Simulator::sequential`].
     ///
     /// ```
     /// use td_local::{classics::BfsLayering, Simulator};
@@ -105,22 +55,17 @@ impl Simulator {
     /// let mut sources = vec![false; 24];
     /// sources[0] = true;
     /// let seq = Simulator::sequential().run::<BfsLayering>(&g, &sources);
-    /// let sh = Simulator::sharded(4, 2).run::<BfsLayering>(&g, &sources);
-    /// // Sharding is a pure performance knob: same outputs, rounds, messages.
-    /// assert_eq!(sh.outputs, seq.outputs);
-    /// assert_eq!((sh.rounds, sh.messages), (seq.rounds, seq.messages));
-    /// // The sparse scheduler never scans a halted resident; the dense
-    /// // sequential baseline scanned exactly the node-rounds it skipped.
-    /// assert_eq!(sh.perf.halted_scans, 0);
-    /// assert_eq!(sh.perf.sparse_skips, seq.perf.halted_scans);
+    /// let sp = Simulator::sparse().run::<BfsLayering>(&g, &sources);
+    /// // The lane is a pure performance choice: same outputs, rounds, messages.
+    /// assert_eq!(sp.outputs, seq.outputs);
+    /// assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
+    /// // The sparse lane never scans a halted node; the dense scan scanned
+    /// // exactly the node-rounds it skipped.
+    /// assert_eq!(sp.perf.halted_scans, 0);
+    /// assert_eq!(sp.perf.sparse_skips, seq.perf.halted_scans);
     /// ```
-    pub fn sharded(shards: usize, threads: usize) -> Self {
-        assert!(shards >= 1 && threads >= 1);
-        Simulator {
-            executor: Executor::Sharded { shards, threads },
-            max_rounds: 10_000_000,
-            trace: false,
-        }
+    pub fn sparse() -> Self {
+        Self::with_executor(Executor::Sparse)
     }
 
     /// Caps the number of rounds; the outcome reports `completed = false` if
@@ -147,6 +92,7 @@ impl Simulator {
             graph.num_nodes(),
             "one input per node required"
         );
+        debug_assert!(self.max_rounds < u32::MAX - 1, "stamps reserve u32::MAX");
         let states: Vec<P> = graph
             .nodes()
             .map(|v| {
@@ -159,26 +105,7 @@ impl Simulator {
             .collect();
         match self.executor {
             Executor::Sequential => self.run_sequential(graph, states),
-            Executor::Parallel { threads } => {
-                let workers = threads.min(hw_threads()).max(1);
-                let shards = auto_shards(graph.num_nodes(), workers);
-                crate::shard::run_sharded(
-                    graph,
-                    states,
-                    shards,
-                    workers,
-                    self.max_rounds,
-                    self.trace,
-                )
-            }
-            Executor::Sharded { shards, threads } => crate::shard::run_sharded(
-                graph,
-                states,
-                shards,
-                threads,
-                self.max_rounds,
-                self.trace,
-            ),
+            Executor::Sparse => self.run_sparse(graph, states),
         }
     }
 
@@ -198,15 +125,14 @@ impl Simulator {
         let mut messages: u64 = 0;
         let mut perf = ExecPerf::default();
         let mut trace = self.trace.then(Vec::new);
-        debug_assert!(self.max_rounds < u32::MAX - 1, "stamps reserve u32::MAX");
 
         while remaining > 0 && round < self.max_rounds {
             let (reader, writer) = arena.epoch(round);
             let ctx = RoundCtx { round };
             let active = remaining;
             // The reference executor is a dense scan on purpose (it is the
-            // baseline the sparse sharded scheduler is measured against):
-            // every resident is visited, halted ones are skipped by flag.
+            // baseline the sparse lane is measured against): every node is
+            // visited, halted ones are skipped by flag.
             perf.halted_scans += (n - active) as u64;
             perf.node_rounds += active as u64;
             let mut round_msgs: u64 = 0;
@@ -225,9 +151,7 @@ impl Simulator {
                     graph,
                     node,
                     sent: 0,
-                    boundary_sent: 0,
                     wake: None,
-                    route: None,
                 };
                 let status = states[v].round(&ctx, &inbox, &mut outbox);
                 round_msgs += outbox.sent;
@@ -255,7 +179,122 @@ impl Simulator {
             messages,
             completed: remaining == 0,
             trace,
-            sharding: None,
+            perf,
+        }
+    }
+
+    /// The sparse lane. It must beat the dense scan, not just match it:
+    /// while no node has halted it iterates `0..n` with zero bookkeeping (no
+    /// halted flags, no list writes), and after the first halt it switches
+    /// to the compacting active list.
+    fn run_sparse<P: Protocol>(
+        &self,
+        graph: &CsrGraph,
+        mut states: Vec<P>,
+    ) -> SimOutcome<P::Output> {
+        let n = graph.num_nodes();
+        let arena: MessageArena<P::Message> = MessageArena::for_graph(graph);
+        // Every node steps in a dense round, so its stamp-scan total is the
+        // whole directed-slot count — added once per round instead of per node.
+        let dense_stamps = graph.num_edges() as u64 * 2;
+        let mut active: Option<Vec<u32>> = None;
+        let mut remaining = n;
+        let mut round: u32 = 0;
+        let mut messages: u64 = 0;
+        let mut perf = ExecPerf::default();
+        let mut trace = self.trace.then(Vec::new);
+
+        while remaining > 0 && round < self.max_rounds {
+            let (reader, writer) = arena.epoch(round);
+            let ctx = RoundCtx { round };
+            let active_now = remaining;
+            perf.sparse_skips += (n - active_now) as u64;
+            perf.node_rounds += active_now as u64;
+            let mut round_msgs: u64 = 0;
+            let mut step = |v: u32, round_msgs: &mut u64| -> Status {
+                let node = NodeId(v);
+                let inbox = Inbox {
+                    reader,
+                    base: graph.node_offset(node),
+                    degree: graph.degree(node),
+                };
+                let mut outbox = Outbox {
+                    writer,
+                    graph,
+                    node,
+                    sent: 0,
+                    wake: None,
+                };
+                let status = states[v as usize].round(&ctx, &inbox, &mut outbox);
+                *round_msgs += outbox.sent;
+                status
+            };
+            match active.as_mut() {
+                None => {
+                    perf.stamp_scans += dense_stamps;
+                    let nn = n as u32;
+                    // Fast lane while nobody has ever halted: no flags, no
+                    // list, no bookkeeping beyond the step itself.
+                    let mut v = 0u32;
+                    while v < nn {
+                        if step(v, &mut round_msgs) == Status::Halt {
+                            break;
+                        }
+                        v += 1;
+                    }
+                    if v < nn {
+                        // First halt of the run: materialize the active list
+                        // from the prefix that is still running and finish the
+                        // round in list-building mode.
+                        let mut list: Vec<u32> = (0..v).collect();
+                        remaining -= 1;
+                        v += 1;
+                        while v < nn {
+                            match step(v, &mut round_msgs) {
+                                Status::Halt => remaining -= 1,
+                                Status::Continue => list.push(v),
+                            }
+                            v += 1;
+                        }
+                        active = Some(list);
+                    }
+                }
+                Some(list) => {
+                    let mut keep = 0usize;
+                    for i in 0..list.len() {
+                        let v = list[i];
+                        perf.stamp_scans += graph.degree(NodeId(v)) as u64;
+                        let status = step(v, &mut round_msgs);
+                        if status == Status::Halt {
+                            remaining -= 1;
+                        } else {
+                            if keep < i {
+                                list[keep] = v;
+                            }
+                            keep += 1;
+                        }
+                    }
+                    list.truncate(keep);
+                }
+            }
+            messages += round_msgs;
+            if let Some(t) = trace.as_mut() {
+                t.push(RoundStats {
+                    round,
+                    active_nodes: active_now,
+                    messages: round_msgs,
+                });
+            }
+            round += 1;
+        }
+
+        perf.local_messages = messages;
+        SimOutcome {
+            outputs: states.into_iter().map(P::finish).collect(),
+            rounds: round,
+            messages,
+            completed: remaining == 0,
+            trace,
             perf,
         }
     }
@@ -333,17 +372,16 @@ mod tests {
         assert_eq!(out.rounds, 7);
     }
 
+    /// The sparse lane repeats the dense scan's BFS flood.
     #[test]
     fn bfs_parallel_matches_sequential() {
         let g = cycle(31);
         let seq = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(31));
-        for threads in [1, 2, 3, 8] {
-            let par = Simulator::parallel(threads).run::<BfsDist>(&g, &bfs_inputs(31));
-            assert_eq!(par.outputs, seq.outputs, "threads = {threads}");
-            assert_eq!(par.rounds, seq.rounds, "threads = {threads}");
-            assert_eq!(par.messages, seq.messages, "threads = {threads}");
-            assert!(par.completed);
-        }
+        let sp = Simulator::sparse().run::<BfsDist>(&g, &bfs_inputs(31));
+        assert_eq!(sp.outputs, seq.outputs);
+        assert_eq!(sp.rounds, seq.rounds);
+        assert_eq!(sp.messages, seq.messages);
+        assert!(sp.completed);
     }
 
     #[test]
@@ -370,22 +408,23 @@ mod tests {
         assert_eq!(traced_msgs, out.messages);
     }
 
+    /// The sparse lane records the dense scan's per-round trace.
     #[test]
     fn parallel_trace_matches_sequential() {
         let g = cycle(17);
         let seq = Simulator::sequential()
             .with_trace(true)
             .run::<BfsDist>(&g, &bfs_inputs(17));
-        let par = Simulator::parallel(4)
+        let sp = Simulator::sparse()
             .with_trace(true)
             .run::<BfsDist>(&g, &bfs_inputs(17));
-        assert_eq!(seq.trace, par.trace);
+        assert_eq!(seq.trace, sp.trace);
     }
 
     #[test]
     fn empty_graph() {
         let g = td_graph::CsrGraph::from_edges(0, &[]).unwrap();
-        let out = Simulator::parallel(4).run::<BfsDist>(&g, &[]);
+        let out = Simulator::sparse().run::<BfsDist>(&g, &[]);
         assert!(out.completed);
         assert_eq!(out.rounds, 0);
         let out = Simulator::sequential().run::<BfsDist>(&g, &[]);
@@ -497,29 +536,26 @@ mod tests {
         assert_eq!(out.rounds, 5);
         // Even nodes sent 1 round * 2 ports, odd nodes 5 rounds * 2 ports.
         assert_eq!(out.messages, 5 * 2 + 5 * 5 * 2);
-        let par = Simulator::parallel(3).run::<HaltEarly>(&g, &[(); 10]);
-        assert_eq!(par.rounds, out.rounds);
-        assert_eq!(par.messages, out.messages);
+        let sp = Simulator::sparse().run::<HaltEarly>(&g, &[(); 10]);
+        assert_eq!(sp.rounds, out.rounds);
+        assert_eq!(sp.messages, out.messages);
     }
 
+    /// The sparse lane's work counters mirror the dense scan's on the
+    /// same flood: the node-rounds it never visited are exactly the ones the
+    /// dense scan skipped by flag.
     #[test]
     fn sharded_matches_sequential_on_every_grid_point() {
         let g = cycle(31);
         let seq = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(31));
-        for shards in [1, 2, 4, 8] {
-            for threads in [1, 2, 4] {
-                let sh = Simulator::sharded(shards, threads).run::<BfsDist>(&g, &bfs_inputs(31));
-                assert_eq!(sh.outputs, seq.outputs, "shards {shards} threads {threads}");
-                assert_eq!(sh.rounds, seq.rounds, "shards {shards} threads {threads}");
-                assert_eq!(
-                    sh.messages, seq.messages,
-                    "shards {shards} threads {threads}"
-                );
-                assert!(sh.completed);
-                let stats = sh.sharding.expect("sharded run reports stats");
-                assert_eq!(stats.shards, shards);
-            }
-        }
+        let sp = Simulator::sparse().run::<BfsDist>(&g, &bfs_inputs(31));
+        assert_eq!(sp.outputs, seq.outputs);
+        assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
+        assert!(sp.completed);
+        assert_eq!(sp.perf.node_rounds, seq.perf.node_rounds);
+        assert_eq!(sp.perf.sparse_skips, seq.perf.halted_scans);
+        assert_eq!(sp.perf.stamp_scans, seq.perf.stamp_scans);
+        assert_eq!(sp.perf.halted_scans, 0);
     }
 
     #[test]
@@ -528,29 +564,26 @@ mod tests {
         let seq = Simulator::sequential()
             .with_trace(true)
             .run::<BfsDist>(&g, &bfs_inputs(23));
-        let sh = Simulator::sharded(4, 2)
+        let sp = Simulator::sparse()
             .with_trace(true)
             .run::<BfsDist>(&g, &bfs_inputs(23));
-        assert_eq!(seq.trace, sh.trace);
+        assert_eq!(seq.trace, sp.trace);
     }
 
     #[test]
     fn sharded_port_addressing_and_cross_shard_batches() {
-        // Force every edge across shards (path + many shards) so the
-        // batched boundary path carries all traffic.
         let g = path(3);
-        let out = Simulator::sharded(3, 2).run::<PortEcho>(&g, &[(); 3]);
+        let out = Simulator::sparse().run::<PortEcho>(&g, &[(); 3]);
         assert!(out.completed);
         assert_eq!(out.rounds, 2);
         assert_eq!(out.outputs[0], vec![Some(0)]);
         assert_eq!(out.outputs[1], vec![Some(0), Some(0)]);
         assert_eq!(out.outputs[2], vec![Some(1)]);
         assert_eq!(out.messages, 4);
-        assert!(out.sharding.unwrap().cut_edges > 0);
     }
 
-    /// Half the cycle halts immediately, the other half keeps gossiping:
-    /// the quiesced half's shards must skip rounds.
+    /// Nodes with input `true` run 21 rounds, the rest halt in round 0:
+    /// the quiesced nodes must be skipped for the remaining rounds.
     struct HalfQuiesce {
         long: bool,
     }
@@ -580,29 +613,29 @@ mod tests {
         fn finish(self) {}
     }
 
+    /// The quiesced three quarters of the path are never visited again
+    /// after round 0: the sparse lane skips them for the remaining rounds.
     #[test]
     fn quiesced_shards_skip_rounds() {
         // Path of 32: the first 8 nodes run 21 rounds, the rest halt in
-        // round 0. With 4 BFS shards (blocks of 8), shards 1-3 are
-        // quiesced from round 1 on.
+        // round 0.
         let g = path(32);
         let inputs: Vec<bool> = (0..32).map(|v| v < 8).collect();
-        let out = Simulator::sharded(4, 2).run::<HalfQuiesce>(&g, &inputs);
+        let out = Simulator::sparse().run::<HalfQuiesce>(&g, &inputs);
         assert!(out.completed);
         assert_eq!(out.rounds, 21);
-        let stats = out.sharding.unwrap();
-        // Shards 1-3 skip rounds 1..=20 -> 60 skipped shard-rounds.
-        assert_eq!(stats.shard_rounds_skipped, 60);
-        assert_eq!(stats.shard_rounds_stepped, 21 + 3);
+        // 24 nodes skipped in each of rounds 1..=20.
+        assert_eq!(out.perf.sparse_skips, 24 * 20);
+        assert_eq!(out.perf.node_rounds, 32 + 8 * 20);
         let seq = Simulator::sequential().run::<HalfQuiesce>(&g, &inputs);
         assert_eq!(seq.rounds, out.rounds);
     }
 
-    /// The perf-counter contract behind the sparse scheduler: for the same
-    /// run, the dense executors' `halted_scans` (halted residents iterated
-    /// past) equals the sharded executor's `sparse_skips` (halted
-    /// node-rounds never visited), node-rounds and message routing always
-    /// reconcile, and the sparse executor never scans a halted node.
+    /// The perf-counter contract behind the sparse lane: for the same run,
+    /// the dense scan's `halted_scans` (halted nodes iterated past) equals
+    /// the sparse lane's `sparse_skips` (halted node-rounds never visited),
+    /// node-rounds and stamp scans agree, every message is a local write,
+    /// and the sparse lane never scans a halted node.
     #[test]
     fn sparse_scheduler_counters_mirror_dense_scan() {
         let g = path(32);
@@ -611,89 +644,47 @@ mod tests {
         assert!(seq.perf.halted_scans > 0);
         assert_eq!(seq.perf.local_messages, seq.messages);
         assert_eq!(seq.perf.boundary_messages, 0);
-        // The parallel alias runs the sparse pinned-worker engine: it never
-        // scans a halted node; the rounds it skipped are exactly what the
-        // dense baseline scanned past.
-        let par = Simulator::parallel(3).run::<HalfQuiesce>(&g, &inputs);
-        assert_eq!(par.perf.halted_scans, 0);
-        assert_eq!(par.perf.sparse_skips, seq.perf.halted_scans);
-        assert_eq!(par.perf.node_rounds, seq.perf.node_rounds);
-        assert_eq!(par.perf.stamp_scans, seq.perf.stamp_scans);
-        assert_eq!(
-            par.perf.local_messages + par.perf.boundary_messages,
-            par.messages
-        );
-        for (shards, threads) in [(1usize, 1usize), (4, 2), (8, 3)] {
-            let sh = Simulator::sharded(shards, threads).run::<HalfQuiesce>(&g, &inputs);
-            assert_eq!(sh.rounds, seq.rounds, "{shards}x{threads}");
-            assert_eq!(sh.perf.halted_scans, 0, "{shards}x{threads}");
-            assert_eq!(
-                sh.perf.sparse_skips, seq.perf.halted_scans,
-                "{shards}x{threads}"
-            );
-            assert_eq!(
-                sh.perf.node_rounds, seq.perf.node_rounds,
-                "{shards}x{threads}"
-            );
-            assert_eq!(
-                sh.perf.local_messages + sh.perf.boundary_messages,
-                sh.messages,
-                "{shards}x{threads}"
-            );
-            assert_eq!(sh.perf.stamp_scans, seq.perf.stamp_scans);
-        }
-        // Cross-shard traffic shows up as boundary messages: on a path cut
-        // into singleton-ish shards, some sends must cross.
-        let g = path(4);
-        let out = Simulator::sharded(4, 2).run::<PortEcho>(&g, &[(); 4]);
-        assert!(out.perf.boundary_messages > 0);
-        assert_eq!(
-            out.perf.local_messages + out.perf.boundary_messages,
-            out.messages
-        );
+        let sp = Simulator::sparse().run::<HalfQuiesce>(&g, &inputs);
+        assert_eq!(sp.rounds, seq.rounds);
+        assert_eq!(sp.perf.halted_scans, 0);
+        assert_eq!(sp.perf.sparse_skips, seq.perf.halted_scans);
+        assert_eq!(sp.perf.node_rounds, seq.perf.node_rounds);
+        assert_eq!(sp.perf.stamp_scans, seq.perf.stamp_scans);
+        assert_eq!(sp.perf.local_messages, sp.messages);
+        assert_eq!(sp.perf.boundary_messages, 0);
     }
 
-    /// Satellite contract: `ExecPerf` aggregation is deterministic across
-    /// workers. Per-worker accumulators are merged once at join, and the
-    /// scheduling-independent counters (`node_rounds`, `sparse_skips`,
-    /// `boundary_messages`, `stamp_scans`, the message split) must be equal
-    /// between sequential and parallel runs and across repeated runs of the
-    /// same grid point — no matter how the OS interleaved the workers.
+    /// `ExecPerf` is deterministic: repeated runs reproduce every counter
+    /// bit for bit, and the scheduling-independent counters agree between
+    /// the two loops.
     #[test]
     fn perf_counters_aggregate_deterministically_across_workers() {
         let g = cycle(64);
         let inputs = bfs_inputs(64);
         let seq = Simulator::sequential().run::<BfsDist>(&g, &inputs);
-        for (label, sim) in [
-            ("parallel(4)", Simulator::parallel(4)),
-            ("sharded(6,3)", Simulator::sharded(6, 3)),
-            ("sharded(8,4)", Simulator::sharded(8, 4)),
-        ] {
-            let a = sim.run::<BfsDist>(&g, &inputs);
-            assert_eq!(a.perf.node_rounds, seq.perf.node_rounds, "{label}");
-            assert_eq!(a.perf.sparse_skips, seq.perf.halted_scans, "{label}");
-            assert_eq!(a.perf.stamp_scans, seq.perf.stamp_scans, "{label}");
-            assert_eq!(
-                a.perf.local_messages + a.perf.boundary_messages,
-                seq.messages,
-                "{label}"
-            );
-            // Re-running the same grid point reproduces every counter bit
-            // for bit, including the boundary/local split.
-            let b = sim.run::<BfsDist>(&g, &inputs);
-            assert_eq!(a.perf, b.perf, "{label}");
-            assert_eq!(a.sharding, b.sharding, "{label}");
-        }
+        let sim = Simulator::sparse();
+        let a = sim.run::<BfsDist>(&g, &inputs);
+        assert_eq!(a.perf.node_rounds, seq.perf.node_rounds);
+        assert_eq!(a.perf.sparse_skips, seq.perf.halted_scans);
+        assert_eq!(a.perf.stamp_scans, seq.perf.stamp_scans);
+        assert_eq!(a.perf.local_messages, seq.messages);
+        let b = sim.run::<BfsDist>(&g, &inputs);
+        assert_eq!(a.perf, b.perf);
+        assert_eq!(
+            seq.perf,
+            Simulator::sequential().run::<BfsDist>(&g, &inputs).perf
+        );
     }
 
     #[test]
     fn sharded_empty_graph_and_more_shards_than_nodes() {
         let g = td_graph::CsrGraph::from_edges(0, &[]).unwrap();
-        let out = Simulator::sharded(4, 4).run::<BfsDist>(&g, &[]);
+        let out = Simulator::sparse().run::<BfsDist>(&g, &[]);
         assert!(out.completed);
         assert_eq!(out.rounds, 0);
+        assert_eq!(out.trace, None);
         let g = path(3);
-        let out = Simulator::sharded(8, 8).run::<BfsDist>(&g, &bfs_inputs(3));
+        let out = Simulator::sparse().run::<BfsDist>(&g, &bfs_inputs(3));
         let seq = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(3));
         assert_eq!(out.outputs, seq.outputs);
         assert_eq!(out.rounds, seq.rounds);
@@ -703,7 +694,7 @@ mod tests {
     #[test]
     fn sharded_round_cap_reported() {
         let g = path(64);
-        let out = Simulator::sharded(4, 2)
+        let out = Simulator::sparse()
             .with_max_rounds(3)
             .run::<BfsDist>(&g, &bfs_inputs(64));
         assert!(!out.completed);
@@ -716,16 +707,108 @@ mod tests {
         let seq = Simulator::sequential()
             .with_max_rounds(0)
             .run::<BfsDist>(&g, &bfs_inputs(8));
-        for sim in [
-            Simulator::parallel(3).with_max_rounds(0),
-            Simulator::sharded(4, 2).with_max_rounds(0),
-        ] {
-            let out = sim.run::<BfsDist>(&g, &bfs_inputs(8));
-            assert_eq!(out.rounds, seq.rounds);
-            assert_eq!(out.rounds, 0);
-            assert_eq!(out.messages, 0);
-            assert!(!out.completed);
-            assert_eq!(out.outputs, seq.outputs);
+        let out = Simulator::sparse()
+            .with_max_rounds(0)
+            .run::<BfsDist>(&g, &bfs_inputs(8));
+        assert_eq!(out.rounds, seq.rounds);
+        assert_eq!(out.rounds, 0);
+        assert_eq!(out.messages, 0);
+        assert!(!out.completed);
+        assert_eq!(out.outputs, seq.outputs);
+    }
+
+    /// Node roles for the relay protocol below.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Role {
+        /// Halts in round 0 without sending anything.
+        Mute,
+        /// Broadcasts its id in round 0, then halts — the send and the
+        /// halt land in the *same* round.
+        Source,
+        /// Waits; on the first round with any message, records every
+        /// `(round, port, payload)`, forwards its id everywhere, halts.
+        Relay,
+    }
+
+    struct RelayNode {
+        id: u32,
+        role: Role,
+        received: Vec<(u32, u32, u32)>,
+    }
+
+    impl Protocol for RelayNode {
+        type Input = Role;
+        type Message = u32;
+        type Output = Vec<(u32, u32, u32)>;
+
+        fn init(node: NodeInit<'_, Role>) -> Self {
+            RelayNode {
+                id: node.id.0,
+                role: *node.input,
+                received: Vec::new(),
+            }
         }
+
+        fn round(
+            &mut self,
+            ctx: &RoundCtx,
+            inbox: &Inbox<'_, u32>,
+            outbox: &mut Outbox<'_, '_, u32>,
+        ) -> Status {
+            match self.role {
+                Role::Mute => Status::Halt,
+                Role::Source => {
+                    outbox.broadcast(self.id);
+                    Status::Halt
+                }
+                Role::Relay => {
+                    if inbox.is_empty() {
+                        return Status::Continue;
+                    }
+                    for (p, &msg) in inbox.iter() {
+                        self.received.push((ctx.round, p.idx() as u32, msg));
+                    }
+                    outbox.broadcast(self.id);
+                    Status::Halt
+                }
+            }
+        }
+
+        fn finish(self) -> Self::Output {
+            self.received
+        }
+    }
+
+    /// A message sent in the round its sender halts still arrives, also
+    /// when that halt is the one that switches the sparse lane from its
+    /// dense prefix to the active list: on the path 0-1-2-3, node 0 (mute)
+    /// and node 1 (source) both halt in round 0 and the relay wave must
+    /// still reach node 3.
+    #[test]
+    fn sparse_delivers_the_sends_of_a_halting_round() {
+        let g = td_graph::CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let inputs = [Role::Mute, Role::Source, Role::Relay, Role::Relay];
+        let seq = Simulator::sequential().run::<RelayNode>(&g, &inputs);
+        // Node 2 hears node 1 in round 1, node 3 hears node 2 in round 2.
+        assert_eq!(seq.outputs[2], vec![(1, 0, 1)]);
+        assert_eq!(seq.outputs[3], vec![(2, 0, 2)]);
+        assert!(seq.completed);
+        let sp = Simulator::sparse().run::<RelayNode>(&g, &inputs);
+        assert_eq!(sp.outputs, seq.outputs);
+        assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
+        assert!(sp.completed);
+    }
+
+    /// Two sources that halt in round 0 both reach the relay between them,
+    /// on the ports and in the round the dense scan delivers them.
+    #[test]
+    fn sparse_delivers_from_several_halting_sources() {
+        let g = td_graph::CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+        let inputs = [Role::Source, Role::Relay, Role::Source];
+        let seq = Simulator::sequential().run::<RelayNode>(&g, &inputs);
+        assert_eq!(seq.outputs[1], vec![(1, 0, 0), (1, 1, 2)]);
+        let sp = Simulator::sparse().run::<RelayNode>(&g, &inputs);
+        assert_eq!(sp.outputs, seq.outputs);
+        assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
     }
 }

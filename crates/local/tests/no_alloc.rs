@@ -1,10 +1,12 @@
-//! Proof of the zero-allocation hot loop: after warm-up (arena + state
+//! Proof of the zero-allocation hot loops: after warm-up (arena + state
 //! setup), `Simulator::run` performs **no per-round message-buffer
 //! allocations** — the flat message arena is reused across rounds, delivery
 //! is a buffer-parity flip, and nothing in the round loop touches the
-//! allocator. We verify this with a counting global allocator: for a
-//! protocol whose own code never allocates, the total allocation count of a
-//! run must be *independent of the number of rounds*.
+//! allocator — and a `ChurnSim` repair reuses its two wake buffers instead
+//! of allocating a fresh awake list per round. We verify this with a
+//! counting global allocator: for a protocol whose own code never
+//! allocates, the total allocation count of a run must be *independent of
+//! the number of rounds*.
 //!
 //! The counter is process-global, so nothing else may allocate while a
 //! measurement is open: this file is a `harness = false` test whose `main`
@@ -14,7 +16,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Simulator, Status};
+use td_graph::NodeId;
+use td_local::{ChurnSim, Inbox, NodeInit, Outbox, Protocol, RoundCtx, Simulator, Status};
 
 struct CountingAlloc;
 
@@ -110,14 +113,90 @@ fn allocations_are_round_count_independent(sim: &Simulator) {
     );
 }
 
+/// Floods the maximum value and quiesces as soon as nothing improves: on
+/// a path, a repair woken at one end runs one round per node.
+struct MaxFlood {
+    best: u64,
+    dirty: bool,
+}
+
+impl Protocol for MaxFlood {
+    type Input = u64;
+    type Message = u64;
+    type Output = u64;
+
+    fn init(node: NodeInit<'_, u64>) -> Self {
+        MaxFlood {
+            best: *node.input,
+            dirty: false,
+        }
+    }
+
+    fn round(
+        &mut self,
+        _ctx: &RoundCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<'_, '_, u64>,
+    ) -> Status {
+        for (_, &m) in inbox.iter() {
+            if m > self.best {
+                self.best = m;
+                self.dirty = true;
+            }
+        }
+        if self.dirty {
+            self.dirty = false;
+            outbox.broadcast(self.best);
+        }
+        Status::Halt
+    }
+
+    fn finish(self) -> u64 {
+        self.best
+    }
+}
+
+/// Allocations of one repair that floods a new maximum down a path of
+/// `n` nodes; the sim is built and the repair woken outside the count.
+fn repair_allocs(n: usize) -> u64 {
+    let mut sim: ChurnSim<MaxFlood> = ChurnSim::new(td_graph::gen::classic::path(n), &vec![0; n]);
+    sim.state_mut(NodeId(0)).best = 1;
+    sim.state_mut(NodeId(0)).dirty = true;
+    sim.wake(NodeId(0));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let stats = sim.run(1_000_000);
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert!(stats.completed);
+    assert_eq!(
+        stats.rounds as usize,
+        n + 1,
+        "one round per node plus the echo"
+    );
+    after - before
+}
+
+/// A churn repair's allocation count must not depend on its round count.
+fn repair_allocations_are_round_count_independent() {
+    repair_allocs(8);
+    let counts: Vec<u64> = [16, 64, 256, 1024].map(repair_allocs).to_vec();
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "repair loop allocated per round: {counts:?} allocs for repairs of 17/65/257/1025 rounds"
+    );
+}
+
 fn main() {
-    let checks: [(&str, fn()); 2] = [
+    let checks: [(&str, fn()); 3] = [
         ("sequential_allocations_are_round_count_independent", || {
             allocations_are_round_count_independent(&Simulator::sequential())
         }),
         ("parallel_allocations_are_round_count_independent", || {
-            allocations_are_round_count_independent(&Simulator::parallel(4))
+            allocations_are_round_count_independent(&Simulator::sparse())
         }),
+        (
+            "churn_repair_allocations_are_round_count_independent",
+            repair_allocations_are_round_count_independent,
+        ),
     ];
     // The libtest command line in brief: `--list`, name filters (substring,
     // or whole name with `--exact`) and `--skip`; the values of libtest's

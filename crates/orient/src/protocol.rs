@@ -418,9 +418,6 @@ pub struct DistributedResult {
     pub comm_rounds: u32,
     /// Messages sent.
     pub messages: u64,
-    /// Sharded-executor statistics, when the run used
-    /// [`td_local::Executor::Sharded`].
-    pub sharding: Option<td_local::ShardExecStats>,
     /// Low-level executor work counters (perf telemetry plane).
     pub perf: td_local::ExecPerf,
     /// Per-round statistics, when the simulator had tracing enabled.
@@ -465,7 +462,6 @@ pub fn run_distributed(g: &CsrGraph, sim: &Simulator) -> DistributedResult {
         orientation,
         comm_rounds: outcome.rounds,
         messages: outcome.messages,
-        sharding: outcome.sharding,
         perf: outcome.perf,
         trace: outcome.trace,
     }
@@ -518,7 +514,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(315);
         let g = gnm(20, 40, &mut rng);
         let a = run_distributed(&g, &Simulator::sequential());
-        let b = run_distributed(&g, &Simulator::parallel(3));
+        let b = run_distributed(&g, &Simulator::sparse());
         assert_eq!(a.orientation, b.orientation);
         assert_eq!(a.comm_rounds, b.comm_rounds);
         assert_eq!(a.messages, b.messages);

@@ -291,8 +291,6 @@ pub struct OrientChurnEngine {
     sim: ChurnSim<OrientRepairNode>,
     orientation: Orientation,
     mode: RepairMode,
-    threads: usize,
-    shards: usize,
     max_rounds: u32,
     stamp_horizon: Option<u32>,
     /// Work counters of sims retired by topology rebuilds (the live sim's
@@ -314,28 +312,10 @@ impl OrientChurnEngine {
             sim,
             orientation,
             mode,
-            threads: 1,
-            shards: 1,
             max_rounds: 10_000_000,
             stamp_horizon: None,
             perf_retired: td_local::ExecPerf::default(),
         }
-    }
-
-    /// Sets the worker thread count (1 = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the shard count: `shards > 1` runs repairs on the sharded
-    /// message plane (locality-aware partition, batched boundary delivery);
-    /// repair traces are bit-identical either way.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1);
-        self.shards = shards;
-        self
     }
 
     /// Caps the rounds of a single repair run.
@@ -566,12 +546,7 @@ impl OrientChurnEngine {
     }
 
     fn run_repair(&mut self) -> RepairStats {
-        let stats = if self.shards > 1 {
-            self.sim
-                .run_sharded(self.shards, self.threads, self.max_rounds)
-        } else {
-            self.sim.run(self.threads, self.max_rounds)
-        };
+        let stats = self.sim.run(self.max_rounds);
         assert!(stats.completed, "repair hit the round cap");
         // Re-assemble the maintained orientation from the node snapshots,
         // checking that the two endpoints of every edge agree.

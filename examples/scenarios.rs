@@ -32,5 +32,5 @@ fn main() {
             println!("{:>23}{k}: {v}", "");
         }
     }
-    println!("\n(each run verified its own output; try `td bench <name> --size N --threads T`)");
+    println!("\n(each run verified its own output; try `td bench <name> --size N --seed S`)");
 }

@@ -36,21 +36,18 @@ USAGE:
   td assign <file> --customers <nc> [--bounded <k>] [--optimal]
                                        stable / k-bounded / optimal assignment
   td bench                             list the registered scenarios
-  td bench <scenario> [--size N] [--seed S] [--threads T] [--shards K]
-                                       run one scenario and report its cost;
-                                       --shards K > 1 uses the sharded
-                                       executor (same outputs, batched
-                                       boundary delivery)
+  td bench <scenario> [--size N] [--seed S]
+                                       run one scenario and report its cost
   td churn                             list the churn (dynamic) scenarios
-  td churn <scenario> [--events N] [--size N] [--seed S] [--threads T]
-           [--full] [--compare]        stream a churn trace through the
+  td churn <scenario> [--events N] [--size N] [--seed S] [--full]
+           [--compare]                 stream a churn trace through the
                                        incremental repair engine; --full uses
                                        the full-recompute fallback, --compare
                                        also measures from-scratch recompute
   td fuzz                              list the workload generator families
   td fuzz --budget N [--seed S]        run N seeded specs through the
                                        differential fuzz plane (all protocol
-                                       stacks x all executors, verifier +
+                                       stacks x both executors, verifier +
                                        metamorphic checks); failing specs are
                                        printed as repro lines and written to
                                        fuzz-failures.spec
@@ -60,8 +57,8 @@ USAGE:
                                        (scenario x executor x size) and
                                        write the versioned BENCH_10.json
   td perf --list                       list the perf scenarios
-  td perf [--scenario <name> [--sizes N,N,..]] [--seed S] [--threads T]
-          [--shards K] [--out FILE] [--quick] [--repeat N]
+  td perf [--scenario <name> [--sizes N,N,..]] [--seed S] [--out FILE]
+          [--quick] [--repeat N]
                                        restrict / reshape the sweep
                                        (--sizes needs --scenario: size
                                        units differ per scenario); --quick
@@ -71,7 +68,7 @@ USAGE:
                                        (default 3, 1 under --quick)
   td serve                             list the servable churn families
   td serve <family> [--size N] [--seed S] [--rate R] [--budget B]
-           [--threads T] [--shards K] [--queue Q] [--out FILE]
+           [--queue Q] [--out FILE]
                                        long-running daemon: stream a seeded
                                        open-loop event mix through a live
                                        repair engine, then report events/sec
@@ -90,32 +87,29 @@ USAGE:
                                        flash-crowd, hotspot)
   td trace info <file>                 header, event mix, and fingerprint
   td trace replay <file> [--consumer engine|differential|serve|all]
-           [--threads T] [--shards K] [--full] [--rate R]
+           [--full] [--rate R]
                                        replay a trace through the repair
-                                       engines (any executor), the fuzz
-                                       differential, or a live serve session;
+                                       engines, the fuzz differential, or a
+                                       live serve session;
                                        every consumer reports the same
                                        solution fingerprint
   td trace convert <file> --seed S [--out FILE]
                                        re-derive the same recording under a
                                        new seed
   td compare [--families f1,f2,..] [--protocols p1,p2,..] [--size N]
-             [--seed S] [--threads T] [--shards K] [--events N]
-             [--trace FILE]... [--out FILE]
+             [--seed S] [--events N] [--trace FILE]... [--out FILE]
                                        race the competing balancers (token
                                        dropping vs rotor-router vs matching
                                        exchange) over the generator families
                                        and/or recorded traces: convergence
                                        rounds, messages, tokens moved, and
-                                       final discrepancy per protocol, with
-                                       bit-identity checked across the
-                                       sequential/parallel/sharded executor
-                                       grid; --out writes the td-compare/v1
-                                       JSON report
+                                       final discrepancy per protocol, each
+                                       run checked by its verifier; --out
+                                       writes the td-compare/v1 JSON report
   td exp                               list the registered experiments
                                        (same as td exp --list)
   td exp run [id..] [--quick] [--force] [--results DIR] [--seed S]
-             [--threads T] [--shards K] [--repeat N]
+             [--repeat N]
                                        run experiments through the results
                                        cache: configurations whose
                                        results/<exp>/<key>.json already
@@ -124,10 +118,10 @@ USAGE:
                                        results/manifest.json records the
                                        hit/miss split; no ids = all,
                                        --quick is the kick-tires tier
-                                       (small sizes, 2x2 grid, repeat 1)
+                                       (small sizes, repeat 1)
   td exp render [id..] [--quick] [--results DIR] [--plots DIR]
                 [--bench FILE] [--experiments-md FILE] [--seed S]
-                [--threads T] [--shards K] [--repeat N]
+                [--repeat N]
                                        regenerate the derived artifacts
                                        from a warm cache: deterministic
                                        SVG plots under --plots (default
@@ -146,7 +140,9 @@ USAGE:
                                        deterministic counters (rounds,
                                        messages, node_rounds, node_steps,
                                        halted_scans, sparse_skips,
-                                       stamp_scans)
+                                       stamp_scans), and every committed
+                                       (scenario, executor) pair has a
+                                       rendered row at some size
   td --help | -h                       this text
 
 FILES:
@@ -161,7 +157,7 @@ EXAMPLES:
   td fuzz --budget 64 --seed 7
   td serve churn-orient --size 48 --rate 2000 --budget 256
   td trace record --shape rack-burst | td trace replay - --consumer all
-  td compare --families grid,torus,rotor --size 16 --threads 4 --shards 3
+  td compare --families grid,torus,rotor --size 16
   td exp run e17 e21 --quick && td exp render e17 e21 --quick
 ";
 
@@ -228,8 +224,6 @@ struct RunFlags {
     size: u32,
     events: u32,
     seed: u64,
-    threads: usize,
-    shards: usize,
     full: bool,
     compare: bool,
 }
@@ -240,15 +234,13 @@ impl RunFlags {
             size: default_size,
             events: default_events,
             seed: 42,
-            threads: 1,
-            shards: 1,
             full: false,
             compare: false,
         }
     }
 
-    /// Parses `args`, accepting `--size/--seed/--threads` always and the
-    /// flags listed in `extra` additionally. Returns `Err(2)` (the exit
+    /// Parses `args`, accepting `--size/--seed` always and the flags
+    /// listed in `extra` additionally. Returns `Err(2)` (the exit
     /// code) after printing a message on any malformed or unknown flag.
     fn parse(&mut self, cmd: &str, args: &[String], extra: &[&str]) -> Result<(), i32> {
         let mut i = 0;
@@ -264,9 +256,7 @@ impl RunFlags {
                     self.compare = true;
                     i += 1;
                 }
-                "--size" | "--seed" | "--threads" | "--events" | "--shards"
-                    if (flag != "--events" && flag != "--shards") || known_extra =>
-                {
+                "--size" | "--seed" | "--events" if flag != "--events" || known_extra => {
                     let Some(raw) = args.get(i + 1) else {
                         eprintln!("{cmd}: {flag} needs an integer");
                         return Err(2);
@@ -286,24 +276,10 @@ impl RunFlags {
                                 return Err(2);
                             }
                         },
-                        "--seed" => match raw.parse() {
+                        _ => match raw.parse() {
                             Ok(v) => self.seed = v,
                             Err(_) => {
                                 eprintln!("{cmd}: --seed needs an integer");
-                                return Err(2);
-                            }
-                        },
-                        "--shards" => match raw.parse() {
-                            Ok(v) if v >= 1 => self.shards = v,
-                            _ => {
-                                eprintln!("{cmd}: --shards needs an integer >= 1");
-                                return Err(2);
-                            }
-                        },
-                        _ => match raw.parse() {
-                            Ok(v) if v >= 1 => self.threads = v,
-                            _ => {
-                                eprintln!("{cmd}: --threads needs an integer >= 1");
                                 return Err(2);
                             }
                         },
@@ -325,7 +301,7 @@ fn cmd_bench(args: &[String]) -> i32 {
     let Some(name) = args.first().map(String::as_str) else {
         println!("registered scenarios:\n");
         print!("{}", scenario::listing());
-        println!("\nrun one with: td bench <name> [--size N] [--seed S] [--threads T]");
+        println!("\nrun one with: td bench <name> [--size N] [--seed S]");
         return 0;
     };
     let Some(sc) = scenario::find(name) else {
@@ -334,24 +310,20 @@ fn cmd_bench(args: &[String]) -> i32 {
         return 2;
     };
     let mut flags = RunFlags::new(sc.default_size(), 0);
-    if let Err(code) = flags.parse("td bench", &args[1..], &["--shards"]) {
+    if let Err(code) = flags.parse("td bench", &args[1..], &[]) {
         return code;
     }
-    let (size, seed, threads, shards) = (flags.size, flags.seed, flags.threads, flags.shards);
-    // `--shards 1` is exactly the default (unsharded) path; outputs are
-    // bit-identical across all three executors either way.
-    let sim = if shards > 1 {
-        Simulator::sharded(shards, threads)
-    } else if threads > 1 {
-        Simulator::parallel(threads)
-    } else {
-        Simulator::sequential()
-    };
-    let rep = sc.run(size, seed, &sim);
-    println!("scenario:   {} ({})", rep.scenario, sc.kind().label());
-    if shards > 1 {
-        println!("executor:   sharded ({shards} shards, {threads} threads)");
+    if flags.size < sc.min_size() {
+        eprintln!(
+            "td bench: {name}: size {} out of range [{}, {}]",
+            flags.size,
+            sc.min_size(),
+            u32::MAX
+        );
+        return 2;
     }
+    let rep = sc.run(flags.size, flags.seed, &Simulator::sequential());
+    println!("scenario:   {} ({})", rep.scenario, sc.kind().label());
     println!(
         "instance:   n = {}, m = {}, size = {}, seed = {}",
         rep.nodes, rep.edges, rep.size, rep.seed
@@ -372,9 +344,7 @@ fn cmd_churn(args: &[String]) -> i32 {
     let Some(name) = args.first().map(String::as_str) else {
         println!("registered churn scenarios:\n");
         print!("{}", churn::churn_listing());
-        println!(
-            "\nrun one with: td churn <name> [--events N] [--size N] [--seed S] [--threads T]"
-        );
+        println!("\nrun one with: td churn <name> [--events N] [--size N] [--seed S]");
         return 0;
     };
     let Some(sc) = churn::find_churn(name) else {
@@ -391,14 +361,7 @@ fn cmd_churn(args: &[String]) -> i32 {
     } else {
         RepairMode::Incremental
     };
-    let rep = sc.run(
-        flags.size,
-        flags.events,
-        flags.seed,
-        flags.threads,
-        mode,
-        flags.compare,
-    );
+    let rep = sc.run(flags.size, flags.events, flags.seed, mode, flags.compare);
     println!(
         "scenario:   {} ({}, churn)",
         rep.scenario,
@@ -574,12 +537,12 @@ fn cmd_perf(args: &[String]) -> i32 {
     let mut cfg = SweepConfig::default();
     let mut out_path = String::from("BENCH_10.json");
     // Pre-scan the perf-specific flags; everything else goes through the
-    // shared RunFlags parser so --seed/--threads/--shards keep exactly the
-    // bench/churn validation semantics (exit 2 on 0/garbage).
+    // shared RunFlags parser so --seed keeps exactly the bench/churn
+    // validation semantics (exit 2 on garbage).
     let mut rest: Vec<String> = Vec::new();
     // `--list` is honored only after the whole command line validates, so
-    // `td perf --threads 0 --list` still exits 2 like every other
-    // malformed invocation.
+    // `td perf --seed x --list` still exits 2 like every other malformed
+    // invocation.
     let mut want_list = false;
     // `--repeat N`: min-of-N wall timing for every point. Deferred so
     // `--quick` (which implies repeat 1, like `SweepConfig::quick()`) and
@@ -658,14 +621,10 @@ fn cmd_perf(args: &[String]) -> i32 {
         }
     }
     let mut flags = RunFlags::new(0, 0);
-    flags.threads = cfg.threads;
-    flags.shards = cfg.shards;
     flags.seed = cfg.seed;
-    if let Err(code) = flags.parse("td perf", &rest, &["--shards"]) {
+    if let Err(code) = flags.parse("td perf", &rest, &[]) {
         return code;
     }
-    cfg.threads = flags.threads;
-    cfg.shards = flags.shards;
     cfg.seed = flags.seed;
     cfg.repeat = repeat_flag.unwrap_or(if cfg.quick { 1 } else { cfg.repeat });
     // `size` means different things per scenario (nodes, side, servers…):
@@ -703,14 +662,8 @@ fn cmd_perf(args: &[String]) -> i32 {
     for sc in perf::REGISTRY {
         if let Some(x) = report.sparse_speedup(sc.name) {
             println!(
-                "sparse speedup ({}, sharded(1,1) vs sequential): {x:.2}x",
+                "sparse speedup ({}, sparse vs sequential): {x:.2}x",
                 sc.name
-            );
-        }
-        if let Some(x) = report.parallel_speedup(sc.name) {
-            println!(
-                "parallel speedup ({}, parallel({}) vs sequential): {x:.2}x",
-                sc.name, report.threads
             );
         }
     }
@@ -750,8 +703,8 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
     };
     // Pre-scan the serve-specific flags; everything else goes through the
-    // shared RunFlags parser so --size/--seed/--threads/--shards keep
-    // exactly the bench/churn validation semantics (exit 2 on garbage).
+    // shared RunFlags parser so --size/--seed keep exactly the bench/churn
+    // validation semantics (exit 2 on garbage).
     let mut out_path: Option<String> = None;
     let mut budget_req: Option<u64> = None;
     let mut rest: Vec<String> = Vec::new();
@@ -808,12 +761,10 @@ fn cmd_serve(args: &[String]) -> i32 {
     }
     let mut flags = RunFlags::new(cfg.spec.size, 0);
     flags.seed = cfg.spec.seed;
-    if let Err(code) = flags.parse("td serve", &rest, &["--shards"]) {
+    if let Err(code) = flags.parse("td serve", &rest, &[]) {
         return code;
     }
     cfg.spec = cfg.spec.with_size(flags.size).with_seed(flags.seed);
-    cfg.threads = flags.threads;
-    cfg.shards = flags.shards;
     // A degenerate spec (size 0, out-of-range params) is a usage error,
     // not a runtime failure — reject it before spinning up the daemon.
     if let Err(e) = cfg.spec.validate() {
@@ -1060,7 +1011,7 @@ fn trace_replay(args: &[String]) -> i32 {
         }
     }
     let mut flags = RunFlags::new(0, 0);
-    if let Err(code) = flags.parse("td trace replay", &rest, &["--shards", "--full"]) {
+    if let Err(code) = flags.parse("td trace replay", &rest, &["--full"]) {
         return code;
     }
     let mode = if flags.full {
@@ -1076,7 +1027,7 @@ fn trace_replay(args: &[String]) -> i32 {
         td_bench::Table::new(&["consumer", "events", "rounds", "messages", "fingerprint"]);
     let mut fps: Vec<u64> = Vec::new();
     if consumer == "engine" || consumer == "all" {
-        match replay_engine(&trace, mode, flags.threads, flags.shards) {
+        match replay_engine(&trace, mode) {
             Ok(o) => {
                 fps.push(o.solution_fp);
                 table.row(vec![
@@ -1109,7 +1060,7 @@ fn trace_replay(args: &[String]) -> i32 {
         }
     }
     if consumer == "serve" || consumer == "all" {
-        match replay_serve(&trace, rate, flags.threads, flags.shards) {
+        match replay_serve(&trace, rate) {
             Ok(r) => {
                 fps.push(r.fingerprint);
                 table.row(vec![
@@ -1244,26 +1195,6 @@ fn cmd_compare(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--threads" => match args.get(i + 1).and_then(|r| r.parse().ok()) {
-                Some(v) if v >= 1 => {
-                    cfg.threads = v;
-                    i += 2;
-                }
-                _ => {
-                    eprintln!("td compare: --threads needs an integer >= 1");
-                    return 2;
-                }
-            },
-            "--shards" => match args.get(i + 1).and_then(|r| r.parse().ok()) {
-                Some(v) if v >= 1 => {
-                    cfg.shards = v;
-                    i += 2;
-                }
-                _ => {
-                    eprintln!("td compare: --shards needs an integer >= 1");
-                    return 2;
-                }
-            },
             "--events" => match args.get(i + 1).and_then(|r| r.parse().ok()) {
                 Some(v) => {
                     cfg.max_events = Some(v);
@@ -1324,9 +1255,8 @@ fn cmd_compare(args: &[String]) -> i32 {
         println!("\nskipped {label}: {why}");
     }
     println!(
-        "\n{} rows, every protocol bit-identical across {} executor points, in {:.2} s",
+        "\n{} rows, every run verified, in {:.2} s",
         report.rows.len(),
-        report.config.grid().len(),
         t0.elapsed().as_secs_f64()
     );
     if let Some(path) = out_path {
@@ -1396,10 +1326,9 @@ fn exp_parse(
                     return Err(2);
                 }
             },
-            // RunFlags owns --seed/--threads/--shards; forward the flag
-            // AND its value slot so a trailing id is never mistaken for
-            // one.
-            "--seed" | "--threads" | "--shards" => {
+            // RunFlags owns --seed; forward the flag AND its value slot so
+            // a trailing id is never mistaken for one.
+            "--seed" => {
                 rest.push(args[i].clone());
                 if let Some(v) = args.get(i + 1) {
                     rest.push(v.clone());
@@ -1418,8 +1347,8 @@ fn exp_parse(
             }
         }
     }
-    // --quick rebases every default (2x2 grid, repeat 1) before explicit
-    // flags override, so the two compose in either order.
+    // --quick rebases every default (repeat 1) before explicit flags
+    // override, so the two compose in either order.
     let mut cfg = if quick {
         ExpConfig::quick()
     } else {
@@ -1427,12 +1356,8 @@ fn exp_parse(
     };
     let mut flags = RunFlags::new(0, 0);
     flags.seed = cfg.seed;
-    flags.threads = cfg.threads;
-    flags.shards = cfg.shards;
-    flags.parse(cmd, &rest, &["--shards"])?;
+    flags.parse(cmd, &rest, &[])?;
     cfg.seed = flags.seed;
-    cfg.threads = flags.threads;
-    cfg.shards = flags.shards;
     if let Some(n) = repeat_flag {
         cfg.repeat = n;
     }
@@ -1670,9 +1595,11 @@ fn cmd_gen(args: &[String]) -> i32 {
 }
 
 /// `td gen` body. Every generator has an exact positional arity: a missing
-/// argument, a trailing extra, or garbage where an integer belongs is a
-/// usage error (exit 2), never a panic or a silent default — a mistyped
-/// seed that quietly fell back to 42 would fake determinism.
+/// argument, a trailing extra, garbage where an integer belongs, or an
+/// integer outside the generator's valid range is a usage error (exit 2
+/// with a one-line diagnostic naming the range), never a panic or a silent
+/// default — a mistyped seed that quietly fell back to 42 would fake
+/// determinism.
 fn gen_inner(args: &[String]) -> Result<i32, i32> {
     fn arity(sub: &str, rest: &[String], min: usize, max: usize) -> Result<(), i32> {
         if rest.len() < min {
@@ -1691,6 +1618,13 @@ fn gen_inner(args: &[String]) -> Result<i32, i32> {
             2
         })
     }
+    fn in_range(sub: &str, what: &str, v: usize, lo: usize, hi: usize) -> Result<usize, i32> {
+        if (lo..=hi).contains(&v) {
+            return Ok(v);
+        }
+        eprintln!("td gen {sub}: {what} {v} out of range [{lo}, {hi}]");
+        Err(2)
+    }
     let Some(sub) = args.first().map(String::as_str) else {
         eprintln!("usage: td gen <gnm|regular|tree|comb|game> ...");
         return Err(2);
@@ -1705,8 +1639,9 @@ fn gen_inner(args: &[String]) -> Result<i32, i32> {
     match sub {
         "gnm" => {
             arity(sub, rest, 2, 3)?;
-            let n = int(sub, "<n>", &rest[0])?;
-            let m = int(sub, "<m>", &rest[1])?;
+            let n: usize = int(sub, "<n>", &rest[0])?;
+            let pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
+            let m = in_range(sub, "<m>", int(sub, "<m>", &rest[1])?, 0, pairs)?;
             let g = token_dropping::graph::gen::random::gnm(
                 n,
                 m,
@@ -1717,8 +1652,12 @@ fn gen_inner(args: &[String]) -> Result<i32, i32> {
         }
         "regular" => {
             arity(sub, rest, 2, 3)?;
-            let n = int(sub, "<n>", &rest[0])?;
-            let d = int(sub, "<d>", &rest[1])?;
+            let n = in_range(sub, "<n>", int(sub, "<n>", &rest[0])?, 1, usize::MAX)?;
+            let d = in_range(sub, "<d>", int(sub, "<d>", &rest[1])?, 0, n - 1)?;
+            if n % 2 == 1 && d % 2 == 1 {
+                eprintln!("td gen regular: <n> {n} and <d> {d} are both odd; n * d must be even");
+                return Err(2);
+            }
             match token_dropping::graph::gen::random::random_regular(
                 n,
                 d,
@@ -1737,7 +1676,7 @@ fn gen_inner(args: &[String]) -> Result<i32, i32> {
         }
         "tree" => {
             arity(sub, rest, 2, 2)?;
-            let d = int(sub, "<d>", &rest[0])?;
+            let d = in_range(sub, "<d>", int(sub, "<d>", &rest[0])?, 2, usize::MAX)?;
             let depth = int(sub, "<depth>", &rest[1])?;
             let (g, _) =
                 token_dropping::graph::gen::structured::perfect_dary_tree(d, depth, 10_000_000);
@@ -1746,7 +1685,7 @@ fn gen_inner(args: &[String]) -> Result<i32, i32> {
         }
         "comb" => {
             arity(sub, rest, 1, 1)?;
-            let k = int(sub, "<k>", &rest[0])?;
+            let k = in_range(sub, "<k>", int(sub, "<k>", &rest[0])?, 1, usize::MAX)?;
             let game = TokenGame::contention_comb(k);
             game_io::write_game(&game, std::io::stdout().lock()).unwrap();
             Ok(0)
@@ -1758,7 +1697,7 @@ fn gen_inner(args: &[String]) -> Result<i32, i32> {
                 .split(',')
                 .map(|w| int(sub, "<w1,w2,..>", w.trim()))
                 .collect::<Result<_, _>>()?;
-            let deg = int(sub, "<deg>", &rest[1])?;
+            let deg = in_range(sub, "<deg>", int(sub, "<deg>", &rest[1])?, 1, usize::MAX)?;
             let game =
                 TokenGame::random(&widths, deg, 0.5, &mut SmallRng::seed_from_u64(seed_at(2)?));
             game_io::write_game(&game, std::io::stdout().lock()).unwrap();

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`graph`] | `td-graph` | CSR graphs, generators, BFS/girth/bipartition |
-//! | [`local`] | `td-local` | the LOCAL-model simulator (sequential + parallel executors) |
+//! | [`local`] | `td-local` | the LOCAL-model simulator (dense and sparse one-shot loops, the churn plane) |
 //! | [`core`] | `td-core` | the token dropping game, proposal algorithm (Thm 4.1), 3-level algorithm (Thm 4.7), matching reduction (Thm 4.6) |
 //! | [`orient`] | `td-orient` | stable orientations in O(Δ⁴) (Thm 5.1), baselines, Section 6 lower-bound machinery |
 //! | [`assign`] | `td-assign` | hypergraph token dropping (Thm 7.1), stable assignment (Thm 7.3), k-bounded relaxation (Thm 7.5), optimal semi-matchings |

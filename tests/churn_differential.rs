@@ -1,11 +1,11 @@
 //! Differential testing of the churn engines: for every seeded trace, the
 //! incremental repair path must be **bit-identical** to the full-recompute
 //! fallback (same final solution, same rounds, same messages — only
-//! node-steps may differ, and only downward), and the parallel incremental
-//! executor must match the sequential one at every thread count.
+//! node-steps may differ, and only downward), and every trace must repeat
+//! itself exactly when run again.
 //!
 //! This is the contract that makes incremental repair safe to ship: the
-//! dirty-set optimization and the thread count are pure performance knobs.
+//! dirty-set optimization is a pure performance knob.
 
 use std::path::Path;
 use td_bench::churn::{churn_registry, ChurnScenario};
@@ -13,8 +13,6 @@ use td_bench::{Trace, WorkloadInstance, WorkloadSpec};
 use td_local::churn::RepairMode;
 use td_local::ChurnEvent;
 use token_dropping::assign::repair::AssignChurnEngine;
-
-const THREADS: [usize; 3] = [2, 4, 8];
 
 fn scenario_size(sc: &dyn ChurnScenario) -> u32 {
     match sc.kind() {
@@ -33,8 +31,8 @@ fn repair_equals_full_recompute_over_100_traces() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
         for seed in 0..SEEDS_PER_SCENARIO {
-            let inc = sc.run(size, 8, seed, 1, RepairMode::Incremental, false);
-            let full = sc.run(size, 8, seed, 1, RepairMode::FullRecompute, false);
+            let inc = sc.run(size, 8, seed, RepairMode::Incremental, false);
+            let full = sc.run(size, 8, seed, RepairMode::FullRecompute, false);
             assert_eq!(
                 inc.fingerprint,
                 full.fingerprint,
@@ -66,50 +64,36 @@ fn repair_equals_full_recompute_over_100_traces() {
     assert!(traces >= 100, "only {traces} traces exercised");
 }
 
-/// The incremental executor is deterministic across thread counts: same
-/// final solution, same rounds, same messages, same node-steps.
+/// The incremental repair is deterministic: running a trace again
+/// repeats its final solution, rounds, messages and node-steps.
 #[test]
 fn parallel_incremental_matches_sequential() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
         for seed in [3u64, 17] {
-            let seq = sc.run(size, 8, seed, 1, RepairMode::Incremental, false);
-            for &t in &THREADS {
-                let par = sc.run(size, 8, seed, t, RepairMode::Incremental, false);
-                assert_eq!(
-                    seq.fingerprint,
-                    par.fingerprint,
-                    "{} seed {seed} threads {t}",
-                    sc.name()
-                );
-                assert_eq!(
-                    seq.repair,
-                    par.repair,
-                    "{} seed {seed} threads {t}",
-                    sc.name()
-                );
-            }
+            let first = sc.run(size, 8, seed, RepairMode::Incremental, false);
+            let again = sc.run(size, 8, seed, RepairMode::Incremental, false);
+            assert_eq!(
+                first.fingerprint,
+                again.fingerprint,
+                "{} seed {seed}",
+                sc.name()
+            );
+            assert_eq!(first.repair, again.repair, "{} seed {seed}", sc.name());
         }
     }
 }
 
-/// The fallback is also executor-independent (all-dirty wakes are the
-/// stress case for the wake bookkeeping).
+/// The fallback is deterministic too (all-dirty wakes are the stress case
+/// for the wake bookkeeping).
 #[test]
 fn parallel_full_recompute_matches_sequential() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
-        let seq = sc.run(size, 6, 9, 1, RepairMode::FullRecompute, false);
-        for &t in &THREADS {
-            let par = sc.run(size, 6, 9, t, RepairMode::FullRecompute, false);
-            assert_eq!(
-                seq.fingerprint,
-                par.fingerprint,
-                "{} threads {t}",
-                sc.name()
-            );
-            assert_eq!(seq.repair, par.repair, "{} threads {t}", sc.name());
-        }
+        let first = sc.run(size, 6, 9, RepairMode::FullRecompute, false);
+        let again = sc.run(size, 6, 9, RepairMode::FullRecompute, false);
+        assert_eq!(first.fingerprint, again.fingerprint, "{}", sc.name());
+        assert_eq!(first.repair, again.repair, "{}", sc.name());
     }
 }
 

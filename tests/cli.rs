@@ -131,6 +131,30 @@ fn out_of_range_counts_and_ids_exit_1_with_a_line_diagnostic() {
     }
 }
 
+/// Arguments outside a generator's valid range are usage errors: exit 2
+/// with a one-line diagnostic that names the range, never a panic.
+#[test]
+fn out_of_range_generator_arguments_exit_2_naming_the_range() {
+    for (args, names) in [
+        (vec!["bench", "layered-game", "--size", "0"], "[1,"),
+        (vec!["bench", "contention-comb", "--size", "0"], "[1,"),
+        (vec!["bench", "waterfall", "--size", "0"], "[1,"),
+        (vec!["gen", "comb", "0"], "[1,"),
+        (vec!["gen", "gnm", "5", "100", "1"], "[0, 10]"),
+        (vec!["gen", "regular", "5", "3", "1"], "even"),
+        (vec!["gen", "regular", "4", "4"], "[0, 3]"),
+        (vec!["gen", "tree", "1", "5"], "[2,"),
+        (vec!["gen", "game", "4,4", "0"], "[1,"),
+    ] {
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {err}");
+        assert!(!err.contains("panicked"), "args {args:?}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "args {args:?}: {err}");
+        assert!(err.contains(names), "args {args:?}: {err}");
+    }
+}
+
 #[test]
 fn assign_stable_and_bounded() {
     // A 6-customer, 3-server bipartite graph: customers 0..6, servers 6..9.
@@ -227,62 +251,30 @@ fn churn_zero_events_is_a_clean_noop() {
     assert!(out.contains("verified:   ok"), "{out}");
 }
 
-#[test]
-fn bench_shards_matches_default_path() {
-    // `--shards 1` is literally the default executor; `--shards 4` must
-    // report the same rounds/messages (bit-identical contract). Compare
-    // every deterministic line (wall time excluded).
-    let deterministic = |out: &str| -> Vec<String> {
-        out.lines()
-            .filter(|l| !l.starts_with("wall time:") && !l.starts_with("executor:"))
-            .map(String::from)
-            .collect()
-    };
-    let (base, err, ok) = run_td(&["bench", "rotor-sweep", "--size", "6"], None);
-    assert!(ok, "{err}");
-    let (one, _, ok) = run_td(
-        &["bench", "rotor-sweep", "--size", "6", "--shards", "1"],
-        None,
-    );
-    assert!(ok);
-    assert_eq!(deterministic(&base), deterministic(&one));
-    let (four, _, ok) = run_td(
-        &[
-            "bench",
-            "rotor-sweep",
-            "--size",
-            "6",
-            "--shards",
-            "4",
-            "--threads",
-            "2",
-        ],
-        None,
-    );
-    assert!(ok);
-    assert!(
-        four.contains("executor:   sharded (4 shards, 2 threads)"),
-        "{four}"
-    );
-    assert_eq!(deterministic(&base), deterministic(&four));
-}
-
+/// Every executor runs on one thread and one message plane, so no
+/// subcommand takes `--threads` or `--shards`: both are unknown flags,
+/// exit 2, whatever their value.
 #[test]
 fn bench_shards_flag_errors_exit_2() {
     for bad in [
         vec!["bench", "rotor-sweep", "--shards", "0"],
         vec!["bench", "rotor-sweep", "--shards", "x"],
         vec!["bench", "rotor-sweep", "--shards"],
-        // --shards is a bench flag; churn must reject it as unknown.
+        vec!["bench", "rotor-sweep", "--shards", "4"],
+        vec!["bench", "rotor-sweep", "--threads", "2"],
         vec!["churn", "edge-flip", "--shards", "4"],
+        vec!["churn", "edge-flip", "--threads", "1"],
+        vec!["perf", "--threads", "1", "--list"],
+        vec!["serve", "churn-orient", "--shards", "1"],
+        vec!["trace", "replay", "traces/drain-wave.tdt", "--threads", "2"],
+        vec!["compare", "--shards", "3"],
+        vec!["exp", "run", "e17", "--threads", "2"],
+        vec!["exp", "render", "e17", "--shards", "2"],
     ] {
         let out = Command::new(BIN).args(&bad).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "args {bad:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("--shards") || err.contains("unknown flag"),
-            "args {bad:?}: {err}"
-        );
+        assert!(err.contains("unknown flag"), "args {bad:?}: {err}");
     }
 }
 
@@ -389,7 +381,7 @@ fn perf_lists_scenarios() {
     // --list does not bypass validation: a malformed flag next to it must
     // still exit 2, like every other subcommand.
     for bad in [
-        vec!["perf", "--threads", "0", "--list"],
+        vec!["perf", "--seed", "x", "--list"],
         vec!["perf", "--list", "--bogus"],
     ] {
         let out = Command::new(BIN).args(&bad).output().unwrap();
@@ -397,9 +389,9 @@ fn perf_lists_scenarios() {
     }
 }
 
-/// `--threads`/`--shards`/`--seed` go through the one shared `RunFlags`
-/// parser, so `td perf` must reject garbage exactly like bench/churn:
-/// exit 2 plus a message naming the flag.
+/// `--seed` goes through the one shared `RunFlags` parser, so `td perf`
+/// must reject garbage exactly like bench/churn: exit 2 plus a message
+/// naming the flag. `--threads` and `--shards` are unknown flags.
 #[test]
 fn perf_flag_validation_is_uniform() {
     for bad in [
@@ -433,17 +425,8 @@ fn perf_flag_validation_is_uniform() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(!err.is_empty(), "args {bad:?}: silent failure");
         // The exact bench/churn wording for the shared numeric flags.
-        if bad.get(1) == Some(&"--threads") {
-            assert!(
-                err.contains("--threads needs an integer"),
-                "args {bad:?}: {err}"
-            );
-        }
-        if bad.get(1) == Some(&"--shards") {
-            assert!(
-                err.contains("--shards needs an integer"),
-                "args {bad:?}: {err}"
-            );
+        if matches!(bad.get(1), Some(&"--threads" | &"--shards")) {
+            assert!(err.contains("unknown flag"), "args {bad:?}: {err}");
         }
         if bad.get(1) == Some(&"--seed") {
             assert!(
@@ -465,10 +448,6 @@ fn perf_writes_versioned_json_report() {
             "drain-wave",
             "--sizes",
             "512",
-            "--threads",
-            "2",
-            "--shards",
-            "2",
             "--repeat",
             "2",
             "--out",
@@ -485,17 +464,15 @@ fn perf_writes_versioned_json_report() {
     assert!(json.contains("\"bench\":10"), "{json}");
     assert!(json.contains("\"repeat\":2"), "{json}");
     assert!(
-        json.contains(
-            "\"executors\":[\"sequential\",\"parallel(2)\",\"sharded(2,2)\",\"sharded(1,1)\"]"
-        ),
+        json.contains("\"executors\":[\"sequential\",\"sparse\"]"),
         "{json}"
     );
     assert!(json.contains("\"sparse_skips\""), "{json}");
-    assert!(json.contains("\"executor\":\"sharded(1,1)\""), "{json}");
-    assert!(json.contains("\"executor\":\"parallel(2)\""), "{json}");
+    assert!(json.contains("\"executor\":\"sparse\""), "{json}");
     assert!(json.contains("\"curve\""), "{json}");
-    // The seq-vs-parallel speedup column of the committed benchmark.
-    assert!(json.contains("\"parallel_speedup_drain-wave\""), "{json}");
+    // The sparse-vs-sequential speedup column of the committed benchmark.
+    assert!(json.contains("\"sparse_speedup_drain-wave\""), "{json}");
+    assert!(!json.contains("\"threads\""), "{json}");
 }
 
 #[test]
@@ -697,20 +674,7 @@ fn trace_record_replay_pipeline_agrees_on_fingerprints() {
     assert!(info.contains("td-trace/v1"), "{info}");
     assert!(info.contains("24"), "{info}");
 
-    let (replay, _, ok) = run_td(
-        &[
-            "trace",
-            "replay",
-            "-",
-            "--consumer",
-            "all",
-            "--threads",
-            "2",
-            "--shards",
-            "2",
-        ],
-        Some(&doc),
-    );
+    let (replay, _, ok) = run_td(&["trace", "replay", "-", "--consumer", "all"], Some(&doc));
     assert!(ok, "replay failed: {replay}");
     assert!(replay.contains("all consumers agree"), "{replay}");
     // Engine and serve rows print the same 16-hex fingerprint.
@@ -859,8 +823,8 @@ fn degenerate_specs_exit_2_everywhere() {
 }
 
 /// `td compare` runs the balancer sweep, prints a per-protocol table plus
-/// the bit-identity summary line, and writes `td-compare/v1` JSON with one
-/// row per (instance, protocol) pair.
+/// the summary line, and writes `td-compare/v1` JSON with one row per
+/// (instance, protocol) pair.
 #[test]
 fn compare_sweeps_protocols_and_writes_versioned_json() {
     let out_path =
@@ -875,10 +839,6 @@ fn compare_sweeps_protocols_and_writes_versioned_json() {
             "8",
             "--seed",
             "7",
-            "--threads",
-            "2",
-            "--shards",
-            "2",
             "--out",
             &out_str,
         ],
@@ -888,10 +848,7 @@ fn compare_sweeps_protocols_and_writes_versioned_json() {
     for proto in ["token-drop", "rotor-router", "matching"] {
         assert!(out.contains(proto), "table missing {proto}:\n{out}");
     }
-    assert!(
-        out.contains("6 rows, every protocol bit-identical across 3 executor points"),
-        "{out}"
-    );
+    assert!(out.contains("6 rows, every run verified"), "{out}");
     assert!(out.contains("td-compare/v1 report written"), "{out}");
     let json = std::fs::read_to_string(&out_path).expect("report written");
     std::fs::remove_file(&out_path).ok();
@@ -983,7 +940,7 @@ fn exp_list_shows_the_registry() {
     for args in [&["exp"][..], &["exp", "--list"][..]] {
         let (out, err, ok) = run_td(args, None);
         assert!(ok, "{err}");
-        for id in ["e15", "e16", "e17", "e18", "e19", "e21", "perf"] {
+        for id in ["e15", "e17", "e18", "e19", "e21", "perf"] {
             assert!(out.contains(id), "listing misses {id}:\n{out}");
         }
         assert!(out.contains("td exp run"), "{out}");

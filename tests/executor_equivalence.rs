@@ -1,11 +1,10 @@
-//! Cross-stack executor equivalence: the parallel executor must be
-//! *bit-identical* to the sequential one — same outputs, same round counts,
-//! same message counts — for every protocol stack, at every thread count.
+//! Cross-stack executor equivalence: the sparse lane must be
+//! *bit-identical* to the dense sequential scan — same outputs, same round
+//! counts, same message counts — for every protocol stack.
 //!
-//! This is the contract that lets `Simulator::parallel(t)` be a pure
-//! performance knob: the arena's one-writer-per-slot discipline means the
-//! round in which a message is delivered, and the content delivered, cannot
-//! depend on thread scheduling.
+//! This is the contract that lets `Simulator::sparse()` be a pure
+//! performance choice: which nodes a round visits never changes the round
+//! in which a message is delivered, or the content delivered.
 
 use td_bench::workloads;
 use token_dropping::assign::protocol::run_distributed_assignment;
@@ -13,11 +12,11 @@ use token_dropping::core::proposal;
 use token_dropping::local::Simulator;
 use token_dropping::orient::protocol::run_distributed;
 
-const THREADS: [usize; 3] = [2, 4, 8];
 const SEEDS: [u64; 3] = [3, 17, 9001];
 
-/// The churn (wake-based) executor obeys the same contract: repair traces
-/// are bit-identical at every thread count, for both repair engines.
+/// The churn (wake-based) executor obeys the same contract across its two
+/// wake policies: waking only the dirtied nodes and waking every node give
+/// the same final solution, rounds and messages, for every repair engine.
 #[test]
 fn churn_repair_matches_sequential_at_every_thread_count() {
     use td_local::churn::RepairMode;
@@ -27,22 +26,20 @@ fn churn_repair_matches_sequential_at_every_thread_count() {
             _ => 6,
         };
         for &seed in &SEEDS {
-            let seq = sc.run(size, 6, seed, 1, RepairMode::Incremental, false);
-            for &t in &THREADS {
-                let par = sc.run(size, 6, seed, t, RepairMode::Incremental, false);
-                assert_eq!(
-                    seq.fingerprint,
-                    par.fingerprint,
-                    "{} seed {seed}, threads {t}",
-                    sc.name()
-                );
-                assert_eq!(
-                    seq.repair,
-                    par.repair,
-                    "{} seed {seed}, threads {t}",
-                    sc.name()
-                );
-            }
+            let inc = sc.run(size, 6, seed, RepairMode::Incremental, false);
+            let full = sc.run(size, 6, seed, RepairMode::FullRecompute, false);
+            assert_eq!(
+                inc.fingerprint,
+                full.fingerprint,
+                "{} seed {seed}",
+                sc.name()
+            );
+            assert_eq!(
+                (inc.repair.rounds, inc.repair.messages),
+                (full.repair.rounds, full.repair.messages),
+                "{} seed {seed}",
+                sc.name()
+            );
         }
     }
 }
@@ -52,13 +49,11 @@ fn proposal_protocol_matches_sequential_at_every_thread_count() {
     for &seed in &SEEDS {
         let game = workloads::layered_game(4, 4, seed);
         let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-        for &t in &THREADS {
-            let par = proposal::run_on_simulator(&game, &Simulator::parallel(t));
-            assert_eq!(seq.solution, par.solution, "seed {seed}, threads {t}");
-            assert_eq!(seq.log, par.log, "seed {seed}, threads {t}");
-            assert_eq!(seq.comm_rounds, par.comm_rounds, "seed {seed}, threads {t}");
-            assert_eq!(seq.messages, par.messages, "seed {seed}, threads {t}");
-        }
+        let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
+        assert_eq!(seq.solution, sp.solution, "seed {seed}");
+        assert_eq!(seq.log, sp.log, "seed {seed}");
+        assert_eq!(seq.comm_rounds, sp.comm_rounds, "seed {seed}");
+        assert_eq!(seq.messages, sp.messages, "seed {seed}");
     }
 }
 
@@ -68,12 +63,10 @@ fn orientation_protocol_matches_sequential_at_every_thread_count() {
         let g = workloads::regular_graph(3, 8, seed);
         let seq = run_distributed(&g, &Simulator::sequential());
         seq.orientation.verify_stable(&g).unwrap();
-        for &t in &THREADS {
-            let par = run_distributed(&g, &Simulator::parallel(t));
-            assert_eq!(seq.orientation, par.orientation, "seed {seed}, threads {t}");
-            assert_eq!(seq.comm_rounds, par.comm_rounds, "seed {seed}, threads {t}");
-            assert_eq!(seq.messages, par.messages, "seed {seed}, threads {t}");
-        }
+        let sp = run_distributed(&g, &Simulator::sparse());
+        assert_eq!(seq.orientation, sp.orientation, "seed {seed}");
+        assert_eq!(seq.comm_rounds, sp.comm_rounds, "seed {seed}");
+        assert_eq!(seq.messages, sp.messages, "seed {seed}");
     }
 }
 
@@ -83,21 +76,16 @@ fn assignment_protocol_matches_sequential_at_every_thread_count() {
         let inst = workloads::uniform_assignment(9, 4, seed);
         for bound in [None, Some(2)] {
             let seq = run_distributed_assignment(&inst, bound, &Simulator::sequential());
-            for &t in &THREADS {
-                let par = run_distributed_assignment(&inst, bound, &Simulator::parallel(t));
-                assert_eq!(
-                    seq.assignment, par.assignment,
-                    "seed {seed}, bound {bound:?}, threads {t}"
-                );
-                assert_eq!(
-                    seq.comm_rounds, par.comm_rounds,
-                    "seed {seed}, bound {bound:?}, threads {t}"
-                );
-                assert_eq!(
-                    seq.messages, par.messages,
-                    "seed {seed}, bound {bound:?}, threads {t}"
-                );
-            }
+            let sp = run_distributed_assignment(&inst, bound, &Simulator::sparse());
+            assert_eq!(
+                seq.assignment, sp.assignment,
+                "seed {seed}, bound {bound:?}"
+            );
+            assert_eq!(
+                seq.comm_rounds, sp.comm_rounds,
+                "seed {seed}, bound {bound:?}"
+            );
+            assert_eq!(seq.messages, sp.messages, "seed {seed}, bound {bound:?}");
         }
     }
 }

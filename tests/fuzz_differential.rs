@@ -1,15 +1,14 @@
 //! The mass randomized differential fuzz plane: a deterministic corpus of
 //! 200+ seeded [`WorkloadSpec`]s, spanning every generator family, driven
-//! through every protocol stack × executor grid by [`td_bench::fuzz`].
+//! through every protocol stack on both executors by [`td_bench::fuzz`].
 //! Each spec is checked for
 //!
 //! * verifier acceptance (rules 1–3 + dynamics, orientation stability,
 //!   assignment stability / k-boundedness — after every churn event on
 //!   live traces),
-//! * bit-identical outputs, rounds, and message counts across the
-//!   sequential executor and the pinned-worker engine (`parallel(T)` and
-//!   explicit shard grids; incremental repair vs full recompute on churn
-//!   traces),
+//! * bit-identical outputs, rounds, and message counts across the dense
+//!   sequential scan and the sparse lane (incremental repair vs full
+//!   recompute on churn traces),
 //! * metamorphic relabeling invariance (a seeded node relabeling still
 //!   verifies, with label-invariant structure preserved), and
 //! * seed-independent structural stats of the generator itself.
@@ -115,8 +114,7 @@ fn churn_specs_have_zero_divergence() {
 
 /// The competing-balancer differential on a pinned sub-corpus: every
 /// registered protocol (token dropping, rotor-router, matching exchange)
-/// on each spec's projected node-load workload, bit-identical across the
-/// sequential / parallel / sharded executor grid, accepted by its own
+/// on each spec's projected node-load workload, accepted by its own
 /// verifier, and invariant under metamorphic relabeling. The stride keeps
 /// the sample deterministic while still cycling through every family.
 #[test]

@@ -121,12 +121,10 @@ fn every_scenario_report_matches_its_golden_snapshot() {
 /// moves, final discrepancy, or load fingerprints of *any* registered
 /// protocol fails with a line diff; bless intentional protocol changes
 /// with `UPDATE_GOLDEN=1 cargo test --test golden_reports`.
-fn compare_golden(threads: usize, shards: usize) -> String {
+fn compare_golden() -> String {
     let cfg = CompareConfig {
         size: Some(8),
         seed: GOLDEN_SEED,
-        threads,
-        shards,
         ..CompareConfig::default()
     };
     compare_families(&cfg, &["rotor".to_string(), "torus".to_string()])
@@ -139,7 +137,7 @@ fn compare_report_matches_its_golden_snapshot() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let dir = golden_dir();
     let path = dir.join("compare-rotor-torus.golden");
-    let actual = compare_golden(2, 2);
+    let actual = compare_golden();
     if update {
         std::fs::create_dir_all(&dir).expect("create tests/golden");
         std::fs::write(&path, &actual).expect("write golden");
@@ -158,13 +156,13 @@ fn compare_report_matches_its_golden_snapshot() {
 }
 
 /// The compare snapshot is a pure function of (instance, seed): rerunning
-/// the sweep on a different thread × shard grid must golden-match exactly.
+/// the sweep must golden-match exactly.
 #[test]
 fn compare_golden_is_executor_independent() {
     assert_eq!(
-        compare_golden(2, 2),
-        compare_golden(4, 3),
-        "compare sweep drifts across executor grids"
+        compare_golden(),
+        compare_golden(),
+        "compare sweep drifts between runs"
     );
 }
 
@@ -252,21 +250,21 @@ fn exp_render_matches_its_golden_snapshots() {
 }
 
 /// The snapshots themselves must be executor-independent: the golden run
-/// reproduces bit-identically on the sharded executor.
+/// reproduces bit-identically on the sparse lane.
 #[test]
 fn golden_runs_are_executor_independent() {
     let sim = Simulator::sequential();
-    let sharded = Simulator::sharded(4, 2);
+    let sparse = Simulator::sparse();
     for sc in registry() {
         // cascade-orientation uses its own host-side driver; everything
         // else exercises the executor. Run both anyway — equality must
         // hold regardless.
         let a = sc.run(golden_size(*sc), GOLDEN_SEED, &sim);
-        let b = sc.run(golden_size(*sc), GOLDEN_SEED, &sharded);
+        let b = sc.run(golden_size(*sc), GOLDEN_SEED, &sparse);
         assert_eq!(
             a.golden(),
             b.golden(),
-            "{} drifts under sharding",
+            "{} drifts on the sparse lane",
             sc.name()
         );
     }

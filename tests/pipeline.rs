@@ -141,12 +141,10 @@ fn simulator_parallel_equivalence_on_real_protocol() {
     let mut rng = SmallRng::seed_from_u64(1006);
     let game = TokenGame::random(&[20, 24, 24, 20], 4, 0.5, &mut rng);
     let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-    for threads in [2, 4, 7] {
-        let par = proposal::run_on_simulator(&game, &Simulator::parallel(threads));
-        assert_eq!(seq.log, par.log, "threads = {threads}");
-        assert_eq!(seq.comm_rounds, par.comm_rounds);
-        assert_eq!(seq.messages, par.messages);
-    }
+    let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
+    assert_eq!(seq.log, sp.log);
+    assert_eq!(seq.comm_rounds, sp.comm_rounds);
+    assert_eq!(seq.messages, sp.messages);
 }
 
 #[test]

@@ -6,10 +6,9 @@
 //! values were recorded before the node program's internals were last
 //! rewritten, so a refactor that changes any of them changes behaviour.
 //!
-//! The pins hold under the dense sequential scan and under the sparse
-//! pinned-worker engine (`parallel(2)`, `sharded(4,2)`). The engine never
-//! scans a halted node, so there the dense run's `halted_scans` reappears
-//! as `sparse_skips`.
+//! The pins hold under the dense sequential scan and under the sparse lane.
+//! The sparse lane never scans a halted node, so there the dense run's
+//! `halted_scans` reappears as `sparse_skips`.
 
 use td_bench::scenario::rotor_sweep_game;
 use td_bench::spec::{WorkloadInstance, WorkloadSpec};
@@ -140,17 +139,15 @@ fn proposal_protocol_repeats_its_pins_on_every_executor() {
             want,
             "{name}: sequential"
         );
-        for sim in [Simulator::parallel(2), Simulator::sharded(4, 2)] {
-            let sparse = proposal::run_on_simulator(game, &sim);
-            assert_eq!(
-                sparse.perf.halted_scans, 0,
-                "{name}: {sim:?} scans no halted node"
-            );
-            assert_eq!(
-                measure(&sparse, sparse.perf.sparse_skips),
-                want,
-                "{name}: {sim:?} (halted_scans read as sparse_skips)"
-            );
-        }
+        let sparse = proposal::run_on_simulator(game, &Simulator::sparse());
+        assert_eq!(
+            sparse.perf.halted_scans, 0,
+            "{name}: the sparse lane scans no halted node"
+        );
+        assert_eq!(
+            measure(&sparse, sparse.perf.sparse_skips),
+            want,
+            "{name}: sparse (halted_scans read as sparse_skips)"
+        );
     }
 }

@@ -1,13 +1,8 @@
-//! Differential testing of the pinned-worker sharded engine: for every
-//! registry scenario and a sample of churn traces, the engine
-//! (locality-aware partition, worker-owned arenas, SPSC boundary rings,
-//! epoch protocol) must be **bit-identical** to the sequential executor —
-//! same outputs, same round counts, same message counts — over the whole
-//! shard × thread grid, including the `parallel(T)` auto-shard alias.
-//!
-//! This is the contract that makes `Simulator::sharded(s, t)` (and the
-//! churn engines' `with_shards`) a pure performance knob, exactly like the
-//! thread count before it.
+//! Differential testing of the sparse lane against the dense sequential
+//! scan: for every registry scenario and the protocol stacks, the two
+//! loops must be **bit-identical** — same outputs, same round counts, same
+//! message counts. On the churn engines, repairing from the dirtied nodes
+//! only must land where waking every node lands.
 
 use td_bench::scenario::{registry, ScenarioKind};
 use td_bench::workloads;
@@ -21,9 +16,6 @@ use token_dropping::orient::protocol::run_distributed;
 use token_dropping::orient::repair::OrientChurnEngine;
 use token_dropping::orient::Orientation;
 
-const SHARDS: [usize; 4] = [1, 2, 4, 8];
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
 fn small_size(kind: ScenarioKind, name: &str) -> u32 {
     match kind {
         ScenarioKind::Game => 4,
@@ -35,118 +27,76 @@ fn small_size(kind: ScenarioKind, name: &str) -> u32 {
             }
         }
         // The exact stable-assignment protocol is O(C·S⁴); size 3 keeps
-        // the 14-executor sweep fast while still crossing shard borders.
+        // the sweep fast.
         ScenarioKind::Assignment => 3,
     }
 }
 
 /// Every registry scenario reports identical rounds and message counts
-/// under sequential, the `parallel(T)` auto-shard alias, and every
-/// (shards × threads) grid point of the engine. Each run also
-/// self-verifies its output (stability, rules 1-3, k-boundedness) inside
-/// `Scenario::run`.
+/// under the dense scan and the sparse lane. Each run also self-verifies
+/// its output (stability, rules 1-3, k-boundedness) inside `Scenario::run`.
 #[test]
 fn registry_scenarios_identical_across_executors() {
     for sc in registry() {
         let size = small_size(sc.kind(), sc.name());
         let seq = sc.run(size, 42, &Simulator::sequential());
-        let par = sc.run(size, 42, &Simulator::parallel(3));
-        assert_eq!(seq.rounds, par.rounds, "{} parallel rounds", sc.name());
-        assert_eq!(
-            seq.messages,
-            par.messages,
-            "{} parallel messages",
-            sc.name()
-        );
-        for &s in &SHARDS {
-            for &t in &THREADS {
-                let sh = sc.run(size, 42, &Simulator::sharded(s, t));
-                assert_eq!(
-                    seq.rounds,
-                    sh.rounds,
-                    "{} rounds diverge at shards {s}, threads {t}",
-                    sc.name()
-                );
-                assert_eq!(
-                    seq.messages,
-                    sh.messages,
-                    "{} messages diverge at shards {s}, threads {t}",
-                    sc.name()
-                );
-            }
-        }
+        let sp = sc.run(size, 42, &Simulator::sparse());
+        assert_eq!(seq.rounds, sp.rounds, "{} rounds", sc.name());
+        assert_eq!(seq.messages, sp.messages, "{} messages", sc.name());
     }
 }
 
 /// Protocol-level outputs (not just counts): the proposal protocol's move
-/// log and solution are bit-identical over the executor grid.
+/// log and solution are bit-identical on both loops.
 #[test]
 fn game_outputs_identical_across_executors() {
     for &seed in &[3u64, 9001] {
         let game = workloads::layered_game(4, 4, seed);
         let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-        for &s in &SHARDS {
-            for &t in &THREADS {
-                let sh = proposal::run_on_simulator(&game, &Simulator::sharded(s, t));
-                assert_eq!(seq.solution, sh.solution, "seed {seed}, {s}x{t}");
-                assert_eq!(seq.log, sh.log, "seed {seed}, {s}x{t}");
-                assert_eq!(seq.comm_rounds, sh.comm_rounds, "seed {seed}, {s}x{t}");
-                assert_eq!(seq.messages, sh.messages, "seed {seed}, {s}x{t}");
-            }
-        }
+        let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
+        assert_eq!(seq.solution, sp.solution, "seed {seed}");
+        assert_eq!(seq.log, sp.log, "seed {seed}");
+        assert_eq!(seq.comm_rounds, sp.comm_rounds, "seed {seed}");
+        assert_eq!(seq.messages, sp.messages, "seed {seed}");
     }
 }
 
-/// Stable orientation outputs over the grid.
+/// Stable orientation outputs on both loops.
 #[test]
 fn orientation_outputs_identical_across_executors() {
     for &seed in &[17u64, 9001] {
         let g = workloads::regular_graph(3, 8, seed);
         let seq = run_distributed(&g, &Simulator::sequential());
         seq.orientation.verify_stable(&g).unwrap();
-        for &s in &SHARDS {
-            for &t in &THREADS {
-                let sh = run_distributed(&g, &Simulator::sharded(s, t));
-                assert_eq!(seq.orientation, sh.orientation, "seed {seed}, {s}x{t}");
-                assert_eq!(seq.comm_rounds, sh.comm_rounds, "seed {seed}, {s}x{t}");
-                assert_eq!(seq.messages, sh.messages, "seed {seed}, {s}x{t}");
-            }
-        }
+        let sp = run_distributed(&g, &Simulator::sparse());
+        assert_eq!(seq.orientation, sp.orientation, "seed {seed}");
+        assert_eq!(seq.comm_rounds, sp.comm_rounds, "seed {seed}");
+        assert_eq!(seq.messages, sp.messages, "seed {seed}");
     }
 }
 
-/// Stable assignment outputs (exact and 2-bounded) over the grid.
+/// Stable assignment outputs (exact and 2-bounded) on both loops.
 #[test]
 fn assignment_outputs_identical_across_executors() {
     let inst = workloads::uniform_assignment(9, 4, 3);
     for bound in [None, Some(2)] {
         let seq = run_distributed_assignment(&inst, bound, &Simulator::sequential());
-        for &s in &SHARDS {
-            for &t in &THREADS {
-                let sh = run_distributed_assignment(&inst, bound, &Simulator::sharded(s, t));
-                assert_eq!(seq.assignment, sh.assignment, "bound {bound:?}, {s}x{t}");
-                assert_eq!(seq.comm_rounds, sh.comm_rounds, "bound {bound:?}, {s}x{t}");
-                assert_eq!(seq.messages, sh.messages, "bound {bound:?}, {s}x{t}");
-            }
-        }
+        let sp = run_distributed_assignment(&inst, bound, &Simulator::sparse());
+        assert_eq!(seq.assignment, sp.assignment, "bound {bound:?}");
+        assert_eq!(seq.comm_rounds, sp.comm_rounds, "bound {bound:?}");
+        assert_eq!(seq.messages, sp.messages, "bound {bound:?}");
     }
 }
 
-/// A sample of churn traces on the sharded plane: an adversarial edge-flip
-/// trace on the orientation repair engine, bit-identical repair stats and
-/// final solution across every shard × thread grid point.
+/// An adversarial edge-flip trace on the orientation repair engine:
+/// incremental repair and the full recompute agree on the final solution,
+/// the rounds and the messages of every repair.
 #[test]
 fn churn_orientation_trace_identical_on_sharded_plane() {
     use td_graph::EdgeId;
-    let run = |shards: usize, threads: usize| {
+    let run = |mode: RepairMode| {
         let g = workloads::regular_graph(4, 10, 7);
-        let mut eng = OrientChurnEngine::new(
-            g.clone(),
-            Orientation::toward_larger(&g),
-            RepairMode::Incremental,
-        )
-        .with_threads(threads)
-        .with_shards(shards);
+        let mut eng = OrientChurnEngine::new(g.clone(), Orientation::toward_larger(&g), mode);
         let mut total = eng.stabilize();
         eng.verify().expect("initial stabilization");
         // Deterministic flip trace: walk the edge list with a fixed stride.
@@ -162,24 +112,19 @@ fn churn_orientation_trace_identical_on_sharded_plane() {
             .collect();
         (total, fingerprint)
     };
-    let (seq_stats, seq_fp) = run(1, 1);
-    for &s in &SHARDS {
-        for &t in &THREADS {
-            let (stats, fp) = run(s, t);
-            assert_eq!(seq_fp, fp, "solution diverges at {s}x{t}");
-            assert_eq!(seq_stats, stats, "repair stats diverge at {s}x{t}");
-        }
-    }
+    let (inc, inc_fp) = run(RepairMode::Incremental);
+    let (full, full_fp) = run(RepairMode::FullRecompute);
+    assert_eq!(inc_fp, full_fp, "solution diverges");
+    assert_eq!((inc.rounds, inc.messages), (full.rounds, full.messages));
+    assert!(inc.node_steps <= full.node_steps);
 }
 
 /// Same for the assignment repair engine, under a drain/rejoin trace.
 #[test]
 fn churn_assignment_trace_identical_on_sharded_plane() {
-    let run = |shards: usize, threads: usize| {
+    let run = |mode: RepairMode| {
         let base = workloads::uniform_assignment(18, 6, 11);
-        let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental)
-            .with_threads(threads)
-            .with_shards(shards);
+        let mut eng = AssignChurnEngine::new(&base, mode);
         let mut total = eng.stabilize();
         eng.verify().expect("initial stabilization");
         for i in 0..10u32 {
@@ -206,29 +151,26 @@ fn churn_assignment_trace_identical_on_sharded_plane() {
             .collect();
         (total, fp)
     };
-    let (seq_stats, seq_fp) = run(1, 1);
-    for &s in &SHARDS {
-        for &t in &THREADS {
-            let (stats, fp) = run(s, t);
-            assert_eq!(seq_fp, fp, "assignment diverges at {s}x{t}");
-            assert_eq!(seq_stats, stats, "repair stats diverge at {s}x{t}");
-        }
-    }
+    let (inc, inc_fp) = run(RepairMode::Incremental);
+    let (full, full_fp) = run(RepairMode::FullRecompute);
+    assert_eq!(inc_fp, full_fp, "assignment diverges");
+    assert_eq!((inc.rounds, inc.messages), (full.rounds, full.messages));
+    assert!(inc.node_steps <= full.node_steps);
 }
 
-/// The quiesced-shard skip is observable: a workload whose active region
-/// is confined to one end of a path reports skipped shard-rounds without
-/// changing any output.
+/// The skip over quiesced nodes is observable: the layered game drains top
+/// down, so the sparse lane skips halted node-rounds without changing any
+/// output.
 #[test]
 fn quiesced_regions_skip_shard_rounds_without_changing_outputs() {
     let game = workloads::layered_game(4, 6, 5);
     let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-    let sh = proposal::run_on_simulator(&game, &Simulator::sharded(8, 2));
-    assert_eq!(seq.log, sh.log);
-    let stats = sh.sharding.expect("sharded run reports stats");
-    assert_eq!(stats.shards, 8);
+    let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
+    assert_eq!(seq.log, sp.log);
     assert!(
-        stats.shard_rounds_skipped > 0,
-        "layered drains quiesce top shards early: {stats:?}"
+        sp.perf.sparse_skips > 0,
+        "layered drains quiesce nodes early: {:?}",
+        sp.perf
     );
+    assert_eq!(sp.perf.sparse_skips, seq.perf.halted_scans);
 }

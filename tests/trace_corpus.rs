@@ -5,9 +5,9 @@
 //!   **re-derivable**: regenerating its shape from the header's spec and
 //!   seed reproduces the committed events bit for bit (so the corpus
 //!   cannot silently drift from the generators),
-//! * every committed trace replays clean through the incremental-repair
-//!   engine — sequential, parallel, and sharded executors all landing on
-//!   the same stats and solution fingerprint — and through the fuzz
+//! * every committed trace replays clean through the repair engine —
+//!   incremental repair, a second incremental run and the full recompute
+//!   all landing on the same solution fingerprint — and through the fuzz
 //!   plane's full differential,
 //! * malformed documents (wrong schema line, truncation, tampered events,
 //!   forged fingerprints, unknown event keywords) are diagnostics, never
@@ -77,15 +77,13 @@ fn corpus_parses_and_is_rederivable_from_its_own_header() {
 fn corpus_replays_bit_identically_across_executors() {
     for (name, text) in corpus() {
         let t = Trace::read(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let seq = trace::replay_engine(&t, RepairMode::Incremental, 1, 1)
+        let seq = trace::replay_engine(&t, RepairMode::Incremental)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(seq.events, t.events.len(), "{name}");
-        for (threads, shards) in [(2, 1), (2, 2)] {
-            let par = trace::replay_engine(&t, RepairMode::Incremental, threads, shards)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(par, seq, "{name}: threads {threads} x shards {shards}");
-        }
-        let rec = trace::replay_engine(&t, RepairMode::FullRecompute, 1, 1)
+        let again = trace::replay_engine(&t, RepairMode::Incremental)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(again, seq, "{name}: a replay repeats itself");
+        let rec = trace::replay_engine(&t, RepairMode::FullRecompute)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(rec.solution_fp, seq.solution_fp, "{name}: recompute agrees");
     }
