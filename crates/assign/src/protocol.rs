@@ -574,7 +574,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2720);
         let inst = AssignmentInstance::random(8, 4, 2..=2, &mut rng);
         let a = run_distributed_assignment(&inst, None, &Simulator::sequential());
-        let b = run_distributed_assignment(&inst, None, &Simulator::sparse());
+        let b = run_distributed_assignment(&inst, None, &Simulator::dense());
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.comm_rounds, b.comm_rounds);
     }

@@ -27,6 +27,7 @@
 //! `td compare` report runs the registry over the generator families and
 //! recorded traces and emits `td-compare/v1` JSON.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -17,11 +17,11 @@ fn bench_executors(c: &mut Criterion) {
     // Mid-size instance: large enough that per-round work dominates
     // scheduling, small enough for quick iterations.
     let game = layered_game(8, 5, 42);
-    group.bench_function("sequential", |b| {
-        b.iter(|| proposal::run_on_simulator(&game, &Simulator::sequential()))
+    group.bench_function("dense", |b| {
+        b.iter(|| proposal::run_on_simulator(&game, &Simulator::dense()))
     });
     group.bench_function("sparse", |b| {
-        b.iter(|| proposal::run_on_simulator(&game, &Simulator::sparse()))
+        b.iter(|| proposal::run_on_simulator(&game, &Simulator::sequential()))
     });
     group.bench_function("lockstep_fast_path", |b| b.iter(|| lockstep::run(&game)));
     group.finish();
@@ -124,8 +124,8 @@ fn bench_message_plane(c: &mut Criterion) {
     group.bench_function("gossip_u64_seq", |b| {
         b.iter(|| Simulator::sequential().run::<Gossip<u64>>(&g, &inputs))
     });
-    group.bench_function("gossip_u64_sparse", |b| {
-        b.iter(|| Simulator::sparse().run::<Gossip<u64>>(&g, &inputs))
+    group.bench_function("gossip_u64_dense", |b| {
+        b.iter(|| Simulator::dense().run::<Gossip<u64>>(&g, &inputs))
     });
     group.bench_function("gossip_fat_seq", |b| {
         b.iter(|| Simulator::sequential().run::<Gossip<FatMsg>>(&g, &inputs))

@@ -6,6 +6,8 @@
 //! ratios) next to the paper's bound, so the shape claims — who wins, by
 //! what factor, where growth rates sit — can be read off directly.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -771,12 +773,12 @@ fn e14() {
     println!(" (2Δ+2)·(3 + 2·(2Δ³+2Δ+8)) — the explicit constant behind O(Δ⁴))");
 }
 
-/// E13 — simulator loops: wall-clock of the dense scan vs the sparse lane
-/// on a large flat game (round counts identical).
+/// E13 — simulator loops: wall-clock of the dense oracle vs the production
+/// loop on a large flat game (round counts identical).
 fn e13() {
     banner(
         "E13",
-        "simulator loops: dense scan vs sparse lane (outputs identical)",
+        "simulator loops: dense oracle vs sparse production loop (outputs identical)",
     );
     // A large flat game so per-round work dominates.
     let mut rng = SmallRng::seed_from_u64(1234);
@@ -796,26 +798,26 @@ fn e13() {
         "speedup",
     ]);
     let t0 = Instant::now();
-    let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let dense = proposal::run_on_simulator(&game, &Simulator::dense());
+    let dense_ms = t0.elapsed().as_secs_f64() * 1e3;
     t.row(vec![
-        "sequential".into(),
-        seq.comm_rounds.to_string(),
-        seq.messages.to_string(),
-        format!("{seq_ms:.0}"),
+        "dense".into(),
+        dense.comm_rounds.to_string(),
+        dense.messages.to_string(),
+        format!("{dense_ms:.0}"),
         "1.00".into(),
     ]);
     let t0 = Instant::now();
-    let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
+    let sp = proposal::run_on_simulator(&game, &Simulator::sequential());
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(sp.log, seq.log, "executor changed the output!");
-    assert_eq!(sp.comm_rounds, seq.comm_rounds);
+    assert_eq!(sp.log, dense.log, "executor changed the output!");
+    assert_eq!(sp.comm_rounds, dense.comm_rounds);
     t.row(vec![
         "sparse".into(),
         sp.comm_rounds.to_string(),
         sp.messages.to_string(),
         format!("{ms:.0}"),
-        format!("{:.2}", seq_ms / ms),
+        format!("{:.2}", dense_ms / ms),
     ]);
     t.print();
     println!("(rounds and outputs are bit-identical across executors; only wall time varies)");
@@ -1007,15 +1009,15 @@ fn e18() {
     use td_bench::perf::{self, SweepConfig};
     // The drain-wave (rolling-restart analogue: a fixed frontier works
     // while the drained majority idles) and the rotor sweep (its tail
-    // quiesces level by level), each on the dense sequential scan vs the
-    // sparse lane, so the delta is scheduling alone.
+    // quiesces level by level), each on the dense reference scan vs the
+    // production loop, so the delta is scheduling alone.
     let mut t = Table::new(&[
         "scenario",
         "n",
         "rounds",
         "active%",
         "halted scans (dense)",
-        "seq ms",
+        "dense ms",
         "sparse ms",
         "speedup",
     ]);
@@ -1039,30 +1041,30 @@ fn e18() {
                     .find(|p| p.size == size && p.executor == ex)
                     .expect("grid point measured")
             };
-            let seq = by("sequential");
+            let dense = by("dense");
             let sparse = by("sparse");
-            assert_eq!(seq.rounds, sparse.rounds, "bit-identical contract");
-            assert_eq!(seq.messages, sparse.messages, "bit-identical contract");
-            assert_eq!(seq.counters.halted_scans, sparse.counters.sparse_skips);
+            assert_eq!(dense.rounds, sparse.rounds, "bit-identical contract");
+            assert_eq!(dense.messages, sparse.messages, "bit-identical contract");
+            assert_eq!(dense.counters.halted_scans, sparse.counters.sparse_skips);
             t.row(vec![
                 name.to_string(),
-                seq.nodes.to_string(),
-                seq.rounds.to_string(),
-                format!("{:.1}", 100.0 * seq.active_fraction()),
-                seq.counters.halted_scans.to_string(),
-                format!("{:.3}", seq.wall_ns as f64 / 1e6),
+                dense.nodes.to_string(),
+                dense.rounds.to_string(),
+                format!("{:.1}", 100.0 * dense.active_fraction()),
+                dense.counters.halted_scans.to_string(),
+                format!("{:.3}", dense.wall_ns as f64 / 1e6),
                 format!("{:.3}", sparse.wall_ns as f64 / 1e6),
-                format!("{:.2}x", seq.wall_ns as f64 / sparse.wall_ns as f64),
+                format!("{:.2}x", dense.wall_ns as f64 / sparse.wall_ns as f64),
             ]);
             // Fit the active-fraction decay active(round) ~ a·round^b on
             // the traced curve (rounds shifted by 1 for the log fit).
-            let xs: Vec<f64> = seq.curve.rounds.iter().map(|&r| (r + 1) as f64).collect();
-            let ys: Vec<f64> = seq.curve.active.iter().map(|&a| a as f64).collect();
+            let xs: Vec<f64> = dense.curve.rounds.iter().map(|&r| (r + 1) as f64).collect();
+            let ys: Vec<f64> = dense.curve.active.iter().map(|&a| a as f64).collect();
             let b = fit_power_law(&xs, &ys);
-            let tail = *seq.curve.active.last().unwrap_or(&0);
+            let tail = *dense.curve.active.last().unwrap_or(&0);
             curves.row(vec![
                 name.to_string(),
-                seq.nodes.to_string(),
+                dense.nodes.to_string(),
                 format!("b = {b:.2}"),
                 tail.to_string(),
             ]);

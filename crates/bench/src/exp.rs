@@ -295,7 +295,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         id: "e18",
         plane: "sparse",
-        about: "active-fraction trajectory: dense sequential scan vs the node-granular sparse scheduler",
+        about: "active-fraction trajectory: dense reference scan vs the node-granular sparse production loop",
         units: e18_units,
     },
     ExperimentDef {
@@ -859,7 +859,7 @@ fn e18_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
             units.push(ExpUnit::new(
                 format!("{scenario}/{size}"),
                 format!("{scenario}:size={size}:seed={seed}"),
-                "sequential+sparse",
+                "dense+sparse",
                 repeat,
                 move || {
                     let pcfg = perf_cfg(scenario, size, seed, repeat);
@@ -870,33 +870,34 @@ fn e18_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
                             .find(|p| p.executor == label)
                             .ok_or_else(|| format!("missing {label} point"))
                     };
-                    let seq = by("sequential")?;
+                    let dense = by("dense")?;
                     let sparse = by("sparse")?;
-                    let dense = seq.nodes as u64 * seq.rounds;
-                    let active_ppm = seq
+                    let grid = dense.nodes as u64 * dense.rounds;
+                    let active_ppm = dense
                         .counters
                         .node_rounds
                         .saturating_mul(1_000_000)
-                        .checked_div(dense)
+                        .checked_div(grid)
                         .unwrap_or(0);
                     Ok(UnitData {
                         metrics: vec![
-                            ("nodes".into(), seq.nodes as u64),
-                            ("rounds".into(), seq.rounds),
-                            ("messages".into(), seq.messages),
-                            ("node_rounds".into(), seq.counters.node_rounds),
-                            ("halted_scans".into(), seq.counters.halted_scans),
+                            ("nodes".into(), dense.nodes as u64),
+                            ("rounds".into(), dense.rounds),
+                            ("messages".into(), dense.messages),
+                            ("node_rounds".into(), dense.counters.node_rounds),
+                            ("halted_scans".into(), dense.counters.halted_scans),
                             ("sparse_skips".into(), sparse.counters.sparse_skips),
                             ("active_ppm".into(), active_ppm),
-                            ("seq_wall_ns".into(), seq.wall_ns as u64),
+                            ("dense_wall_ns".into(), dense.wall_ns as u64),
                             ("sparse_wall_ns".into(), sparse.wall_ns as u64),
                         ],
                         curves: vec![(
                             "active".into(),
-                            seq.curve
+                            dense
+                                .curve
                                 .rounds
                                 .iter()
-                                .zip(&seq.curve.active)
+                                .zip(&dense.curve.active)
                                 .map(|(&r, &a)| (r as u64, a as u64))
                                 .collect(),
                         )],
@@ -947,7 +948,7 @@ fn render_e18_plot(units: &[(ExpUnit, UnitData)]) -> (String, String) {
         }
     }
     let chart = Chart {
-        title: "e18: active nodes per round (sequential trace)".into(),
+        title: "e18: active nodes per round (dense trace)".into(),
         x_label: "round".into(),
         y_label: "active nodes".into(),
         log_x: false,
@@ -1298,14 +1299,14 @@ fn render_bench(cfg: &ExpConfig, units: &[(ExpUnit, UnitData)]) -> Result<String
             });
         let Some((_, d)) = best else { continue };
         let wall = |exec: &str| metric(d, &format!("{exec}/wall_ns")).filter(|&w| w > 0);
-        let Some(seq) = wall("sequential") else {
+        let Some(dense) = wall("dense") else {
             continue;
         };
         if let Some(w) = wall("sparse") {
             speedups.push(format!(
                 "\"sparse_speedup_{}\":{:.3}",
                 sc.name,
-                seq as f64 / w as f64
+                dense as f64 / w as f64
             ));
         }
     }

@@ -5,10 +5,10 @@
 //! 1. **verifier acceptance** — every output passes the family's verifier
 //!    (rules 1–3 + dynamics replay, orientation stability, assignment
 //!    stability / k-boundedness), after every churn event on live traces;
-//! 2. **executor differential** — the dense sequential scan and the sparse
-//!    lane (and, on churn traces, incremental repair vs full recompute)
-//!    must be *bit-identical*: same outputs, same rounds, same message
-//!    counts;
+//! 2. **executor differential** — the production loop and the dense
+//!    reference scan (and, on churn traces, incremental repair vs full
+//!    recompute) must be *bit-identical*: same outputs, same rounds, same
+//!    message counts;
 //! 3. **metamorphic relabeling** — re-running on a seeded node relabeling
 //!    of the same instance must still verify, with label-invariant
 //!    structure (node/edge/token counts, degree multiset) preserved;
@@ -51,7 +51,7 @@ pub struct FuzzReport {
     pub rounds: u64,
     /// Messages of the sequential reference run.
     pub messages: u64,
-    /// Other runs checked against the reference: the sparse lane or the
+    /// Other runs checked against the reference: the dense oracle or the
     /// full recompute, and the relabeled twin.
     pub compared: usize,
 }
@@ -114,7 +114,7 @@ pub fn corpus(count: usize, base_seed: u64) -> Vec<WorkloadSpec> {
 ///
 /// let spec = WorkloadSpec::parse("rotor:size=4:seed=1").unwrap();
 /// let rep = fuzz::check(&spec).expect("rotor at width 4 fuzzes clean");
-/// assert_eq!(rep.compared, 2); // the sparse lane and a relabeled twin
+/// assert_eq!(rep.compared, 2); // the dense oracle and a relabeled twin
 /// assert_eq!(fuzz::repro_line(&spec), "td fuzz --spec 'rotor:size=4:seed=1'");
 /// ```
 pub fn check(spec: &WorkloadSpec) -> Result<FuzzReport, String> {
@@ -341,13 +341,13 @@ fn check_game(spec: &WorkloadSpec, game: TokenGame) -> Result<FuzzReport, String
     td_core::verify_solution(&game, &seq.solution).map_err(|e| format!("verifier: {e:?}"))?;
     td_core::verify_dynamics(&game, &seq.log).map_err(|e| format!("dynamics: {e:?}"))?;
 
-    let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
-    if sp.solution != seq.solution || sp.log != seq.log {
-        return Err("sparse: output diverges from sequential".into());
+    let dense = proposal::run_on_simulator(&game, &Simulator::dense());
+    if dense.solution != seq.solution || dense.log != seq.log {
+        return Err("dense: output diverges from sequential".into());
     }
     compare_counts(
-        "sparse",
-        (sp.comm_rounds as u64, sp.messages),
+        "dense",
+        (dense.comm_rounds as u64, dense.messages),
         (seq.comm_rounds as u64, seq.messages),
     )?;
 
@@ -418,13 +418,13 @@ fn check_orientation(spec: &WorkloadSpec, graph: CsrGraph) -> Result<FuzzReport,
         .verify_stable(&graph)
         .map_err(|e| format!("verifier: {e:?}"))?;
 
-    let sp = run_distributed(&graph, &Simulator::sparse());
-    if sp.orientation != seq.orientation {
-        return Err("sparse: orientation diverges from sequential".into());
+    let dense = run_distributed(&graph, &Simulator::dense());
+    if dense.orientation != seq.orientation {
+        return Err("dense: orientation diverges from sequential".into());
     }
     compare_counts(
-        "sparse",
-        (sp.comm_rounds as u64, sp.messages),
+        "dense",
+        (dense.comm_rounds as u64, dense.messages),
         (seq.comm_rounds as u64, seq.messages),
     )?;
 
@@ -485,13 +485,13 @@ fn check_assignment(
     let seq = run_distributed_assignment(&inst, bound, &Simulator::sequential());
     verify(&seq.assignment, "verifier")?;
 
-    let sp = run_distributed_assignment(&inst, bound, &Simulator::sparse());
-    if sp.assignment != seq.assignment {
-        return Err("sparse: assignment diverges from sequential".into());
+    let dense = run_distributed_assignment(&inst, bound, &Simulator::dense());
+    if dense.assignment != seq.assignment {
+        return Err("dense: assignment diverges from sequential".into());
     }
     compare_counts(
-        "sparse",
-        (sp.comm_rounds as u64, sp.messages),
+        "dense",
+        (dense.comm_rounds as u64, dense.messages),
         (seq.comm_rounds as u64, seq.messages),
     )?;
 
@@ -765,7 +765,7 @@ mod tests {
                 spec = spec.with_param("bound", 2); // keep the lib test fast
             }
             let rep = check(&spec).unwrap_or_else(|e| panic!("{}: {e}", repro_line(&spec)));
-            // The sparse lane or the full recompute, plus the relabeled twin.
+            // The dense oracle or the full recompute, plus the relabeled twin.
             assert_eq!(rep.compared, 2, "{name}");
             assert!(rep.rounds > 0, "{name}");
         }

@@ -85,27 +85,25 @@ impl Json {
 /// Parses one JSON document. Trailing non-whitespace is an error, as is
 /// anything structurally malformed; the message carries a byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next unread input.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -137,7 +135,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -221,9 +219,8 @@ impl<'a> Parser<'a> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             self.pos += 4;
@@ -236,11 +233,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar, read from a checked slice
+                    // of the source text.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("not a character boundary at byte {}", self.pos))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -264,8 +263,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 number".to_string())?;
+        let text = &self.text[start..self.pos];
         if !fractional {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::UInt(v));
@@ -370,6 +368,18 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn parses_non_ascii_strings_raw_and_escaped() {
+        let doc = parse(r#"{"raw":"Δ","esc":"\u0394","mix":"aΔb\u0394\u2192"}"#).unwrap();
+        assert_eq!(doc.get("raw").unwrap().as_str(), Some("Δ"));
+        assert_eq!(doc.get("esc").unwrap().as_str(), Some("Δ"));
+        assert_eq!(doc.get("mix").unwrap().as_str(), Some("aΔbΔ→"));
+        // A multi-byte character where an escape letter or a hex digit
+        // belongs is a diagnostic, not a panic.
+        assert!(parse(r#""\Δ""#).is_err());
+        assert!(parse(r#""\u0Δ9""#).is_err());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! table printing, and growth-rate fitting for the shape checks in
 //! EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use td_assign::AssignmentInstance;

@@ -5,14 +5,15 @@
 //! EXPERIMENTS.md); this module turns them into data. One sweep —
 //! scenario × executor × size — runs representative workloads from the
 //! [`crate::spec`] families plus one synthetic quiescing showcase through
-//! the dense `sequential` scan and the `sparse` lane (and the churn
-//! engines through their one `churn` loop), collecting for each point:
+//! the `dense` reference scan and the `sparse` production loop (and the
+//! churn engines through that loop's `churn` form), collecting for each
+//! point:
 //!
 //! * the headline costs: rounds, messages, wall-clock (total and per
 //!   round);
-//! * the [`ExecPerf`] work counters every executor maintains: node rounds
+//! * the [`ExecPerf`] work counters every loop maintains: node rounds
 //!   stepped, halted nodes scanned past (the dense scan) vs halted
-//!   node-rounds never visited (the sparse lane), messages, and arena
+//!   node-rounds never visited (the production loop), messages, and arena
 //!   stamp scans;
 //! * a down-sampled per-round curve of active nodes and messages (the
 //!   active-fraction trajectory experiment E18 fits).
@@ -29,12 +30,12 @@
 //! cfg.scenario = Some("drain-wave".into());
 //! let report = perf::run_sweep(&cfg).unwrap();
 //! assert!(report.points.iter().all(|p| p.rounds > 0));
-//! // The sparse lane never scans a halted node…
+//! // The production loop never scans a halted node…
 //! let sparse = report.points.iter().find(|p| p.executor == "sparse").unwrap();
 //! assert_eq!(sparse.counters.halted_scans, 0);
-//! // …while the dense sequential baseline pays for every one of them.
-//! let seq = report.points.iter().find(|p| p.executor == "sequential").unwrap();
-//! assert!(seq.counters.halted_scans > 0);
+//! // …while the dense reference scan pays for every one of them.
+//! let dense = report.points.iter().find(|p| p.executor == "dense").unwrap();
+//! assert!(dense.counters.halted_scans > 0);
 //! ```
 
 use crate::spec::{WorkloadInstance, WorkloadSpec};
@@ -102,7 +103,7 @@ pub struct PerfPoint {
     /// Pipeline kind label (game / orientation / assignment / churn /
     /// synthetic).
     pub kind: &'static str,
-    /// Executor label (`sequential`, `sparse`, `churn`).
+    /// Executor label (`dense`, `sparse`, `churn`).
     pub executor: String,
     /// The scenario's size knob for this point.
     pub size: u32,
@@ -189,16 +190,16 @@ impl PerfReport {
             .max_by_key(|p| p.size)
     }
 
-    /// Wall-clock speedup of the `sparse` lane over the dense `sequential`
-    /// scan for `scenario`, at the largest measured size (both rows must
-    /// exist at that size). `> 1` means the sparse lane won.
+    /// Wall-clock speedup of the `sparse` production loop over the `dense`
+    /// reference scan for `scenario`, at the largest measured size (both
+    /// rows must exist at that size). `> 1` means the production loop won.
     pub fn sparse_speedup(&self, scenario: &str) -> Option<f64> {
-        let seq = self.best_point(scenario, "sequential")?;
+        let dense = self.best_point(scenario, "dense")?;
         let sparse = self.best_point(scenario, "sparse")?;
-        if sparse.size != seq.size || sparse.wall_ns == 0 {
+        if sparse.size != dense.size || sparse.wall_ns == 0 {
             return None;
         }
-        Some(seq.wall_ns as f64 / sparse.wall_ns as f64)
+        Some(dense.wall_ns as f64 / sparse.wall_ns as f64)
     }
 }
 
@@ -345,7 +346,7 @@ impl SweepConfig {
 }
 
 /// Runs the sweep. Every one-shot point is cross-checked against the
-/// sequential reference (same rounds, same messages); `Err` reports the
+/// dense reference (same rounds, same messages); `Err` reports the
 /// first divergence, an unknown scenario name, or a `sizes` override
 /// without a named scenario (size units differ per scenario, so one list
 /// applied across the registry would build absurd instances).
@@ -399,13 +400,14 @@ pub fn grid_labels(scenario: &str) -> Vec<&'static str> {
     }
 }
 
-/// The executor grid every one-shot scenario is swept over: the dense
-/// sequential reference and the sparse lane, whose row isolates the
-/// node-granular active-list win against `sequential`.
+/// The executor grid every one-shot scenario is swept over: the `dense`
+/// reference scan and the `sparse` production loop
+/// ([`Simulator::sequential`]), whose row isolates the node-granular
+/// awake-list win against `dense`.
 fn executor_grid() -> [(&'static str, Simulator); 2] {
     [
-        ("sequential", Simulator::sequential()),
-        ("sparse", Simulator::sparse()),
+        ("dense", Simulator::dense()),
+        ("sparse", Simulator::sequential()),
     ]
 }
 
@@ -447,7 +449,7 @@ fn point(
 }
 
 /// Cross-executor differential: every grid row must report the reference
-/// row's rounds and messages (the `sequential` row).
+/// row's rounds and messages (the `dense` row).
 fn check_reference(
     scenario: &str,
     executor: &str,
@@ -456,7 +458,7 @@ fn check_reference(
 ) -> Result<(), String> {
     match reference {
         Some(r) if r != got => Err(format!(
-            "perf {scenario}: {executor} rounds/messages {}/{} diverge from sequential {}/{}",
+            "perf {scenario}: {executor} rounds/messages {}/{} diverge from dense {}/{}",
             got.0, got.1, r.0, r.1
         )),
         _ => Ok(()),
@@ -997,17 +999,17 @@ mod tests {
         cfg.sizes = Some(vec![2048]);
         let rep = run_sweep(&cfg).unwrap();
         let by = |ex: &str| rep.points.iter().find(|p| p.executor == ex).unwrap();
-        let seq = by("sequential");
+        let dense = by("dense");
         let sparse = by("sparse");
         // Bit-identical round/message counts…
-        assert_eq!(seq.rounds, sparse.rounds);
-        assert_eq!(seq.messages, sparse.messages);
-        assert_eq!(seq.counters.node_rounds, sparse.counters.node_rounds);
-        // …but the dense scan pays for every halted node while the sparse
-        // lane skips exactly the same node-rounds untouched.
-        assert!(seq.counters.halted_scans > 0);
+        assert_eq!(dense.rounds, sparse.rounds);
+        assert_eq!(dense.messages, sparse.messages);
+        assert_eq!(dense.counters.node_rounds, sparse.counters.node_rounds);
+        // …but the dense scan pays for every halted node while the
+        // production loop skips exactly the same node-rounds untouched.
+        assert!(dense.counters.halted_scans > 0);
         assert_eq!(sparse.counters.halted_scans, 0);
-        assert_eq!(seq.counters.halted_scans, sparse.counters.sparse_skips);
+        assert_eq!(dense.counters.halted_scans, sparse.counters.sparse_skips);
         assert_eq!(sparse.counters.local_messages, sparse.messages);
     }
 
@@ -1158,23 +1160,19 @@ mod tests {
     fn grid_labels_cover_churn_and_oneshot_shapes() {
         assert_eq!(grid_labels("churn-orient"), vec!["churn"]);
         assert_eq!(grid_labels("churn-assign"), vec!["churn"]);
-        assert_eq!(grid_labels("drain-wave"), vec!["sequential", "sparse"]);
-        assert_eq!(grid_labels("rotor"), vec!["sequential", "sparse"]);
+        assert_eq!(grid_labels("drain-wave"), vec!["dense", "sparse"]);
+        assert_eq!(grid_labels("rotor"), vec!["dense", "sparse"]);
     }
 
     #[test]
     fn canonical_metrics_are_executor_prefixed_and_deterministic() {
         let rep = quick_one("rotor");
-        let seq = rep
-            .points
-            .iter()
-            .find(|p| p.executor == "sequential")
-            .unwrap();
-        let m = seq.canonical_metrics();
+        let dense = rep.points.iter().find(|p| p.executor == "dense").unwrap();
+        let m = dense.canonical_metrics();
         assert!(m
             .iter()
-            .any(|(k, v)| k == "sequential/rounds" && *v == seq.rounds));
-        assert!(m.iter().all(|(k, _)| k.starts_with("sequential/")));
+            .any(|(k, v)| k == "dense/rounds" && *v == dense.rounds));
+        assert!(m.iter().all(|(k, _)| k.starts_with("dense/")));
         assert!(!m.iter().any(|(k, _)| k.ends_with("/wall_ns")));
         let churn = quick_one("churn-assign");
         let c = &churn.points[0];

@@ -792,7 +792,7 @@ mod tests {
     fn reports_are_executor_independent() {
         let s = find("layered-game").unwrap();
         let a = s.run(4, 7, &Simulator::sequential());
-        let b = s.run(4, 7, &Simulator::sparse());
+        let b = s.run(4, 7, &Simulator::dense());
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.messages, b.messages);
     }

@@ -482,10 +482,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(43);
         let game = TokenGame::random(&[10, 12, 12, 10], 3, 0.5, &mut rng);
         let seq = run_on_simulator(&game, &Simulator::sequential());
-        let sp = run_on_simulator(&game, &Simulator::sparse());
-        assert_eq!(seq.log, sp.log);
-        assert_eq!(seq.comm_rounds, sp.comm_rounds);
-        assert_eq!(seq.messages, sp.messages);
+        let dense = run_on_simulator(&game, &Simulator::dense());
+        assert_eq!(seq.log, dense.log);
+        assert_eq!(seq.comm_rounds, dense.comm_rounds);
+        assert_eq!(seq.messages, dense.messages);
     }
 
     #[test]

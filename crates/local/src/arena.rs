@@ -22,10 +22,10 @@
 //!
 //! ## Aliasing discipline
 //!
-//! Every executor steps its nodes on the calling thread, but a round holds
-//! the read view of one buffer and the write view of the other at once,
-//! both borrowed from the shared arena, and every stepped node writes
-//! through the same write view. That is sound because of the structural
+//! The stepping loop (and the dense oracle beside it) steps its nodes on
+//! the calling thread, but a round holds the read view of one buffer and
+//! the write view of the other at once, both borrowed from the shared
+//! arena, and every stepped node writes through the same write view. That is sound because of the structural
 //! one-writer-per-slot guarantee spelled out in [`crate::disjoint`]: the
 //! slot of `(receiver, port)` is written by exactly one node per round, and
 //! nothing reads the write buffer until the next round. The slot array is a
@@ -201,7 +201,7 @@ impl<'a, M> ArenaReader<'a, M> {
     /// The message in `slot`, if one was sent for this round.
     ///
     /// # Safety
-    /// Nothing may be writing this buffer (the executors guarantee this:
+    /// Nothing may be writing this buffer (the stepping loops guarantee this:
     /// writes go to the other buffer until the round ends).
     #[inline(always)]
     pub(crate) unsafe fn get(&self, slot: usize) -> Option<&'a M> {

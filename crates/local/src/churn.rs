@@ -21,14 +21,15 @@
 //!
 //! ## How sleeping nodes stay free
 //!
-//! The executor keeps a sorted *awake list* instead of scanning all `n`
-//! nodes per round, and the [`crate::arena::MessageArena`]'s stamp
+//! A repair runs the crate's one production stepping loop, the one
+//! [`crate::Simulator`] runs: a sorted *awake list* instead of a scan of
+//! all `n` nodes per round. The [`crate::arena::MessageArena`]'s stamp
 //! machinery does the rest: slots written in earlier repairs are never
 //! cleared — they are invalidated by their stale stamps (the round counter
 //! is monotonic across repairs, so no live stamp ever collides). Waking is
 //! piggybacked on sending: the moment a node writes into a neighbor's
-//! mailbox slot it also marks the neighbor in a [`WakeSet`], so the
-//! neighbor is stepped in the round the message is delivered.
+//! mailbox slot it also marks the neighbor in a [`WakeSet`], whose marks
+//! join the awake list in the round the message is delivered.
 //!
 //! ## Membership churn
 //!
@@ -42,16 +43,16 @@
 //!
 //! ## Determinism
 //!
-//! The awake set of a round is a *set* (derived from messages and
-//! `Continue` statuses), stepped in ascending id order against the read
-//! buffer of the previous round, and every mailbox slot has exactly one
-//! writer per round. A repair is therefore a pure function of the states,
+//! The awake set of a round is a *set* (the nodes that returned
+//! `Continue` plus the receivers of messages), stepped in ascending id
+//! order against the read buffer of the previous round, and every mailbox
+//! slot has exactly one writer per round. A repair is therefore a pure function of the states,
 //! the wakes and the round counter's residue; the differential tests in
 //! `tests/churn_differential.rs` check it against full recomputation.
 
 use crate::arena::MessageArena;
 use crate::metrics::ExecPerf;
-use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
+use crate::protocol::{NodeInit, Protocol};
 use td_graph::{CsrGraph, NodeId};
 
 /// One update to a live instance. The vocabulary is shared across the
@@ -337,11 +338,14 @@ impl RepairStats {
 }
 
 /// The wake side-channel: per-node "scheduled for next round" flags plus a
-/// duplicate-free queue of newly woken nodes. Marking is O(1); draining
-/// touches only the woken nodes, never all `n`.
+/// duplicate-free queue of newly woken nodes. Marking is O(1); merging the
+/// queue into the awake list touches only the woken and the awake nodes,
+/// never all `n`.
 pub struct WakeSet {
     flags: Vec<bool>,
     queue: Vec<u32>,
+    /// Scratch buffer of [`WakeSet::merge_into`].
+    spare: Vec<u32>,
 }
 
 impl WakeSet {
@@ -350,6 +354,7 @@ impl WakeSet {
         WakeSet {
             flags: vec![false; n],
             queue: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -374,18 +379,39 @@ impl WakeSet {
         self.flags.resize(n, false);
     }
 
-    /// Moves the marked nodes into `awake` as a sorted, duplicate-free list
-    /// and clears their flags (so later marks re-enqueue). `awake`'s old
-    /// contents are dropped and its buffer becomes the new queue, so two
-    /// buffers trade places every round and a repair allocates nothing per
-    /// round once both have grown to its widest wavefront.
-    pub(crate) fn drain_into(&mut self, awake: &mut Vec<u32>) {
-        awake.clear();
-        std::mem::swap(&mut self.queue, awake);
-        awake.sort_unstable();
-        for &v in awake.iter() {
+    /// Merges the marked nodes into `awake`, a sorted, duplicate-free list
+    /// that stays so, and clears their flags (so later marks re-enqueue): a
+    /// node that is awake already and is marked again is listed once. The
+    /// queue, the spare buffer and `awake`'s buffer trade places instead of
+    /// being reallocated, so a repair allocates nothing per round once they
+    /// have grown to its widest wavefront.
+    pub(crate) fn merge_into(&mut self, awake: &mut Vec<u32>) {
+        if self.queue.is_empty() {
+            return;
+        }
+        self.queue.sort_unstable();
+        for &v in &self.queue {
             self.flags[v as usize] = false;
         }
+        if awake.is_empty() {
+            std::mem::swap(&mut self.queue, awake);
+            return;
+        }
+        let (old, new) = (&awake[..], &self.queue[..]);
+        let merged = &mut self.spare;
+        merged.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            // Equal ids advance both sides and are pushed once.
+            let (a, b) = (old[i], new[j]);
+            merged.push(a.min(b));
+            i += usize::from(a <= b);
+            j += usize::from(b <= a);
+        }
+        merged.extend_from_slice(&old[i..]);
+        merged.extend_from_slice(&new[j..]);
+        std::mem::swap(awake, merged);
+        self.queue.clear();
     }
 }
 
@@ -450,8 +476,8 @@ pub struct ChurnSim<P: Protocol> {
     states: Vec<P>,
     arena: MessageArena<P::Message>,
     wake: WakeSet,
-    /// The nodes stepped in the current round: the wake queue's spare
-    /// buffer (see [`WakeSet::drain_into`]).
+    /// The nodes the next round steps: empty after a completed run, the
+    /// pending frontier after a capped one.
     awake: Vec<u32>,
     round: u32,
     /// When `round + max_rounds` would reach this value, the stamps are
@@ -561,7 +587,7 @@ impl<P: Protocol> ChurnSim<P> {
             "rewiring a sim with messages in flight; finish the capped run first"
         );
         assert!(
-            self.wake.queue.is_empty(),
+            self.awake.is_empty() && self.wake.queue.is_empty(),
             "rewiring a sim with nodes awake; run them first"
         );
         edit(&mut self.graph, &mut self.states);
@@ -674,59 +700,22 @@ impl<P: Protocol> ChurnSim<P> {
     }
 
     /// Runs until quiescence (no node awake, no message in flight) or until
-    /// `max_rounds` additional rounds have executed.
+    /// `max_rounds` additional rounds have executed. A capped run keeps its
+    /// pending frontier awake for the next run.
     pub fn run(&mut self, max_rounds: u32) -> RepairStats {
         self.ensure_stamp_headroom(max_rounds);
-        let mut stats = RepairStats::accumulator();
-        let mut stamps: u64 = 0;
-        let mut awake = std::mem::take(&mut self.awake);
-        loop {
-            self.wake.drain_into(&mut awake);
-            if awake.is_empty() {
-                break;
-            }
-            if stats.rounds >= max_rounds {
-                // Leave the pending wakes marked: a later run resumes them.
-                for &v in &awake {
-                    self.wake.mark(NodeId(v));
-                }
-                stats.completed = false;
-                break;
-            }
-            let (reader, writer) = self.arena.epoch(self.round);
-            let ctx = RoundCtx { round: self.round };
-            stats.node_steps += awake.len() as u64;
-            for &v in &awake {
-                let node = NodeId(v);
-                let inbox = Inbox {
-                    reader,
-                    base: self.graph.node_offset(node),
-                    degree: self.graph.degree(node),
-                };
-                let mut outbox = Outbox {
-                    writer,
-                    graph: &self.graph,
-                    node,
-                    sent: 0,
-                    wake: Some(&mut self.wake),
-                };
-                stamps += inbox.degree as u64;
-                let status = self.states[v as usize].round(&ctx, &inbox, &mut outbox);
-                stats.messages += outbox.sent;
-                if status == Status::Continue {
-                    self.wake.mark(node);
-                }
-            }
-            self.round += 1;
-            stats.rounds += 1;
-        }
-        self.awake = awake;
+        let (stats, perf) = crate::sim::step(
+            &self.graph,
+            &mut self.states,
+            &self.arena,
+            &mut self.awake,
+            Some(&mut self.wake),
+            self.round..self.round + max_rounds,
+            None,
+        );
+        self.round += stats.rounds;
         self.in_flight = !stats.completed;
-        self.perf.node_rounds += stats.node_steps;
-        self.perf.local_messages += stats.messages;
-        self.perf.stamp_scans += stamps;
-        self.perf.sparse_skips +=
-            (stats.rounds as u64) * (self.graph.num_nodes() as u64) - stats.node_steps;
+        self.perf.absorb(perf);
         stats
     }
 }
@@ -734,7 +723,7 @@ impl<P: Protocol> ChurnSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Inbox, NodeInit, Outbox, RoundCtx};
+    use crate::protocol::{Inbox, NodeInit, Outbox, RoundCtx, Status};
     use td_graph::gen::classic::{cycle, path};
     use td_graph::Port;
 
@@ -964,7 +953,7 @@ mod tests {
     /// nodes stay silent when woken, so rounds, messages and final states
     /// agree, and the wake-all run pays only extra steps.
     #[test]
-    fn parallel_matches_sequential() {
+    fn waking_every_node_matches_waking_the_dirty_one() {
         let g = cycle(17);
         let mut inputs = vec![0u64; 17];
         inputs[11] = 7;
@@ -992,7 +981,7 @@ mod tests {
     /// A repair cut into capped slices of any length resumes to the
     /// uncapped run: same rounds, messages, node steps and final states.
     #[test]
-    fn sharded_repairs_match_flat_at_every_grid_point() {
+    fn capped_slices_resume_to_the_uncapped_repair() {
         let g = cycle(17);
         let mut inputs = vec![0u64; 17];
         inputs[11] = 7;
@@ -1028,7 +1017,7 @@ mod tests {
     /// Wakes the host adds between a capped run and its resume join the
     /// pending frontier: both floods complete in the resumed run.
     #[test]
-    fn sharded_round_cap_is_resumable_on_the_same_plane() {
+    fn wakes_between_capped_runs_join_the_resumed_run() {
         let g = path(30);
         let mut inputs = vec![0u64; 30];
         inputs[0] = 9;
@@ -1122,10 +1111,10 @@ mod tests {
         assert_eq!(stats.node_steps, 4);
     }
 
-    /// Marking a node twice before it is stepped enqueues it once; draining
-    /// resets the flag so a later mark re-enqueues — the invariant behind
-    /// "a node woken by its own `Continue` *and* an incoming message in the
-    /// same round is stepped exactly once".
+    /// Marking a node twice before it is stepped enqueues it once, and
+    /// merging a node that is awake already lists it once — the invariant
+    /// behind "a node woken by its own `Continue` *and* an incoming message
+    /// in the same round is stepped exactly once".
     #[test]
     fn wakeset_re_mark_in_same_round_enqueues_once() {
         let mut ws = WakeSet::new(5);
@@ -1134,13 +1123,15 @@ mod tests {
         ws.mark(NodeId(2));
         ws.mark(NodeId(2));
         ws.mark(NodeId(4));
-        ws.drain_into(&mut awake);
+        ws.merge_into(&mut awake);
         assert_eq!(awake, vec![2, 4]);
-        // Drained flags are cleared: the same node can be woken again.
+        // Merged flags are cleared: the same node can be woken again.
         ws.mark(NodeId(2));
-        ws.drain_into(&mut awake);
-        assert_eq!(awake, vec![2]);
-        ws.drain_into(&mut awake);
+        ws.mark(NodeId(3));
+        ws.merge_into(&mut awake);
+        assert_eq!(awake, vec![2, 3, 4]);
+        awake.clear();
+        ws.merge_into(&mut awake);
         assert!(awake.is_empty());
     }
 

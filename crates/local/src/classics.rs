@@ -336,7 +336,7 @@ mod tests {
         let g = random_bipartite(20, 15, 1..=3, &mut rng);
         let left: Vec<bool> = (0..g.num_nodes()).map(|v| v < 20).collect();
         let (a, ra) = run_proposal_matching(&g, &left, &Simulator::sequential());
-        let (b, rb) = run_proposal_matching(&g, &left, &Simulator::sparse());
+        let (b, rb) = run_proposal_matching(&g, &left, &Simulator::dense());
         assert_eq!(a, b);
         assert_eq!(ra, rb);
     }

@@ -12,7 +12,7 @@
 //!
 //! The contract is the standard "disjoint index sets" one of parallel graph
 //! kernels, so it also holds across threads (the type is `Sync`), although
-//! every executor of this crate steps its nodes on the calling thread.
+//! this crate steps every node on the calling thread.
 
 use std::cell::UnsafeCell;
 

@@ -16,19 +16,21 @@
 //!   the local output).
 //! * [`Simulator`] — executes a protocol on a [`td_graph::CsrGraph`] until
 //!   all nodes halt (or a round cap is hit), counting rounds and messages.
-//! * Two one-shot loops with **bit-identical** semantics, both on the
-//!   calling thread: the dense reference scan ([`Simulator::sequential`]),
-//!   which visits every node every round, and the sparse lane
-//!   ([`Simulator::sparse`]), which stops visiting a node once it halts.
-//!   Round counts and outputs never depend on the loop; tests enforce this.
+//! * **One stepping loop** on the calling thread, shared by one-shot runs
+//!   ([`Simulator::sequential`]) and churn repairs: it steps a sorted list
+//!   of awake nodes and never visits a halted node again. A dense reference
+//!   scan, which visits every node every round, survives only as the test
+//!   oracle; outputs, rounds and messages of the two are **bit-identical**,
+//!   and the differential suites enforce this.
 //! * A zero-allocation hot loop: the [`arena::MessageArena`] is allocated
 //!   once per run, payloads are overwritten in place, and round delivery is
 //!   a buffer-parity flip.
-//! * A **churn plane** ([`churn`]): a persistent wake-based executor
-//!   ([`churn::ChurnSim`]) where `Halt` means *quiesce until a message
-//!   arrives*, so repair protocols restart from dirtied nodes only and
-//!   untouched regions pay zero work — the executor substrate for the
-//!   incremental repair engines in `td-orient`/`td-assign`.
+//! * A **churn plane** ([`churn`]): a persistent simulator
+//!   ([`churn::ChurnSim`]) that runs the same loop with a wake set, so
+//!   `Halt` means *quiesce until a message arrives*: repair protocols
+//!   restart from dirtied nodes only and untouched regions pay zero work —
+//!   the executor substrate for the incremental repair engines in
+//!   `td-orient`/`td-assign`.
 //!
 //! ## Example: flooding the maximum identifier
 //!
@@ -82,4 +84,4 @@ pub use churn::{
 };
 pub use metrics::{ExecPerf, RoundStats, RunSummary, SimOutcome, Summarize};
 pub use protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
-pub use sim::{Executor, Simulator};
+pub use sim::Simulator;

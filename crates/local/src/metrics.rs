@@ -11,17 +11,17 @@ pub struct RoundStats {
     pub messages: u64,
 }
 
-/// Uniform low-level work counters, collected by **every** executor (the
-/// perf telemetry plane reads them; collection is a handful of integer adds
-/// per stepped node, so they are always on).
+/// Uniform low-level work counters, collected by the stepping loop and by
+/// the dense oracle alike (the perf telemetry plane reads them; collection
+/// is a handful of integer adds per stepped node, so they are always on).
 ///
 /// The sparse-scheduling story is told by two mirrored counters:
-/// [`ExecPerf::halted_scans`] is the price the dense sequential scan pays
+/// [`ExecPerf::halted_scans`] is the price the dense reference scan pays
 /// for iterating past already-halted nodes, while
-/// [`ExecPerf::sparse_skips`] counts the halted node-rounds the sparse lane
-/// and the churn plane never touched at all. For the same run the identity
-/// is exact: `halted_scans` of [`crate::Executor::Sequential`] equals
-/// `sparse_skips` of [`crate::Executor::Sparse`], and a sparse run reports
+/// [`ExecPerf::sparse_skips`] counts the halted node-rounds the production
+/// loop, one-shot or churn, never touched at all. For the same one-shot run
+/// the identity is exact: `halted_scans` of the dense oracle equals
+/// `sparse_skips` of [`crate::Simulator::sequential`], which reports
 /// `halted_scans == 0`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecPerf {
@@ -33,7 +33,7 @@ pub struct ExecPerf {
     pub sparse_skips: u64,
     /// Messages delivered by a direct arena write: every message.
     pub local_messages: u64,
-    /// Always 0: every executor writes every message straight into the one
+    /// Always 0: every loop writes every message straight into the one
     /// arena. Kept so existing struct literals of `ExecPerf` still build.
     pub boundary_messages: u64,
     /// Arena inbox stamps exposed to stepped nodes (Σ degree over all
@@ -68,7 +68,7 @@ pub struct SimOutcome<O> {
     pub completed: bool,
     /// Per-round statistics if tracing was enabled.
     pub trace: Option<Vec<RoundStats>>,
-    /// Low-level work counters (collected by every executor).
+    /// Low-level work counters (collected by every loop).
     pub perf: ExecPerf,
 }
 

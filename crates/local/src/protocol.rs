@@ -34,10 +34,11 @@ pub struct RoundCtx {
 
 /// Whether a node keeps participating after this round.
 ///
-/// Under [`crate::Simulator`], `Halt` is final: the node's output is
-/// decided and it never runs again. Under the churn executor
-/// ([`crate::churn::ChurnSim`]), `Halt` means *quiesce*: the node parks,
-/// and a later incoming message wakes it for another round.
+/// [`crate::Simulator`] and [`crate::churn::ChurnSim`] step nodes with the
+/// same loop, which steps a node that returns `Continue` again next round.
+/// Under the simulator, `Halt` is final: the node's output is decided and
+/// it never runs again. Under `ChurnSim`, `Halt` means *quiesce*: the node
+/// parks, and a later incoming message wakes it for another round.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Status {
     /// Keep running next round.
@@ -106,9 +107,9 @@ pub struct Outbox<'a, 'g, M> {
     pub(crate) graph: &'g CsrGraph,
     pub(crate) node: NodeId,
     pub(crate) sent: u64,
-    /// Wake side-channel of the churn executor: sending schedules the
-    /// receiver for the delivery round. `None` under the one-shot
-    /// [`crate::Simulator`].
+    /// The wake set of a [`crate::churn::ChurnSim`] repair: sending also
+    /// schedules the receiver for the delivery round. `None` in a one-shot
+    /// [`crate::Simulator`] run, which steps every node that has not halted.
     pub(crate) wake: Option<&'a mut WakeSet>,
 }
 

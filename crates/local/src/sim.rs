@@ -1,51 +1,29 @@
-//! The one-shot simulator: a dense reference scan and a sparse single-thread
-//! lane, with identical semantics.
+//! The stepping loops. The crate-private `step` is the one production
+//! loop: one-shot runs ([`Simulator::run`]) and churn repairs
+//! ([`crate::ChurnSim::run`]) both step their nodes through it. The dense
+//! reference scan behind the doc-hidden `Simulator::dense` survives only as
+//! the differential oracle the test suites check `step` against.
 
 use crate::arena::MessageArena;
+use crate::churn::{RepairStats, WakeSet};
 use crate::metrics::{ExecPerf, RoundStats, SimOutcome};
 use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
+use std::ops::Range;
 use td_graph::{CsrGraph, NodeId};
-
-/// Which loop steps the nodes. Both implement the *same* synchronous
-/// semantics on the calling thread; outputs, rounds, messages and traces are
-/// identical (tests enforce this). They differ only in which work counters
-/// they pay: the dense scan visits halted nodes, the sparse lane never does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Executor {
-    /// Visit every node every round and skip halted ones by flag: the
-    /// reference oracle the sparse lane is checked and measured against.
-    Sequential,
-    /// Iterate `0..n` with no bookkeeping while no node has halted, then a
-    /// compacting list of the nodes still running: halted nodes are never
-    /// visited again.
-    Sparse,
-}
 
 /// Configurable simulator for [`Protocol`]s. See the crate docs for an
 /// end-to-end example.
 #[derive(Clone, Copy, Debug)]
 pub struct Simulator {
-    executor: Executor,
+    /// Step with the dense reference scan instead of [`step`].
+    dense: bool,
     max_rounds: u32,
     trace: bool,
 }
 
 impl Simulator {
-    fn with_executor(executor: Executor) -> Self {
-        Simulator {
-            executor,
-            max_rounds: 10_000_000,
-            trace: false,
-        }
-    }
-
-    /// The dense reference scan with a generous default round cap.
-    pub fn sequential() -> Self {
-        Self::with_executor(Executor::Sequential)
-    }
-
-    /// The sparse lane (see [`Executor::Sparse`]) with the same default
-    /// round cap. Outputs are bit-identical to [`Simulator::sequential`].
+    /// The production loop with a generous default round cap: every node
+    /// starts awake, a node that halts is never visited again.
     ///
     /// ```
     /// use td_local::{classics::BfsLayering, Simulator};
@@ -54,18 +32,35 @@ impl Simulator {
     /// let g = cycle(24);
     /// let mut sources = vec![false; 24];
     /// sources[0] = true;
-    /// let seq = Simulator::sequential().run::<BfsLayering>(&g, &sources);
-    /// let sp = Simulator::sparse().run::<BfsLayering>(&g, &sources);
-    /// // The lane is a pure performance choice: same outputs, rounds, messages.
-    /// assert_eq!(sp.outputs, seq.outputs);
-    /// assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
-    /// // The sparse lane never scans a halted node; the dense scan scanned
-    /// // exactly the node-rounds it skipped.
-    /// assert_eq!(sp.perf.halted_scans, 0);
-    /// assert_eq!(sp.perf.sparse_skips, seq.perf.halted_scans);
+    /// let out = Simulator::sequential().run::<BfsLayering>(&g, &sources);
+    /// assert!(out.completed);
+    /// // A halted node is skipped, never scanned: the node-rounds stepped
+    /// // and skipped add up to the dense `n x rounds` grid.
+    /// assert_eq!(out.perf.halted_scans, 0);
+    /// assert_eq!(
+    ///     out.perf.node_rounds + out.perf.sparse_skips,
+    ///     24 * out.rounds as u64
+    /// );
     /// ```
-    pub fn sparse() -> Self {
-        Self::with_executor(Executor::Sparse)
+    pub fn sequential() -> Self {
+        Simulator {
+            dense: false,
+            max_rounds: 10_000_000,
+            trace: false,
+        }
+    }
+
+    /// The dense reference scan: every round visits all `n` nodes and
+    /// skips the halted ones by flag. It is the oracle the production loop
+    /// is checked against: outputs, rounds, messages, traces, node-rounds
+    /// and stamp scans agree, and its `halted_scans` equal the production
+    /// loop's `sparse_skips`.
+    #[doc(hidden)]
+    pub fn dense() -> Self {
+        Simulator {
+            dense: true,
+            ..Self::sequential()
+        }
     }
 
     /// Caps the number of rounds; the outcome reports `completed = false` if
@@ -93,7 +88,7 @@ impl Simulator {
             "one input per node required"
         );
         debug_assert!(self.max_rounds < u32::MAX - 1, "stamps reserve u32::MAX");
-        let states: Vec<P> = graph
+        let mut states: Vec<P> = graph
             .nodes()
             .map(|v| {
                 P::init(NodeInit {
@@ -103,201 +98,182 @@ impl Simulator {
                 })
             })
             .collect();
-        match self.executor {
-            Executor::Sequential => self.run_sequential(graph, states),
-            Executor::Sparse => self.run_sparse(graph, states),
-        }
-    }
-
-    fn run_sequential<P: Protocol>(
-        &self,
-        graph: &CsrGraph,
-        mut states: Vec<P>,
-    ) -> SimOutcome<P::Output> {
-        let n = graph.num_nodes();
         // The arena is the only message storage: allocated once here, then
         // reused for every round (writes happen in place, delivery is the
         // epoch parity flip).
-        let arena: MessageArena<P::Message> = MessageArena::for_graph(graph);
-        let mut halted = vec![false; n];
-        let mut remaining = n;
-        let mut round: u32 = 0;
-        let mut messages: u64 = 0;
-        let mut perf = ExecPerf::default();
+        let arena = MessageArena::for_graph(graph);
         let mut trace = self.trace.then(Vec::new);
-
-        while remaining > 0 && round < self.max_rounds {
-            let (reader, writer) = arena.epoch(round);
-            let ctx = RoundCtx { round };
-            let active = remaining;
-            // The reference executor is a dense scan on purpose (it is the
-            // baseline the sparse lane is measured against): every node is
-            // visited, halted ones are skipped by flag.
-            perf.halted_scans += (n - active) as u64;
-            perf.node_rounds += active as u64;
-            let mut round_msgs: u64 = 0;
-            for v in 0..n {
-                if halted[v] {
-                    continue;
-                }
-                let node = NodeId::from(v);
-                let inbox = Inbox {
-                    reader,
-                    base: graph.node_offset(node),
-                    degree: graph.degree(node),
-                };
-                let mut outbox = Outbox {
-                    writer,
-                    graph,
-                    node,
-                    sent: 0,
-                    wake: None,
-                };
-                let status = states[v].round(&ctx, &inbox, &mut outbox);
-                round_msgs += outbox.sent;
-                perf.stamp_scans += graph.degree(node) as u64;
-                if status == Status::Halt {
-                    halted[v] = true;
-                    remaining -= 1;
-                }
-            }
-            messages += round_msgs;
-            if let Some(t) = trace.as_mut() {
-                t.push(RoundStats {
-                    round,
-                    active_nodes: active,
-                    messages: round_msgs,
-                });
-            }
-            round += 1;
-        }
-
-        perf.local_messages = messages;
+        let (run, perf) = if self.dense {
+            dense_scan(graph, &mut states, &arena, self.max_rounds, trace.as_mut())
+        } else {
+            // Every node starts awake, and `Halt` is final: no wake set.
+            let mut awake: Vec<u32> = (0..graph.num_nodes() as u32).collect();
+            step(
+                graph,
+                &mut states,
+                &arena,
+                &mut awake,
+                None,
+                0..self.max_rounds,
+                trace.as_mut(),
+            )
+        };
         SimOutcome {
             outputs: states.into_iter().map(P::finish).collect(),
-            rounds: round,
-            messages,
-            completed: remaining == 0,
+            rounds: run.rounds,
+            messages: run.messages,
+            completed: run.completed,
             trace,
             perf,
         }
     }
+}
 
-    /// The sparse lane. It must beat the dense scan, not just match it:
-    /// while no node has halted it iterates `0..n` with zero bookkeeping (no
-    /// halted flags, no list writes), and after the first halt it switches
-    /// to the compacting active list.
-    fn run_sparse<P: Protocol>(
-        &self,
-        graph: &CsrGraph,
-        mut states: Vec<P>,
-    ) -> SimOutcome<P::Output> {
-        let n = graph.num_nodes();
-        let arena: MessageArena<P::Message> = MessageArena::for_graph(graph);
-        // Every node steps in a dense round, so its stamp-scan total is the
-        // whole directed-slot count — added once per round instead of per node.
-        let dense_stamps = graph.num_edges() as u64 * 2;
-        let mut active: Option<Vec<u32>> = None;
-        let mut remaining = n;
-        let mut round: u32 = 0;
-        let mut messages: u64 = 0;
-        let mut perf = ExecPerf::default();
-        let mut trace = self.trace.then(Vec::new);
-
-        while remaining > 0 && round < self.max_rounds {
-            let (reader, writer) = arena.epoch(round);
-            let ctx = RoundCtx { round };
-            let active_now = remaining;
-            perf.sparse_skips += (n - active_now) as u64;
-            perf.node_rounds += active_now as u64;
-            let mut round_msgs: u64 = 0;
-            let mut step = |v: u32, round_msgs: &mut u64| -> Status {
-                let node = NodeId(v);
-                let inbox = Inbox {
-                    reader,
-                    base: graph.node_offset(node),
-                    degree: graph.degree(node),
-                };
-                let mut outbox = Outbox {
-                    writer,
-                    graph,
-                    node,
-                    sent: 0,
-                    wake: None,
-                };
-                let status = states[v as usize].round(&ctx, &inbox, &mut outbox);
-                *round_msgs += outbox.sent;
-                status
+/// The production stepping loop. Each round steps the sorted,
+/// duplicate-free `awake` list in ascending id order against the messages
+/// of the previous round, starting at round `rounds.start`, until the list
+/// is empty or round `rounds.end` is reached (then the run is not
+/// `completed`, and `awake` holds the nodes a later call resumes).
+///
+/// A node that returns [`Status::Continue`] stays in the list by in-place
+/// compaction, which keeps it sorted; one that returns [`Status::Halt`]
+/// leaves it. Only with a `wake` set does a send also wake its receiver:
+/// the marked nodes are merged into the list at the start of the next
+/// round. Halted nodes are never visited, so the returned counters report
+/// the node-rounds the loop skipped as `sparse_skips` and no
+/// `halted_scans`.
+pub(crate) fn step<P: Protocol>(
+    graph: &CsrGraph,
+    states: &mut [P],
+    arena: &MessageArena<P::Message>,
+    awake: &mut Vec<u32>,
+    mut wake: Option<&mut WakeSet>,
+    rounds: Range<u32>,
+    mut trace: Option<&mut Vec<RoundStats>>,
+) -> (RepairStats, ExecPerf) {
+    let mut run = RepairStats::accumulator();
+    let mut perf = ExecPerf::default();
+    let mut round = rounds.start;
+    loop {
+        if let Some(wake) = wake.as_deref_mut() {
+            wake.merge_into(awake);
+        }
+        if awake.is_empty() {
+            break;
+        }
+        if round >= rounds.end {
+            run.completed = false;
+            break;
+        }
+        let (reader, writer) = arena.epoch(round);
+        let ctx = RoundCtx { round };
+        let active = awake.len();
+        let mut round_msgs: u64 = 0;
+        let mut keep = 0;
+        for i in 0..active {
+            let v = awake[i];
+            let node = NodeId(v);
+            let inbox = Inbox {
+                reader,
+                base: graph.node_offset(node),
+                degree: graph.degree(node),
             };
-            match active.as_mut() {
-                None => {
-                    perf.stamp_scans += dense_stamps;
-                    let nn = n as u32;
-                    // Fast lane while nobody has ever halted: no flags, no
-                    // list, no bookkeeping beyond the step itself.
-                    let mut v = 0u32;
-                    while v < nn {
-                        if step(v, &mut round_msgs) == Status::Halt {
-                            break;
-                        }
-                        v += 1;
-                    }
-                    if v < nn {
-                        // First halt of the run: materialize the active list
-                        // from the prefix that is still running and finish the
-                        // round in list-building mode.
-                        let mut list: Vec<u32> = (0..v).collect();
-                        remaining -= 1;
-                        v += 1;
-                        while v < nn {
-                            match step(v, &mut round_msgs) {
-                                Status::Halt => remaining -= 1,
-                                Status::Continue => list.push(v),
-                            }
-                            v += 1;
-                        }
-                        active = Some(list);
-                    }
-                }
-                Some(list) => {
-                    let mut keep = 0usize;
-                    for i in 0..list.len() {
-                        let v = list[i];
-                        perf.stamp_scans += graph.degree(NodeId(v)) as u64;
-                        let status = step(v, &mut round_msgs);
-                        if status == Status::Halt {
-                            remaining -= 1;
-                        } else {
-                            if keep < i {
-                                list[keep] = v;
-                            }
-                            keep += 1;
-                        }
-                    }
-                    list.truncate(keep);
-                }
+            let mut outbox = Outbox {
+                writer,
+                graph,
+                node,
+                sent: 0,
+                wake: wake.as_deref_mut(),
+            };
+            perf.stamp_scans += inbox.degree as u64;
+            let status = states[v as usize].round(&ctx, &inbox, &mut outbox);
+            round_msgs += outbox.sent;
+            if status == Status::Continue {
+                awake[keep] = v;
+                keep += 1;
             }
-            messages += round_msgs;
-            if let Some(t) = trace.as_mut() {
-                t.push(RoundStats {
-                    round,
-                    active_nodes: active_now,
-                    messages: round_msgs,
-                });
-            }
-            round += 1;
         }
-
-        perf.local_messages = messages;
-        SimOutcome {
-            outputs: states.into_iter().map(P::finish).collect(),
-            rounds: round,
-            messages,
-            completed: remaining == 0,
-            trace,
-            perf,
+        awake.truncate(keep);
+        run.node_steps += active as u64;
+        run.messages += round_msgs;
+        if let Some(t) = trace.as_deref_mut() {
+            t.push(RoundStats {
+                round,
+                active_nodes: active,
+                messages: round_msgs,
+            });
         }
+        round += 1;
     }
+    run.rounds = round - rounds.start;
+    perf.node_rounds = run.node_steps;
+    perf.local_messages = run.messages;
+    perf.sparse_skips = run.rounds as u64 * graph.num_nodes() as u64 - run.node_steps;
+    (run, perf)
+}
+
+/// The dense reference scan behind [`Simulator::dense`]: every round visits
+/// every node and skips the halted ones by flag, paying one
+/// `halted_scans` per node-round that [`step`] skips.
+fn dense_scan<P: Protocol>(
+    graph: &CsrGraph,
+    states: &mut [P],
+    arena: &MessageArena<P::Message>,
+    max_rounds: u32,
+    mut trace: Option<&mut Vec<RoundStats>>,
+) -> (RepairStats, ExecPerf) {
+    let n = graph.num_nodes();
+    let mut halted = vec![false; n];
+    let mut remaining = n;
+    let mut run = RepairStats::accumulator();
+    let mut perf = ExecPerf::default();
+    while remaining > 0 && run.rounds < max_rounds {
+        let round = run.rounds;
+        let (reader, writer) = arena.epoch(round);
+        let ctx = RoundCtx { round };
+        let active = remaining;
+        perf.halted_scans += (n - active) as u64;
+        perf.node_rounds += active as u64;
+        let mut round_msgs: u64 = 0;
+        for v in 0..n {
+            if halted[v] {
+                continue;
+            }
+            let node = NodeId::from(v);
+            let inbox = Inbox {
+                reader,
+                base: graph.node_offset(node),
+                degree: graph.degree(node),
+            };
+            let mut outbox = Outbox {
+                writer,
+                graph,
+                node,
+                sent: 0,
+                wake: None,
+            };
+            let status = states[v].round(&ctx, &inbox, &mut outbox);
+            round_msgs += outbox.sent;
+            perf.stamp_scans += graph.degree(node) as u64;
+            if status == Status::Halt {
+                halted[v] = true;
+                remaining -= 1;
+            }
+        }
+        run.messages += round_msgs;
+        if let Some(t) = trace.as_deref_mut() {
+            t.push(RoundStats {
+                round,
+                active_nodes: active,
+                messages: round_msgs,
+            });
+        }
+        run.rounds += 1;
+    }
+    run.completed = remaining == 0;
+    run.node_steps = perf.node_rounds;
+    perf.local_messages = run.messages;
+    (run, perf)
 }
 
 #[cfg(test)]
@@ -372,16 +348,42 @@ mod tests {
         assert_eq!(out.rounds, 7);
     }
 
-    /// The sparse lane repeats the dense scan's BFS flood.
+    /// The production loop repeats the dense oracle's BFS flood. (Several
+    /// tests in this module keep the names they had when multi-threaded
+    /// and sharded executors were compared with a sequential one; each now
+    /// compares the production loop with the dense oracle.)
     #[test]
     fn bfs_parallel_matches_sequential() {
         let g = cycle(31);
-        let seq = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(31));
-        let sp = Simulator::sparse().run::<BfsDist>(&g, &bfs_inputs(31));
-        assert_eq!(sp.outputs, seq.outputs);
-        assert_eq!(sp.rounds, seq.rounds);
-        assert_eq!(sp.messages, seq.messages);
+        let dense = Simulator::dense().run::<BfsDist>(&g, &bfs_inputs(31));
+        let sp = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(31));
+        assert_eq!(sp.outputs, dense.outputs);
+        assert_eq!(sp.rounds, dense.rounds);
+        assert_eq!(sp.messages, dense.messages);
         assert!(sp.completed);
+    }
+
+    /// On every graph of a small grid, the production loop's work counters
+    /// mirror the dense oracle's on the same flood: the node-rounds it
+    /// never visited are exactly the ones the dense scan skipped by flag.
+    #[test]
+    fn sharded_matches_sequential_on_every_grid_point() {
+        for g in [cycle(31), path(23), star(8)] {
+            let n = g.num_nodes();
+            let dense = Simulator::dense().run::<BfsDist>(&g, &bfs_inputs(n));
+            let sp = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(n));
+            assert_eq!(sp.outputs, dense.outputs, "n {n}");
+            assert_eq!(
+                (sp.rounds, sp.messages),
+                (dense.rounds, dense.messages),
+                "n {n}"
+            );
+            assert!(sp.completed, "n {n}");
+            assert_eq!(sp.perf.node_rounds, dense.perf.node_rounds, "n {n}");
+            assert_eq!(sp.perf.sparse_skips, dense.perf.halted_scans, "n {n}");
+            assert_eq!(sp.perf.stamp_scans, dense.perf.stamp_scans, "n {n}");
+            assert_eq!(sp.perf.halted_scans, 0, "n {n}");
+        }
     }
 
     #[test]
@@ -392,6 +394,21 @@ mod tests {
             .run::<BfsDist>(&g, &bfs_inputs(64));
         assert!(!out.completed);
         assert_eq!(out.rounds, 3);
+    }
+
+    /// The dense oracle stops at the same cap, with the same outputs.
+    #[test]
+    fn sharded_round_cap_reported() {
+        let g = path(64);
+        let dense = Simulator::dense()
+            .with_max_rounds(3)
+            .run::<BfsDist>(&g, &bfs_inputs(64));
+        assert!(!dense.completed);
+        assert_eq!(dense.rounds, 3);
+        let sp = Simulator::sequential()
+            .with_max_rounds(3)
+            .run::<BfsDist>(&g, &bfs_inputs(64));
+        assert_eq!(sp.outputs, dense.outputs);
     }
 
     #[test]
@@ -408,28 +425,58 @@ mod tests {
         assert_eq!(traced_msgs, out.messages);
     }
 
-    /// The sparse lane records the dense scan's per-round trace.
+    /// The production loop records the dense oracle's per-round trace.
     #[test]
     fn parallel_trace_matches_sequential() {
         let g = cycle(17);
-        let seq = Simulator::sequential()
+        let dense = Simulator::dense()
             .with_trace(true)
             .run::<BfsDist>(&g, &bfs_inputs(17));
-        let sp = Simulator::sparse()
+        let sp = Simulator::sequential()
             .with_trace(true)
             .run::<BfsDist>(&g, &bfs_inputs(17));
-        assert_eq!(seq.trace, sp.trace);
+        assert!(dense.trace.is_some());
+        assert_eq!(dense.trace, sp.trace);
+    }
+
+    /// The same on a path, whose flood front has one node.
+    #[test]
+    fn sharded_trace_matches_sequential() {
+        let g = path(23);
+        let dense = Simulator::dense()
+            .with_trace(true)
+            .run::<BfsDist>(&g, &bfs_inputs(23));
+        let sp = Simulator::sequential()
+            .with_trace(true)
+            .run::<BfsDist>(&g, &bfs_inputs(23));
+        assert!(dense.trace.is_some());
+        assert_eq!(dense.trace, sp.trace);
     }
 
     #[test]
     fn empty_graph() {
         let g = td_graph::CsrGraph::from_edges(0, &[]).unwrap();
-        let out = Simulator::sparse().run::<BfsDist>(&g, &[]);
-        assert!(out.completed);
-        assert_eq!(out.rounds, 0);
+        for sim in [Simulator::sequential(), Simulator::dense()] {
+            let out = sim.run::<BfsDist>(&g, &[]);
+            assert!(out.completed);
+            assert_eq!(out.rounds, 0);
+        }
+    }
+
+    /// The production loop finishes an empty graph at once without a
+    /// trace, and repeats the dense oracle on a three-node path.
+    #[test]
+    fn sharded_empty_graph_and_more_shards_than_nodes() {
+        let g = td_graph::CsrGraph::from_edges(0, &[]).unwrap();
         let out = Simulator::sequential().run::<BfsDist>(&g, &[]);
         assert!(out.completed);
         assert_eq!(out.rounds, 0);
+        assert_eq!(out.trace, None);
+        let g = path(3);
+        let out = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(3));
+        let dense = Simulator::dense().run::<BfsDist>(&g, &bfs_inputs(3));
+        assert_eq!(out.outputs, dense.outputs);
+        assert_eq!((out.rounds, out.messages), (dense.rounds, dense.messages));
     }
 
     /// Message delivered exactly one round later, port-addressed.
@@ -494,6 +541,19 @@ mod tests {
         assert_eq!(out.messages, 4);
     }
 
+    /// The dense oracle delivers the same port-addressed echo.
+    #[test]
+    fn sharded_port_addressing_and_cross_shard_batches() {
+        let g = path(3);
+        let out = Simulator::dense().run::<PortEcho>(&g, &[(); 3]);
+        assert!(out.completed);
+        assert_eq!(out.rounds, 2);
+        assert_eq!(out.outputs[0], vec![Some(0)]);
+        assert_eq!(out.outputs[1], vec![Some(0), Some(0)]);
+        assert_eq!(out.outputs[2], vec![Some(1)]);
+        assert_eq!(out.messages, 4);
+    }
+
     /// A protocol where some nodes halt early; late messages to halted nodes
     /// are dropped silently and do not crash.
     struct HaltEarly {
@@ -536,50 +596,9 @@ mod tests {
         assert_eq!(out.rounds, 5);
         // Even nodes sent 1 round * 2 ports, odd nodes 5 rounds * 2 ports.
         assert_eq!(out.messages, 5 * 2 + 5 * 5 * 2);
-        let sp = Simulator::sparse().run::<HaltEarly>(&g, &[(); 10]);
-        assert_eq!(sp.rounds, out.rounds);
-        assert_eq!(sp.messages, out.messages);
-    }
-
-    /// The sparse lane's work counters mirror the dense scan's on the
-    /// same flood: the node-rounds it never visited are exactly the ones the
-    /// dense scan skipped by flag.
-    #[test]
-    fn sharded_matches_sequential_on_every_grid_point() {
-        let g = cycle(31);
-        let seq = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(31));
-        let sp = Simulator::sparse().run::<BfsDist>(&g, &bfs_inputs(31));
-        assert_eq!(sp.outputs, seq.outputs);
-        assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
-        assert!(sp.completed);
-        assert_eq!(sp.perf.node_rounds, seq.perf.node_rounds);
-        assert_eq!(sp.perf.sparse_skips, seq.perf.halted_scans);
-        assert_eq!(sp.perf.stamp_scans, seq.perf.stamp_scans);
-        assert_eq!(sp.perf.halted_scans, 0);
-    }
-
-    #[test]
-    fn sharded_trace_matches_sequential() {
-        let g = path(23);
-        let seq = Simulator::sequential()
-            .with_trace(true)
-            .run::<BfsDist>(&g, &bfs_inputs(23));
-        let sp = Simulator::sparse()
-            .with_trace(true)
-            .run::<BfsDist>(&g, &bfs_inputs(23));
-        assert_eq!(seq.trace, sp.trace);
-    }
-
-    #[test]
-    fn sharded_port_addressing_and_cross_shard_batches() {
-        let g = path(3);
-        let out = Simulator::sparse().run::<PortEcho>(&g, &[(); 3]);
-        assert!(out.completed);
-        assert_eq!(out.rounds, 2);
-        assert_eq!(out.outputs[0], vec![Some(0)]);
-        assert_eq!(out.outputs[1], vec![Some(0), Some(0)]);
-        assert_eq!(out.outputs[2], vec![Some(1)]);
-        assert_eq!(out.messages, 4);
+        let dense = Simulator::dense().run::<HaltEarly>(&g, &[(); 10]);
+        assert_eq!(dense.rounds, out.rounds);
+        assert_eq!(dense.messages, out.messages);
     }
 
     /// Nodes with input `true` run 21 rounds, the rest halt in round 0:
@@ -614,107 +633,83 @@ mod tests {
     }
 
     /// The quiesced three quarters of the path are never visited again
-    /// after round 0: the sparse lane skips them for the remaining rounds.
+    /// after round 0: the production loop skips them for the remaining
+    /// rounds.
     #[test]
     fn quiesced_shards_skip_rounds() {
         // Path of 32: the first 8 nodes run 21 rounds, the rest halt in
         // round 0.
         let g = path(32);
         let inputs: Vec<bool> = (0..32).map(|v| v < 8).collect();
-        let out = Simulator::sparse().run::<HalfQuiesce>(&g, &inputs);
+        let out = Simulator::sequential().run::<HalfQuiesce>(&g, &inputs);
         assert!(out.completed);
         assert_eq!(out.rounds, 21);
         // 24 nodes skipped in each of rounds 1..=20.
         assert_eq!(out.perf.sparse_skips, 24 * 20);
         assert_eq!(out.perf.node_rounds, 32 + 8 * 20);
-        let seq = Simulator::sequential().run::<HalfQuiesce>(&g, &inputs);
-        assert_eq!(seq.rounds, out.rounds);
+        let dense = Simulator::dense().run::<HalfQuiesce>(&g, &inputs);
+        assert_eq!(dense.rounds, out.rounds);
     }
 
-    /// The perf-counter contract behind the sparse lane: for the same run,
-    /// the dense scan's `halted_scans` (halted nodes iterated past) equals
-    /// the sparse lane's `sparse_skips` (halted node-rounds never visited),
+    /// The perf-counter contract behind the production loop: for the same
+    /// run, the dense oracle's `halted_scans` (halted nodes iterated past)
+    /// equals the loop's `sparse_skips` (halted node-rounds never visited),
     /// node-rounds and stamp scans agree, every message is a local write,
-    /// and the sparse lane never scans a halted node.
+    /// and the production loop never scans a halted node.
     #[test]
     fn sparse_scheduler_counters_mirror_dense_scan() {
         let g = path(32);
         let inputs: Vec<bool> = (0..32).map(|v| v < 8).collect();
-        let seq = Simulator::sequential().run::<HalfQuiesce>(&g, &inputs);
-        assert!(seq.perf.halted_scans > 0);
-        assert_eq!(seq.perf.local_messages, seq.messages);
-        assert_eq!(seq.perf.boundary_messages, 0);
-        let sp = Simulator::sparse().run::<HalfQuiesce>(&g, &inputs);
-        assert_eq!(sp.rounds, seq.rounds);
+        let dense = Simulator::dense().run::<HalfQuiesce>(&g, &inputs);
+        assert!(dense.perf.halted_scans > 0);
+        assert_eq!(dense.perf.local_messages, dense.messages);
+        assert_eq!(dense.perf.boundary_messages, 0);
+        let sp = Simulator::sequential().run::<HalfQuiesce>(&g, &inputs);
+        assert_eq!(sp.rounds, dense.rounds);
         assert_eq!(sp.perf.halted_scans, 0);
-        assert_eq!(sp.perf.sparse_skips, seq.perf.halted_scans);
-        assert_eq!(sp.perf.node_rounds, seq.perf.node_rounds);
-        assert_eq!(sp.perf.stamp_scans, seq.perf.stamp_scans);
+        assert_eq!(sp.perf.sparse_skips, dense.perf.halted_scans);
+        assert_eq!(sp.perf.node_rounds, dense.perf.node_rounds);
+        assert_eq!(sp.perf.stamp_scans, dense.perf.stamp_scans);
         assert_eq!(sp.perf.local_messages, sp.messages);
         assert_eq!(sp.perf.boundary_messages, 0);
     }
 
     /// `ExecPerf` is deterministic: repeated runs reproduce every counter
     /// bit for bit, and the scheduling-independent counters agree between
-    /// the two loops.
+    /// the production loop and the dense oracle.
     #[test]
     fn perf_counters_aggregate_deterministically_across_workers() {
         let g = cycle(64);
         let inputs = bfs_inputs(64);
-        let seq = Simulator::sequential().run::<BfsDist>(&g, &inputs);
-        let sim = Simulator::sparse();
+        let dense = Simulator::dense().run::<BfsDist>(&g, &inputs);
+        let sim = Simulator::sequential();
         let a = sim.run::<BfsDist>(&g, &inputs);
-        assert_eq!(a.perf.node_rounds, seq.perf.node_rounds);
-        assert_eq!(a.perf.sparse_skips, seq.perf.halted_scans);
-        assert_eq!(a.perf.stamp_scans, seq.perf.stamp_scans);
-        assert_eq!(a.perf.local_messages, seq.messages);
+        assert_eq!(a.perf.node_rounds, dense.perf.node_rounds);
+        assert_eq!(a.perf.sparse_skips, dense.perf.halted_scans);
+        assert_eq!(a.perf.stamp_scans, dense.perf.stamp_scans);
+        assert_eq!(a.perf.local_messages, dense.messages);
         let b = sim.run::<BfsDist>(&g, &inputs);
         assert_eq!(a.perf, b.perf);
         assert_eq!(
-            seq.perf,
-            Simulator::sequential().run::<BfsDist>(&g, &inputs).perf
+            dense.perf,
+            Simulator::dense().run::<BfsDist>(&g, &inputs).perf
         );
-    }
-
-    #[test]
-    fn sharded_empty_graph_and_more_shards_than_nodes() {
-        let g = td_graph::CsrGraph::from_edges(0, &[]).unwrap();
-        let out = Simulator::sparse().run::<BfsDist>(&g, &[]);
-        assert!(out.completed);
-        assert_eq!(out.rounds, 0);
-        assert_eq!(out.trace, None);
-        let g = path(3);
-        let out = Simulator::sparse().run::<BfsDist>(&g, &bfs_inputs(3));
-        let seq = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(3));
-        assert_eq!(out.outputs, seq.outputs);
-        assert_eq!(out.rounds, seq.rounds);
-        assert_eq!(out.messages, seq.messages);
-    }
-
-    #[test]
-    fn sharded_round_cap_reported() {
-        let g = path(64);
-        let out = Simulator::sparse()
-            .with_max_rounds(3)
-            .run::<BfsDist>(&g, &bfs_inputs(64));
-        assert!(!out.completed);
-        assert_eq!(out.rounds, 3);
     }
 
     #[test]
     fn zero_round_cap_is_executor_independent() {
         let g = path(8);
-        let seq = Simulator::sequential()
+        let dense = Simulator::dense()
             .with_max_rounds(0)
             .run::<BfsDist>(&g, &bfs_inputs(8));
-        let out = Simulator::sparse()
+        let out = Simulator::sequential()
             .with_max_rounds(0)
             .run::<BfsDist>(&g, &bfs_inputs(8));
-        assert_eq!(out.rounds, seq.rounds);
+        assert_eq!(out.rounds, dense.rounds);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.messages, 0);
         assert!(!out.completed);
-        assert_eq!(out.outputs, seq.outputs);
+        assert_eq!(out.outputs, dense.outputs);
     }
 
     /// Node roles for the relay protocol below.
@@ -779,36 +774,35 @@ mod tests {
         }
     }
 
-    /// A message sent in the round its sender halts still arrives, also
-    /// when that halt is the one that switches the sparse lane from its
-    /// dense prefix to the active list: on the path 0-1-2-3, node 0 (mute)
-    /// and node 1 (source) both halt in round 0 and the relay wave must
-    /// still reach node 3.
+    /// A message sent in the round its sender halts still arrives, although
+    /// the sender leaves the awake list in that round: on the path
+    /// 0-1-2-3, node 0 (mute) and node 1 (source) both halt in round 0 and
+    /// the relay wave must still reach node 3.
     #[test]
     fn sparse_delivers_the_sends_of_a_halting_round() {
         let g = td_graph::CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let inputs = [Role::Mute, Role::Source, Role::Relay, Role::Relay];
-        let seq = Simulator::sequential().run::<RelayNode>(&g, &inputs);
+        let dense = Simulator::dense().run::<RelayNode>(&g, &inputs);
         // Node 2 hears node 1 in round 1, node 3 hears node 2 in round 2.
-        assert_eq!(seq.outputs[2], vec![(1, 0, 1)]);
-        assert_eq!(seq.outputs[3], vec![(2, 0, 2)]);
-        assert!(seq.completed);
-        let sp = Simulator::sparse().run::<RelayNode>(&g, &inputs);
-        assert_eq!(sp.outputs, seq.outputs);
-        assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
+        assert_eq!(dense.outputs[2], vec![(1, 0, 1)]);
+        assert_eq!(dense.outputs[3], vec![(2, 0, 2)]);
+        assert!(dense.completed);
+        let sp = Simulator::sequential().run::<RelayNode>(&g, &inputs);
+        assert_eq!(sp.outputs, dense.outputs);
+        assert_eq!((sp.rounds, sp.messages), (dense.rounds, dense.messages));
         assert!(sp.completed);
     }
 
     /// Two sources that halt in round 0 both reach the relay between them,
-    /// on the ports and in the round the dense scan delivers them.
+    /// on the ports and in the round the dense oracle delivers them.
     #[test]
     fn sparse_delivers_from_several_halting_sources() {
         let g = td_graph::CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let inputs = [Role::Source, Role::Relay, Role::Source];
-        let seq = Simulator::sequential().run::<RelayNode>(&g, &inputs);
-        assert_eq!(seq.outputs[1], vec![(1, 0, 0), (1, 1, 2)]);
-        let sp = Simulator::sparse().run::<RelayNode>(&g, &inputs);
-        assert_eq!(sp.outputs, seq.outputs);
-        assert_eq!((sp.rounds, sp.messages), (seq.rounds, seq.messages));
+        let dense = Simulator::dense().run::<RelayNode>(&g, &inputs);
+        assert_eq!(dense.outputs[1], vec![(1, 0, 0), (1, 1, 2)]);
+        let sp = Simulator::sequential().run::<RelayNode>(&g, &inputs);
+        assert_eq!(sp.outputs, dense.outputs);
+        assert_eq!((sp.rounds, sp.messages), (dense.rounds, dense.messages));
     }
 }

@@ -2,8 +2,8 @@
 //! setup), `Simulator::run` performs **no per-round message-buffer
 //! allocations** — the flat message arena is reused across rounds, delivery
 //! is a buffer-parity flip, and nothing in the round loop touches the
-//! allocator — and a `ChurnSim` repair reuses its two wake buffers instead
-//! of allocating a fresh awake list per round. We verify this with a
+//! allocator — and a `ChurnSim` repair reuses its wake buffers instead of
+//! allocating a fresh awake list per round. We verify this with a
 //! counting global allocator: for a protocol whose own code never
 //! allocates, the total allocation count of a run must be *independent of
 //! the number of rounds*.
@@ -190,8 +190,8 @@ fn main() {
         ("sequential_allocations_are_round_count_independent", || {
             allocations_are_round_count_independent(&Simulator::sequential())
         }),
-        ("parallel_allocations_are_round_count_independent", || {
-            allocations_are_round_count_independent(&Simulator::sparse())
+        ("dense_allocations_are_round_count_independent", || {
+            allocations_are_round_count_independent(&Simulator::dense())
         }),
         (
             "churn_repair_allocations_are_round_count_independent",

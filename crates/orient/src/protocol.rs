@@ -514,7 +514,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(315);
         let g = gnm(20, 40, &mut rng);
         let a = run_distributed(&g, &Simulator::sequential());
-        let b = run_distributed(&g, &Simulator::sparse());
+        let b = run_distributed(&g, &Simulator::dense());
         assert_eq!(a.orientation, b.orientation);
         assert_eq!(a.comm_rounds, b.comm_rounds);
         assert_eq!(a.messages, b.messages);

@@ -661,10 +661,7 @@ fn cmd_perf(args: &[String]) -> i32 {
     print!("{}", perf::summary_table(&report));
     for sc in perf::REGISTRY {
         if let Some(x) = report.sparse_speedup(sc.name) {
-            println!(
-                "sparse speedup ({}, sparse vs sequential): {x:.2}x",
-                sc.name
-            );
+            println!("sparse speedup ({}, sparse vs dense): {x:.2}x", sc.name);
         }
     }
     let json = perf::write_json(&report);

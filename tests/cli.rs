@@ -464,13 +464,13 @@ fn perf_writes_versioned_json_report() {
     assert!(json.contains("\"bench\":10"), "{json}");
     assert!(json.contains("\"repeat\":2"), "{json}");
     assert!(
-        json.contains("\"executors\":[\"sequential\",\"sparse\"]"),
+        json.contains("\"executors\":[\"dense\",\"sparse\"]"),
         "{json}"
     );
     assert!(json.contains("\"sparse_skips\""), "{json}");
     assert!(json.contains("\"executor\":\"sparse\""), "{json}");
     assert!(json.contains("\"curve\""), "{json}");
-    // The sparse-vs-sequential speedup column of the committed benchmark.
+    // The sparse-vs-dense speedup column of the committed benchmark.
     assert!(json.contains("\"sparse_speedup_drain-wave\""), "{json}");
     assert!(!json.contains("\"threads\""), "{json}");
 }

@@ -6,8 +6,8 @@
 //! * verifier acceptance (rules 1–3 + dynamics, orientation stability,
 //!   assignment stability / k-boundedness — after every churn event on
 //!   live traces),
-//! * bit-identical outputs, rounds, and message counts across the dense
-//!   sequential scan and the sparse lane (incremental repair vs full
+//! * bit-identical outputs, rounds, and message counts across the
+//!   production loop and the dense oracle (incremental repair vs full
 //!   recompute on churn traces),
 //! * metamorphic relabeling invariance (a seeded node relabeling still
 //!   verifies, with label-invariant structure preserved), and

@@ -250,21 +250,21 @@ fn exp_render_matches_its_golden_snapshots() {
 }
 
 /// The snapshots themselves must be executor-independent: the golden run
-/// reproduces bit-identically on the sparse lane.
+/// reproduces bit-identically on the dense oracle.
 #[test]
 fn golden_runs_are_executor_independent() {
     let sim = Simulator::sequential();
-    let sparse = Simulator::sparse();
+    let dense = Simulator::dense();
     for sc in registry() {
         // cascade-orientation uses its own host-side driver; everything
         // else exercises the executor. Run both anyway — equality must
         // hold regardless.
         let a = sc.run(golden_size(*sc), GOLDEN_SEED, &sim);
-        let b = sc.run(golden_size(*sc), GOLDEN_SEED, &sparse);
+        let b = sc.run(golden_size(*sc), GOLDEN_SEED, &dense);
         assert_eq!(
             a.golden(),
             b.golden(),
-            "{} drifts on the sparse lane",
+            "{} drifts on the dense oracle",
             sc.name()
         );
     }

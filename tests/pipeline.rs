@@ -141,10 +141,10 @@ fn simulator_parallel_equivalence_on_real_protocol() {
     let mut rng = SmallRng::seed_from_u64(1006);
     let game = TokenGame::random(&[20, 24, 24, 20], 4, 0.5, &mut rng);
     let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-    let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
-    assert_eq!(seq.log, sp.log);
-    assert_eq!(seq.comm_rounds, sp.comm_rounds);
-    assert_eq!(seq.messages, sp.messages);
+    let dense = proposal::run_on_simulator(&game, &Simulator::dense());
+    assert_eq!(seq.log, dense.log);
+    assert_eq!(seq.comm_rounds, dense.comm_rounds);
+    assert_eq!(seq.messages, dense.messages);
 }
 
 #[test]

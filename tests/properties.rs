@@ -119,16 +119,16 @@ proptest! {
     }
 
     /// Executor equivalence on the real protocol over random games: the
-    /// sparse lane repeats the dense scan.
+    /// production loop repeats the dense oracle.
     #[test]
     fn executor_equivalence(seed in 0u64..100_000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let game = TokenGame::random(&[8, 8, 8], 3, 0.5, &mut rng);
-        let seq = proposal::run_on_simulator(&game, &Simulator::sequential());
-        let sp = proposal::run_on_simulator(&game, &Simulator::sparse());
-        prop_assert_eq!(seq.log, sp.log);
-        prop_assert_eq!(seq.comm_rounds, sp.comm_rounds);
-        prop_assert_eq!(seq.messages, sp.messages);
+        let dense = proposal::run_on_simulator(&game, &Simulator::dense());
+        let sp = proposal::run_on_simulator(&game, &Simulator::sequential());
+        prop_assert_eq!(dense.log, sp.log);
+        prop_assert_eq!(dense.comm_rounds, sp.comm_rounds);
+        prop_assert_eq!(dense.messages, sp.messages);
     }
 
     /// Orientation flips preserve the load sum and strictly reduce the

@@ -6,9 +6,9 @@
 //! values were recorded before the node program's internals were last
 //! rewritten, so a refactor that changes any of them changes behaviour.
 //!
-//! The pins hold under the dense sequential scan and under the sparse lane.
-//! The sparse lane never scans a halted node, so there the dense run's
-//! `halted_scans` reappears as `sparse_skips`.
+//! The pins hold under the dense reference scan and under the production
+//! loop. The production loop never scans a halted node, so there the dense
+//! run's `halted_scans` reappears as `sparse_skips`.
 
 use td_bench::scenario::rotor_sweep_game;
 use td_bench::spec::{WorkloadInstance, WorkloadSpec};
@@ -129,20 +129,20 @@ fn proposal_protocol_repeats_its_pins_on_every_executor() {
             log_fp: p.6,
             traversals_fp: p.7,
         };
-        let seq = proposal::run_on_simulator(game, &Simulator::sequential());
+        let dense = proposal::run_on_simulator(game, &Simulator::dense());
         assert_eq!(
-            seq.perf.sparse_skips, 0,
+            dense.perf.sparse_skips, 0,
             "{name}: the dense scan skips nothing"
         );
         assert_eq!(
-            measure(&seq, seq.perf.halted_scans),
+            measure(&dense, dense.perf.halted_scans),
             want,
-            "{name}: sequential"
+            "{name}: dense"
         );
-        let sparse = proposal::run_on_simulator(game, &Simulator::sparse());
+        let sparse = proposal::run_on_simulator(game, &Simulator::sequential());
         assert_eq!(
             sparse.perf.halted_scans, 0,
-            "{name}: the sparse lane scans no halted node"
+            "{name}: the production loop scans no halted node"
         );
         assert_eq!(
             measure(&sparse, sparse.perf.sparse_skips),
