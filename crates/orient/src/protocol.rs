@@ -27,6 +27,39 @@
 //! as [`td_core::lockstep`], so the final orientation is **identical** to
 //! the lockstep phase driver's (tests pin this). Total rounds are
 //! `(2Δ + 2) · (3 + 2T) = Θ(Δ⁴)` — the explicit form of Theorem 5.1.
+//!
+//! ## Wire format
+//!
+//! A round sends at most one 8-byte [`OrientMsg`] per edge, carrying every
+//! flag relevant to that neighbor:
+//!
+//! | bit | flag | sent in (in-phase round) | meaning |
+//! |---|---|---|---|
+//! | 0 | `LOAD` | round 0 | `load` holds the sender's load |
+//! | 1 | `ACCEPT` | round 1 | the sender accepted the proposal of the shared edge, which is oriented toward it at phase end |
+//! | 2 | `OCCUPIED` | round 1, request rounds | the sender holds a token (it accepted a proposal, or a grant just reached it) |
+//! | 3 | `EMPTIED` | grant rounds | to an in-game neighbor: the sender just passed its token on |
+//! | 4 | `REQUEST` | request rounds | child asks the parent for its token |
+//! | 5 | `GRANT` | grant rounds | parent passes its token to this child (flips the edge) |
+//!
+//! `load` is meaningful only with `LOAD` and is 0 otherwise. A port with no
+//! flag to send gets no message, and a node that sends nothing in a round
+//! builds no message.
+//!
+//! ## Idle rounds
+//!
+//! With few messages per phase, nearly every node-round is idle, so a node
+//! keeps what it needs to see that at once. Its *phase clock* holds the
+//! first round of the current phase: the in-phase round is the distance
+//! from it, and only a round past the phase's end divides, to find the
+//! phase it falls in. The clock is derived from the round number, so a node
+//! that skipped rounds still lands in the right phase. A live count of
+//! *in-game parent ports* (edges toward a neighbor one load above, marked
+//! in in-phase round 1 and decremented as grants consume them) lets an
+//! unoccupied node with none skip the request scan, and the requester a
+//! node grants to is picked while it reads the inbox. An idle node-round
+//! thus costs its inbox scan and a few comparisons, and `round` allocates
+//! nothing.
 
 use crate::orientation::Orientation;
 use td_graph::{CsrGraph, Port};
@@ -40,21 +73,25 @@ pub struct OrientInput {
     pub delta: u32,
 }
 
-/// Protocol message. All fields default to "absent"; one message per edge
-/// per round carries every flag relevant to that neighbor.
+const LOAD: u8 = 1 << 0;
+const ACCEPT: u8 = 1 << 1;
+const OCCUPIED: u8 = 1 << 2;
+const EMPTIED: u8 = 1 << 3;
+const REQUEST: u8 = 1 << 4;
+const GRANT: u8 = 1 << 5;
+
+/// Protocol message: a flag byte plus the sender's load, which only a load
+/// announcement carries (see the module docs for the wire format).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct OrientMsg {
-    /// Phase-start load announcement.
-    pub load: Option<u32>,
-    /// "I accept the proposal of the edge between us" (sent in round 1 of a
-    /// phase; the edge will be oriented toward the sender at phase end).
-    pub accept: bool,
-    /// Token dropping: request a token (child → parent).
-    pub request: bool,
-    /// Token dropping: grant the token (parent → child; flips the edge).
-    pub grant: bool,
-    /// Occupancy announcement (true = became occupied, false = emptied).
-    pub occ: Option<bool>,
+    load: u32,
+    flags: u8,
+}
+
+impl OrientMsg {
+    fn flags(flags: u8) -> Self {
+        OrientMsg { load: 0, flags }
+    }
 }
 
 /// Orientation state of one incident edge, from this node's perspective.
@@ -95,42 +132,48 @@ pub struct OrientNode {
     load: u32,
     occupied: bool,
     ports: Vec<PortState>,
-    out_buf: Vec<OrientMsg>,
+    /// In-game parent ports this phase: in-game edges oriented away from
+    /// me, each a request target until a grant consumes it.
+    game_parents: u32,
     /// Port of the edge whose proposal I accepted this phase (commit at the
     /// settling round).
     my_accept: Option<u32>,
     phase_len: u32,
     total_phases: u32,
+    /// The phase clock: the current phase and its first round.
+    phase: u32,
+    phase_start: u32,
 }
 
 /// Token dropping budget in game rounds for one phase (`L ≤ Δ` levels,
-/// Theorem 4.1 with an explicit safety constant).
-pub fn td_budget(delta: u32) -> u32 {
-    2 * delta * delta * delta + 2 * delta + 8
+/// Theorem 4.1 with an explicit safety constant): `2Δ³ + 2Δ + 8`, computed
+/// in u64 and saturating at `u64::MAX`, so it never wraps.
+pub fn td_budget(delta: u32) -> u64 {
+    let d = u64::from(delta);
+    d.saturating_mul(d)
+        .saturating_mul(d)
+        .saturating_mul(2)
+        .saturating_add(2 * d + 8)
 }
 
 /// Number of phases the protocol runs (Lemma 5.5 with its explicit
-/// constant: an edge is oriented after at most 2Δ − 1 phases).
-pub fn phase_budget(delta: u32) -> u32 {
-    2 * delta + 2
+/// constant: an edge is oriented after at most 2Δ − 1 phases), in u64.
+pub fn phase_budget(delta: u32) -> u64 {
+    2 * u64::from(delta) + 2
 }
 
 /// Communication rounds per phase: load round + accept round + 2T token
-/// dropping rounds + settling round.
-pub fn phase_len(delta: u32) -> u32 {
-    3 + 2 * td_budget(delta)
+/// dropping rounds + settling round, computed in u64 and saturating at
+/// `u64::MAX`.
+pub fn phase_len(delta: u32) -> u64 {
+    td_budget(delta).saturating_mul(2).saturating_add(3)
 }
 
 /// Total communication rounds of the protocol — the explicit Θ(Δ⁴) of
 /// Theorem 5.1: `phase_budget(Δ) · phase_len(Δ)`, computed in u64 so it is
-/// defined for every Δ (saturating at `u64::MAX`), including those whose
-/// per-phase figures overflow u32.
+/// defined for every Δ (saturating at `u64::MAX`).
 pub fn total_rounds(delta: u32) -> u64 {
-    let d = u64::from(delta);
-    let cube = d.saturating_mul(d).saturating_mul(d);
-    // phase_len = 3 + 2 · td_budget = 4Δ³ + 4Δ + 19.
-    let len = cube.saturating_mul(4).saturating_add(4 * d + 19);
-    (2 * d + 2).saturating_mul(len)
+    phase_budget(delta).saturating_mul(phase_len(delta))
 }
 
 /// The simulator round cap of a distributed run at maximum degree `delta`:
@@ -177,6 +220,9 @@ impl Protocol for OrientNode {
 
     fn init(node: NodeInit<'_, OrientInput>) -> Self {
         let delta = node.input.delta;
+        // `run_distributed`'s round cap bounds Δ to 151, far inside the Δ
+        // (below 1024) at which a phase's length stops fitting u32.
+        let narrow = |x: u64| u32::try_from(x).expect("a phase fits the u32 round counter");
         OrientNode {
             id: node.id.0,
             load: 0,
@@ -193,10 +239,12 @@ impl Protocol for OrientNode {
                     accepted_here: false,
                 })
                 .collect(),
-            out_buf: vec![OrientMsg::default(); node.neighbor_ids.len()],
+            game_parents: 0,
             my_accept: None,
-            phase_len: phase_len(delta),
-            total_phases: phase_budget(delta),
+            phase_len: narrow(phase_len(delta)),
+            total_phases: narrow(phase_budget(delta)),
+            phase: 0,
+            phase_start: 0,
         }
     }
 
@@ -206,41 +254,50 @@ impl Protocol for OrientNode {
         inbox: &Inbox<'_, OrientMsg>,
         outbox: &mut Outbox<'_, '_, OrientMsg>,
     ) -> Status {
-        let r_in = ctx.round % self.phase_len;
-        let phase = ctx.round / self.phase_len;
         let deg = self.ports.len();
         if deg == 0 {
             return Status::Halt;
         }
+        // Phase clock: only a round past the current phase divides.
+        let mut r_in = ctx.round.wrapping_sub(self.phase_start);
+        if r_in >= self.phase_len {
+            self.phase = ctx.round / self.phase_len;
+            self.phase_start = self.phase * self.phase_len;
+            r_in = ctx.round - self.phase_start;
+        }
 
-        // ---- Process inbox.
-        let mut requests: Vec<usize> = Vec::new();
-        let mut became_occupied = false;
+        // ---- Process inbox, picking the smallest-id requester on the way.
+        let mut requester: Option<usize> = None;
         let mut grantor: Option<usize> = None;
         for (port, msg) in inbox.iter() {
             let pi = port.idx();
-            if let Some(l) = msg.load {
-                self.ports[pi].neighbor_load = l;
+            let f = msg.flags;
+            if f & LOAD != 0 {
+                self.ports[pi].neighbor_load = msg.load;
             }
-            if let Some(o) = msg.occ {
-                self.ports[pi].neighbor_occupied = o;
+            if f & (OCCUPIED | EMPTIED) != 0 {
+                self.ports[pi].neighbor_occupied = f & OCCUPIED != 0;
             }
-            if msg.accept {
+            if f & ACCEPT != 0 {
                 // The neighbor accepted the proposal of our shared edge: it
                 // will be oriented toward the neighbor at phase end.
                 debug_assert_eq!(self.ports[pi].state, EdgeState::Unoriented);
                 self.ports[pi].accepted_here = true;
             }
-            if msg.request {
-                requests.push(pi);
+            if f & REQUEST != 0
+                && requester.is_none_or(|b| self.ports[pi].neighbor < self.ports[b].neighbor)
+            {
+                requester = Some(pi);
             }
-            if msg.grant {
+            if f & GRANT != 0 {
                 // Token arrives; the edge flips toward me NOW (the grantor
-                // was its head).
+                // was its head). It answers my request of two rounds ago,
+                // sent on an in-game parent port, which the grant consumes.
                 debug_assert!(!self.occupied);
                 debug_assert_eq!(self.ports[pi].state, EdgeState::AwayFromMe);
+                debug_assert!(self.ports[pi].in_game);
+                self.game_parents -= 1;
                 self.occupied = true;
-                became_occupied = true;
                 grantor = Some(pi);
                 self.ports[pi].state = EdgeState::TowardMe;
                 self.ports[pi].in_game = false;
@@ -248,17 +305,16 @@ impl Protocol for OrientNode {
             }
         }
 
-        // ---- Act according to the in-phase schedule.
-        for m in self.out_buf.iter_mut() {
-            *m = OrientMsg::default();
-        }
+        // ---- Act according to the in-phase schedule, sending as it goes.
         if r_in == 0 {
             // Phase start: everyone announces its load.
-            for i in 0..deg {
-                self.out_buf[i].load = Some(self.load);
-            }
+            outbox.broadcast(OrientMsg {
+                load: self.load,
+                flags: LOAD,
+            });
             // Reset phase-local state.
             self.occupied = false;
+            self.game_parents = 0;
             for p in self.ports.iter_mut() {
                 p.in_game = false;
                 p.neighbor_occupied = false;
@@ -285,13 +341,15 @@ impl Protocol for OrientNode {
             if let Some(i) = best {
                 self.occupied = true;
                 self.my_accept = Some(i as u32);
-                self.out_buf[i].accept = true;
                 // Everyone (future children) learns I hold a token.
                 for j in 0..deg {
-                    self.out_buf[j].occ = Some(true);
+                    let accept = if j == i { ACCEPT } else { 0 };
+                    outbox.send(Port::from(j), OrientMsg::flags(OCCUPIED | accept));
                 }
             }
-            // Mark the game edges for this phase: badness exactly 1.
+            // Mark the game edges for this phase: badness exactly 1. Count
+            // the in-game parents, the ports a request can go to.
+            let mut parents = 0;
             for i in 0..deg {
                 let p = self.ports[i];
                 let badness_one = match p.state {
@@ -300,20 +358,20 @@ impl Protocol for OrientNode {
                     EdgeState::Unoriented => false,
                 };
                 self.ports[i].in_game = badness_one;
+                parents += u32::from(badness_one && p.state == EdgeState::AwayFromMe);
             }
-        } else if r_in >= 2 && r_in < self.phase_len - 1 {
+            self.game_parents = parents;
+        } else if r_in < self.phase_len - 1 {
             let td_round = r_in - 2;
             if td_round.is_multiple_of(2) {
                 // Request round. Newly occupied nodes announce Full to all
-                // ports (the grantor already knows; harmless).
-                if became_occupied {
-                    for j in 0..deg {
-                        if Some(j) != grantor {
-                            self.out_buf[j].occ = Some(true);
-                        }
+                // other ports.
+                if let Some(g) = grantor {
+                    for j in (0..deg).filter(|&j| j != g) {
+                        outbox.send(Port::from(j), OrientMsg::flags(OCCUPIED));
                     }
                 }
-                if !self.occupied {
+                if !self.occupied && self.game_parents > 0 {
                     let mut bi: Option<usize> = None;
                     for i in 0..deg {
                         let p = self.ports[i];
@@ -326,31 +384,22 @@ impl Protocol for OrientNode {
                         }
                     }
                     if let Some(i) = bi {
-                        self.out_buf[i].request = true;
+                        outbox.send(Port::from(i), OrientMsg::flags(REQUEST));
                     }
                 }
             } else {
                 // Grant round.
-                if self.occupied {
-                    let mut bi: Option<usize> = None;
-                    for &i in &requests {
-                        let p = self.ports[i];
-                        debug_assert!(p.in_game && self.is_child(i));
-                        if bi.is_none_or(|b: usize| p.neighbor < self.ports[b].neighbor) {
-                            bi = Some(i);
-                        }
-                    }
-                    if let Some(i) = bi {
-                        self.out_buf[i].grant = true;
-                        // Flip the edge away from me immediately.
-                        debug_assert_eq!(self.ports[i].state, EdgeState::TowardMe);
-                        self.ports[i].state = EdgeState::AwayFromMe;
-                        self.ports[i].in_game = false;
-                        self.occupied = false;
-                        for j in 0..deg {
-                            if j != i && self.ports[j].in_game {
-                                self.out_buf[j].occ = Some(false);
-                            }
+                if let Some(i) = requester.filter(|_| self.occupied) {
+                    debug_assert!(self.ports[i].in_game && self.is_child(i));
+                    outbox.send(Port::from(i), OrientMsg::flags(GRANT));
+                    // Flip the edge away from me immediately.
+                    debug_assert_eq!(self.ports[i].state, EdgeState::TowardMe);
+                    self.ports[i].state = EdgeState::AwayFromMe;
+                    self.ports[i].in_game = false;
+                    self.occupied = false;
+                    for j in 0..deg {
+                        if self.ports[j].in_game {
+                            outbox.send(Port::from(j), OrientMsg::flags(EMPTIED));
                         }
                     }
                 }
@@ -378,20 +427,13 @@ impl Protocol for OrientNode {
                 .iter()
                 .filter(|p| p.state == EdgeState::TowardMe)
                 .count() as u32;
-            if phase + 1 >= self.total_phases {
+            if self.phase + 1 >= self.total_phases {
                 debug_assert!(
                     self.ports.iter().all(|p| p.state != EdgeState::Unoriented),
                     "v{}: unoriented edge after the Lemma 5.5 phase budget",
                     self.id
                 );
                 return Status::Halt;
-            }
-        }
-
-        // ---- Flush.
-        for (i, m) in self.out_buf.iter().enumerate() {
-            if *m != OrientMsg::default() {
-                outbox.send(Port::from(i), *m);
             }
         }
         Status::Continue
@@ -532,14 +574,31 @@ mod tests {
 
     #[test]
     fn round_budget_is_exact_and_capped_at_the_u32_counter() {
-        for delta in [0u32, 1, 4, 100, 151, 152, 1023, 1024] {
-            if delta <= 1023 {
-                // Below 1024 the per-phase figures fit u32: same product.
-                let product = phase_budget(delta) as u64 * phase_len(delta) as u64;
-                assert_eq!(total_rounds(delta), product, "Δ = {delta}");
-            }
+        // Exact values from u128 arithmetic, saturated at u64::MAX.
+        let sat = |x: Option<u128>| x.and_then(|x| u64::try_from(x).ok()).unwrap_or(u64::MAX);
+        for delta in [0u32, 1, 4, 100, 151, 152, 1023, 1024, 1291, u32::MAX] {
+            let d = u128::from(delta);
+            let len = 4 * d * d * d + 4 * d + 19;
+            assert_eq!(
+                td_budget(delta),
+                sat(Some(2 * d * d * d + 2 * d + 8)),
+                "Δ = {delta}"
+            );
+            assert_eq!(phase_len(delta), sat(Some(len)), "Δ = {delta}");
+            assert_eq!(phase_budget(delta), sat(Some(2 * d + 2)), "Δ = {delta}");
+            assert_eq!(
+                total_rounds(delta),
+                sat((2 * d + 2).checked_mul(len)),
+                "Δ = {delta}"
+            );
             assert_eq!(round_cap(delta).is_ok(), delta <= 151, "Δ = {delta}");
         }
+        // The first Δ whose per-phase figures pass u32: they no longer wrap.
+        assert_eq!(phase_len(1024), 4_294_971_411);
+        assert_eq!(td_budget(1291), 4_303_372_932);
+        assert_eq!(td_budget(u32::MAX), u64::MAX, "saturates, never wraps");
+        assert_eq!(phase_len(u32::MAX), u64::MAX, "saturates, never wraps");
+        assert_eq!(phase_budget(u32::MAX), 8_589_934_592);
         assert_eq!(round_cap(151), Ok(4_186_817_808 + 16));
         let err = round_cap(152).unwrap_err();
         assert!(
@@ -547,6 +606,11 @@ mod tests {
             "{err}"
         );
         assert_eq!(total_rounds(u32::MAX), u64::MAX, "saturates, never wraps");
+    }
+
+    #[test]
+    fn message_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<OrientMsg>(), 8);
     }
 
     #[test]

@@ -53,10 +53,9 @@ fn registry_scenarios_identical_across_executors() {
 }
 
 /// Protocol-level outputs (not just counts): the proposal protocol's move
-/// log and solution are bit-identical on both loops. (This test and the
-/// next two keep the names they had when thread counts were compared.)
+/// log and solution are bit-identical on both loops.
 #[test]
-fn proposal_protocol_matches_sequential_at_every_thread_count() {
+fn proposal_protocol_matches_the_dense_oracle() {
     for &seed in &SEEDS {
         let game = workloads::layered_game(4, 4, seed);
         let dense = proposal::run_on_simulator(&game, &Simulator::dense());
@@ -70,7 +69,7 @@ fn proposal_protocol_matches_sequential_at_every_thread_count() {
 
 /// Stable orientation outputs on both loops.
 #[test]
-fn orientation_protocol_matches_sequential_at_every_thread_count() {
+fn orientation_protocol_matches_the_dense_oracle() {
     for &seed in &SEEDS {
         let g = workloads::regular_graph(3, 8, seed);
         let dense = run_distributed(&g, &Simulator::dense());
@@ -84,7 +83,7 @@ fn orientation_protocol_matches_sequential_at_every_thread_count() {
 
 /// Stable assignment outputs (exact and 2-bounded) on both loops.
 #[test]
-fn assignment_protocol_matches_sequential_at_every_thread_count() {
+fn assignment_protocol_matches_the_dense_oracle() {
     for &seed in &SEEDS {
         let inst = workloads::uniform_assignment(9, 4, seed);
         for bound in [None, Some(2)] {
