@@ -80,29 +80,64 @@ pub struct AssignMsg {
     pub head_announce: bool,
 }
 
-/// Token dropping budget in game rounds per phase.
-pub fn td_budget(s_max: u32, k: Option<u32>) -> u32 {
+/// Token dropping budget in game rounds per phase, computed in u64 and
+/// saturating at `u64::MAX`.
+pub fn td_budget(s_max: u32, k: Option<u32>) -> u64 {
+    let s = u64::from(s_max);
     match k {
         // 3-level games: Theorem 7.5 / Theorem 4.7-style O(S).
-        Some(2) => 4 * s_max + 8,
+        Some(2) => 4 * s + 8,
         // General: Theorem 7.1, O(L·S²) with L ≤ S.
-        _ => 2 * s_max * s_max * s_max + 2 * s_max + 8,
+        _ => s
+            .saturating_mul(s)
+            .saturating_mul(s)
+            .saturating_mul(2)
+            .saturating_add(2 * s + 8),
     }
 }
 
-/// Phase budget (Lemma 7.2 with its explicit constant).
-pub fn phase_budget(c_max: u32, s_max: u32) -> u32 {
-    2 * c_max * s_max + 2
+/// Phase budget (Lemma 7.2 with its explicit constant), in u64 and
+/// saturating.
+pub fn phase_budget(c_max: u32, s_max: u32) -> u64 {
+    (u64::from(c_max) * u64::from(s_max))
+        .saturating_mul(2)
+        .saturating_add(2)
 }
 
-/// Communication rounds per phase.
-pub fn phase_len(s_max: u32, k: Option<u32>) -> u32 {
-    2 + 4 * (td_budget(s_max, k) + 1)
+/// Communication rounds per phase, in u64 and saturating.
+pub fn phase_len(s_max: u32, k: Option<u32>) -> u64 {
+    td_budget(s_max, k)
+        .saturating_add(1)
+        .saturating_mul(4)
+        .saturating_add(2)
 }
 
-/// Total communication rounds — the explicit O(C·S⁴) (or O(C·S²) for k=2).
+/// Total communication rounds — the explicit O(C·S⁴) (or O(C·S²) for k=2):
+/// `phase_budget · phase_len`, in u64 and saturating.
 pub fn total_rounds(c_max: u32, s_max: u32, k: Option<u32>) -> u64 {
-    phase_budget(c_max, s_max) as u64 * phase_len(s_max, k) as u64
+    phase_budget(c_max, s_max).saturating_mul(phase_len(s_max, k))
+}
+
+/// The simulator round cap of a distributed run at maximum customer degree
+/// `c_max` and maximum server degree `s_max`: the protocol's budget plus 16
+/// rounds of slack. Fails with a diagnostic naming C, S, k and the budget
+/// when the cap does not fit the simulator's u32 round counter (for the
+/// exact protocol with C = 1, from S = 128 on).
+pub fn round_cap(c_max: u32, s_max: u32, k: Option<u32>) -> Result<u32, String> {
+    let budget = total_rounds(c_max, s_max, k);
+    budget
+        .checked_add(16)
+        .and_then(|cap| u32::try_from(cap).ok())
+        .ok_or_else(|| {
+            let problem = match k {
+                Some(k) => format!("the {k}-bounded protocol"),
+                None => "the exact protocol".to_string(),
+            };
+            format!(
+                "C = {c_max}, S = {s_max} needs a budget of {budget} rounds for {problem}, \
+                 more than the u32 round counter holds"
+            )
+        })
 }
 
 /// Node state.
@@ -166,13 +201,20 @@ impl Protocol for AssignNodeFull {
 
     fn init(node: NodeInit<'_, AssignInput>) -> Self {
         let deg = node.neighbor_ids.len();
+        let AssignInput {
+            c_max, s_max, k, ..
+        } = *node.input;
+        // `run_distributed_assignment`'s round cap keeps the whole budget,
+        // and so each of its two factors, inside u32.
+        let narrow =
+            |x: u64| u32::try_from(x).expect("the phase schedule fits the u32 round counter");
         AssignNodeFull {
             inner: AssignNode {
                 role: node.input.role,
                 id: node.id.0,
-                k: node.input.k,
-                phase_len: phase_len(node.input.s_max, node.input.k),
-                total_phases: phase_budget(node.input.c_max, node.input.s_max),
+                k,
+                phase_len: narrow(phase_len(s_max, k)),
+                total_phases: narrow(phase_budget(c_max, s_max)),
                 out_buf: vec![AssignMsg::default(); deg],
                 load: 0,
                 next_load: 0,
@@ -467,6 +509,10 @@ impl td_local::Summarize for DistributedAssignResult {
 /// (customers are nodes `0..nc`, servers `nc..nc+ns`) and assembles the
 /// assignment. `k = None` solves the exact problem (Theorem 7.3);
 /// `k = Some(κ)` the κ-bounded one (Theorem 7.5 for κ = 2).
+///
+/// # Panics
+/// With [`round_cap`]'s diagnostic when the round budget does not fit the
+/// simulator's u32 round counter.
 pub fn run_distributed_assignment(
     inst: &AssignmentInstance,
     k: Option<u32>,
@@ -496,8 +542,8 @@ pub fn run_distributed_assignment(
             k,
         })
         .collect();
-    let budget = total_rounds(c_max, s_max, k) + 16;
-    let sim = sim.with_max_rounds(budget.min(u32::MAX as u64) as u32);
+    let cap = round_cap(c_max, s_max, k).unwrap_or_else(|e| panic!("{e}"));
+    let sim = sim.with_max_rounds(cap);
     let outcome: SimOutcome<AssignOutput> = sim.run::<AssignNodeFull>(&g, &inputs);
     assert!(
         outcome.completed,
@@ -589,6 +635,66 @@ mod tests {
             assert!(bounded <= 3 * 64 * (s as u64).pow(2) + 4096);
             assert!(bounded < exact || s < 3);
         }
+    }
+
+    #[test]
+    fn round_budget_is_exact_and_capped_at_the_u32_counter() {
+        // Exact values from u128 arithmetic, saturated at u64::MAX.
+        let sat = |x: Option<u128>| x.and_then(|x| u64::try_from(x).ok()).unwrap_or(u64::MAX);
+        for s_max in [0u32, 1, 2, 127, 128, 813, 1024, 1 << 21, u32::MAX] {
+            for c_max in [0u32, 1, 3, 1 << 20, u32::MAX] {
+                for k in [None, Some(2), Some(3)] {
+                    let (c, s) = (u128::from(c_max), u128::from(s_max));
+                    let td = match k {
+                        Some(2) => 4 * s + 8,
+                        _ => 2 * s * s * s + 2 * s + 8,
+                    };
+                    let len = 4 * (td + 1) + 2;
+                    let total = sat((2 * c * s + 2).checked_mul(len));
+                    let case = format!("C = {c_max}, S = {s_max}, k = {k:?}");
+                    assert_eq!(td_budget(s_max, k), sat(Some(td)), "{case}");
+                    assert_eq!(phase_len(s_max, k), sat(Some(len)), "{case}");
+                    assert_eq!(
+                        phase_budget(c_max, s_max),
+                        sat(Some(2 * c * s + 2)),
+                        "{case}"
+                    );
+                    assert_eq!(total_rounds(c_max, s_max, k), total, "{case}");
+                    assert_eq!(
+                        round_cap(c_max, s_max, k).ok().map(u64::from),
+                        total
+                            .checked_add(16)
+                            .filter(|&cap| cap <= u64::from(u32::MAX)),
+                        "{case}"
+                    );
+                }
+            }
+        }
+        // In u32, phase_len(813) wrapped to 3,981,622 (and panicked in
+        // debug builds).
+        assert_eq!(phase_len(813, None), 4_298_948_918);
+        assert_eq!(total_rounds(1, 1024, None), 17_609_382_785_100);
+        assert_eq!(
+            total_rounds(u32::MAX, u32::MAX, None),
+            u64::MAX,
+            "saturates"
+        );
+        // One server with 127 unit customers is the largest exact instance
+        // of C = 1 whose budget fits the round counter.
+        assert_eq!(round_cap(1, 127, None), Ok(4_195_358_208 + 16));
+        let err = round_cap(1, 128, None).unwrap_err();
+        assert!(
+            err.contains("C = 1, S = 128") && err.contains("4328795724"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "C = 1, S = 128 needs a budget of 4328795724 rounds")]
+    fn distributed_run_refuses_a_budget_past_the_round_counter() {
+        // One server shared by 128 unit customers: about 4.3·10⁹ rounds.
+        let inst = AssignmentInstance::new(1, &vec![vec![0]; 128]);
+        run_distributed_assignment(&inst, None, &Simulator::sequential());
     }
 
     #[test]

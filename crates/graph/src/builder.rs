@@ -1,8 +1,21 @@
 //! Validating builder that assembles [`CsrGraph`]s from edge lists.
 //!
 //! The builder enforces the simple-graph invariants (no self-loops, no
-//! parallel edges) at insertion time and produces sorted adjacency plus the
-//! mirror table in O(n + m log Δ).
+//! parallel edges) at insertion time, against a set of packed `u64` edge
+//! keys. [`GraphBuilder::build`] then produces sorted adjacency, canonical
+//! edge ids and the mirror table in O(n + m + Σ deg·log deg) time with a
+//! constant number of allocations:
+//!
+//! 1. count degrees and prefix-sum them into row offsets;
+//! 2. fill each row from the insertion-order edge list and sort it in
+//!    place (the only sorting: rows, not the m endpoints);
+//! 3. walk the nodes in ascending order. When the walk reaches `v`, every
+//!    smaller neighbor of `v` has already claimed its slot in `v`'s row, so
+//!    the rest of the sorted row holds exactly the neighbors `b > v`, in
+//!    ascending order. Each gets the next edge id, which makes ids the rank
+//!    of `(min, max)`, independent of insertion order. Its mirror is the
+//!    next unclaimed slot of `b`'s row: `b`'s smaller neighbors arrive in
+//!    ascending order too, so that slot holds `v`.
 
 use crate::csr::CsrGraph;
 use crate::ids::NodeId;
@@ -52,7 +65,7 @@ impl std::error::Error for BuildError {}
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<(u32, u32)>,
-    seen: HashSet<(u32, u32)>,
+    seen: HashSet<u64>,
 }
 
 impl GraphBuilder {
@@ -86,17 +99,14 @@ impl GraphBuilder {
 
     /// True if the undirected edge `{u, v}` has already been added.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let key = Self::key(u.0, v.0);
-        self.seen.contains(&key)
+        self.seen.contains(&Self::key(u.0, v.0))
     }
 
+    /// The set key of `{u, v}`: `min << 32 | max`. The set keeps std's
+    /// keyed hasher, so edge lists read from files cannot force collisions.
     #[inline]
-    fn key(u: u32, v: u32) -> (u32, u32) {
-        if u < v {
-            (u, v)
-        } else {
-            (v, u)
-        }
+    fn key(u: u32, v: u32) -> u64 {
+        u64::from(u.min(v)) << 32 | u64::from(u.max(v))
     }
 
     /// Adds the undirected edge `{u, v}`.
@@ -110,11 +120,11 @@ impl GraphBuilder {
         if v.idx() >= self.n {
             return Err(BuildError::NodeOutOfRange(v, self.n));
         }
-        let key = Self::key(u.0, v.0);
-        if !self.seen.insert(key) {
-            return Err(BuildError::DuplicateEdge(NodeId(key.0), NodeId(key.1)));
+        let (a, b) = (u.0.min(v.0), u.0.max(v.0));
+        if !self.seen.insert(Self::key(a, b)) {
+            return Err(BuildError::DuplicateEdge(NodeId(a), NodeId(b)));
         }
-        self.edges.push(key);
+        self.edges.push((a, b));
         Ok(())
     }
 
@@ -128,9 +138,90 @@ impl GraphBuilder {
     }
 
     /// Finalizes into a [`CsrGraph`]. Consumes the builder.
+    ///
+    /// Runs in O(n + m + Σ deg·log deg) with five allocations (see the
+    /// module docs); the edge list's buffer is reused for the endpoints.
     pub fn build(self) -> Result<CsrGraph, BuildError> {
-        let n = self.n;
-        let mut endpoints = self.edges;
+        let GraphBuilder {
+            n,
+            edges: mut endpoints,
+            seen,
+        } = self;
+        // Freed first, so peak memory holds the CSR arrays and not the set.
+        drop(seen);
+        let m = endpoints.len();
+
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, b) in &endpoints {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+
+        // Rows in insertion order, then sorted in place.
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![0u32; 2 * m];
+        for &(a, b) in &endpoints {
+            neighbors[cursor[a as usize] as usize] = b;
+            cursor[a as usize] += 1;
+            neighbors[cursor[b as usize] as usize] = a;
+            cursor[b as usize] += 1;
+        }
+        for v in 0..n {
+            neighbors[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
+        }
+
+        // Canonical ids and mirrors. `cursor[v]` is the first slot of `v`'s
+        // row that no smaller neighbor has claimed yet; by the time the walk
+        // reaches `v`, it is the first neighbor above `v`.
+        cursor.copy_from_slice(&offsets[..n]);
+        let mut edge_ids = vec![0u32; 2 * m];
+        let mut mirror = vec![0u32; 2 * m];
+        endpoints.clear();
+        for v in 0..n {
+            for s in cursor[v] as usize..offsets[v + 1] as usize {
+                let b = neighbors[s];
+                let t = cursor[b as usize] as usize;
+                cursor[b as usize] += 1;
+                debug_assert_eq!(neighbors[t] as usize, v);
+                let e = endpoints.len() as u32;
+                edge_ids[s] = e;
+                edge_ids[t] = e;
+                mirror[s] = t as u32;
+                mirror[t] = s as u32;
+                endpoints.push((v as u32, b));
+            }
+        }
+
+        let g = CsrGraph {
+            offsets,
+            neighbors,
+            edge_ids,
+            mirror,
+            endpoints,
+        };
+        debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
+        Ok(g)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::EdgeId;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The build before the linear pass, kept as the oracle of the
+    /// property test below: a global endpoint sort, a per-row re-sort
+    /// through temporaries, and a mirror pass over a slot-of-edge table.
+    fn reference_build(b: GraphBuilder) -> CsrGraph {
+        let n = b.n;
+        let mut endpoints = b.edges;
         // Canonical edge order: sorted by (min, max) endpoint. This makes the
         // edge ids of a graph independent of insertion order, which keeps
         // generator output stable across refactors.
@@ -191,22 +282,14 @@ impl GraphBuilder {
             }
         }
 
-        let g = CsrGraph {
+        CsrGraph {
             offsets,
             neighbors,
             edge_ids,
             mirror,
             endpoints,
-        };
-        debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
-        Ok(g)
+        }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::EdgeId;
 
     #[test]
     fn rejects_self_loop() {
@@ -269,5 +352,59 @@ mod tests {
         }
         let g = b.build().unwrap();
         g.validate().unwrap();
+    }
+
+    /// An edge set over `0..n`: empty, a star at a random center, every
+    /// pair kept with probability `density`, or complete. Shuffled, and
+    /// each edge inserted with a random endpoint first.
+    fn shaped_edges(shape: u8, n: usize, density: f64, seed: u64) -> Vec<(u32, u32)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n32 = n as u32;
+        let pairs = (0..n32).flat_map(|u| (u + 1..n32).map(move |v| (u, v)));
+        let mut edges: Vec<(u32, u32)> = match shape {
+            0 => Vec::new(),
+            1 if n > 0 => {
+                let c = rng.gen_range(0..n32);
+                (0..n32).filter(|&v| v != c).map(|v| (c, v)).collect()
+            }
+            2 => pairs.filter(|_| rng.gen_bool(density)).collect(),
+            _ => pairs.collect(),
+        };
+        edges.shuffle(&mut rng);
+        for e in &mut edges {
+            if rng.gen_bool(0.5) {
+                *e = (e.1, e.0);
+            }
+        }
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The linear build equals the reference build field for field,
+        /// whatever the insertion order, and validates. `isolated` extra
+        /// nodes past the edges' range stay isolated.
+        #[test]
+        fn build_equals_the_reference_build(
+            shape in 0u8..4,
+            n in 0usize..40,
+            isolated in 0usize..4,
+            density in 0.0f64..1.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut b = GraphBuilder::new(n + isolated);
+            for (u, v) in shaped_edges(shape, n, density, seed) {
+                b.add_edge(NodeId(u), NodeId(v)).unwrap();
+            }
+            let expect = reference_build(b.clone());
+            let g = b.build().unwrap();
+            prop_assert!(g.validate().is_ok(), "{:?}", g.validate());
+            prop_assert_eq!(&g.offsets, &expect.offsets);
+            prop_assert_eq!(&g.neighbors, &expect.neighbors);
+            prop_assert_eq!(&g.edge_ids, &expect.edge_ids);
+            prop_assert_eq!(&g.mirror, &expect.mirror);
+            prop_assert_eq!(&g.endpoints, &expect.endpoints);
+        }
     }
 }

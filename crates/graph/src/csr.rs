@@ -38,7 +38,7 @@ impl CsrGraph {
     ///
     /// Fails on self-loops, duplicate edges, or endpoints `>= n`.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self, BuildError> {
-        let mut b = GraphBuilder::new(n);
+        let mut b = GraphBuilder::with_capacity(n, edges.len());
         for &(u, v) in edges {
             b.add_edge(NodeId(u), NodeId(v))?;
         }

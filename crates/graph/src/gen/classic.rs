@@ -61,7 +61,8 @@ pub fn complete_bipartite(a: usize, b_count: usize) -> CsrGraph {
 /// `rows × cols` grid graph; node `(r, c)` has id `r * cols + c`.
 pub fn grid(rows: usize, cols: usize) -> CsrGraph {
     let n = rows * cols;
-    let mut b = GraphBuilder::new(n);
+    let m = rows * cols.saturating_sub(1) + rows.saturating_sub(1) * cols;
+    let mut b = GraphBuilder::with_capacity(n, m);
     for r in 0..rows {
         for c in 0..cols {
             let v = NodeId::from(r * cols + c);

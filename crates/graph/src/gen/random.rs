@@ -3,6 +3,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::gen::Picks;
 use crate::ids::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -120,7 +121,7 @@ pub fn random_regular(
     }
     'attempt: for _ in 0..max_attempts {
         stubs.shuffle(rng);
-        let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(n * d / 2);
+        let mut b = GraphBuilder::with_capacity(n, n * d / 2);
         // Pair stubs sequentially; on a collision (self-loop or parallel
         // edge) retry with a random later stub a bounded number of times
         // (local repair beats whole-attempt rejection for denser d).
@@ -128,10 +129,9 @@ pub fn random_regular(
         while i + 1 < stubs.len() {
             let mut tries = 0;
             loop {
-                let (u, v) = (stubs[i], stubs[i + 1]);
-                let key = (u.min(v), u.max(v));
-                if u != v && !seen.contains(&key) {
-                    seen.insert(key);
+                let (u, v) = (NodeId(stubs[i]), NodeId(stubs[i + 1]));
+                if u != v && !b.has_edge(u, v) {
+                    b.add_edge(u, v).unwrap();
                     break;
                 }
                 tries += 1;
@@ -142,10 +142,6 @@ pub fn random_regular(
                 stubs.swap(i + 1, j);
             }
             i += 2;
-        }
-        let mut b = GraphBuilder::with_capacity(n, n * d / 2);
-        for pair in stubs.chunks_exact(2) {
-            b.add_edge(NodeId(pair[0]), NodeId(pair[1])).unwrap();
         }
         return Some(b.build().unwrap());
     }
@@ -306,37 +302,32 @@ pub fn clustered_zipf_bipartite(
         "degree range must be non-empty and >= 1"
     );
     let n = customers + servers;
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, customers * hi.min(servers));
     if customers == 0 {
         return b.build().unwrap();
     }
     // Zipf rank weights shared by every cluster; a customer's draw is the
     // rank offset from its cluster's home block.
     let ranks = ZipfRanks::new(servers, alpha);
+    let mut picks = Picks::new(servers);
     for c in 0..customers {
         let home = (c % clusters) * servers / clusters;
         let want = rng.gen_range(lo..=hi).min(servers);
-        let mut picked: Vec<u32> = Vec::with_capacity(want);
+        picks.clear();
         let mut guard = 0usize;
-        while picked.len() < want {
-            let s = ((home + ranks.draw(rng)) % servers) as u32;
-            if !picked.contains(&s) {
-                picked.push(s);
-            }
+        while picks.len() < want {
+            picks.insert(((home + ranks.draw(rng)) % servers) as u32);
             guard += 1;
             if guard > 64 * want + 1024 {
                 for r in 0..servers {
-                    if picked.len() >= want {
+                    if picks.len() >= want {
                         break;
                     }
-                    let s = ((home + r) % servers) as u32;
-                    if !picked.contains(&s) {
-                        picked.push(s);
-                    }
+                    picks.insert(((home + r) % servers) as u32);
                 }
             }
         }
-        for s in picked {
+        for &s in picks.as_slice() {
             b.add_edge(NodeId::from(c), NodeId(customers as u32 + s))
                 .unwrap();
         }
@@ -358,20 +349,21 @@ pub fn random_bipartite(
 ) -> CsrGraph {
     assert!(servers > 0 || customers == 0, "customers need servers");
     let n = customers + servers;
-    let mut b = GraphBuilder::new(n);
     let lo = *degree_range.start();
     let hi = *degree_range.end();
     assert!(
         lo <= hi && lo >= 1,
         "degree range must be non-empty and >= 1"
     );
+    let mut b = GraphBuilder::with_capacity(n, customers * hi.min(servers));
+    let mut picks = Picks::new(servers);
     for c in 0..customers {
         let want = rng.gen_range(lo..=hi).min(servers);
-        let mut picked = HashSet::with_capacity(want);
-        while picked.len() < want {
-            picked.insert(rng.gen_range(0..servers as u32));
+        picks.clear();
+        while picks.len() < want {
+            picks.insert(rng.gen_range(0..servers as u32));
         }
-        for s in picked {
+        for &s in picks.as_slice() {
             b.add_edge(NodeId::from(c), NodeId(customers as u32 + s))
                 .unwrap();
         }
@@ -392,29 +384,30 @@ pub fn skewed_bipartite(
 ) -> CsrGraph {
     assert!(servers > 0 || customers == 0);
     let n = customers + servers;
-    let mut b = GraphBuilder::new(n);
     let lo = *degree_range.start();
     let hi = *degree_range.end();
     assert!(lo <= hi && lo >= 1);
+    let mut b = GraphBuilder::with_capacity(n, customers * hi.min(servers));
     let ranks = ZipfRanks::new(servers, alpha);
+    let mut picks = Picks::new(servers);
     for c in 0..customers {
         let want = rng.gen_range(lo..=hi).min(servers);
-        let mut picked = HashSet::with_capacity(want);
+        picks.clear();
         let mut guard = 0usize;
-        while picked.len() < want {
-            picked.insert(ranks.draw(rng) as u32);
+        while picks.len() < want {
+            picks.insert(ranks.draw(rng) as u32);
             guard += 1;
             if guard > 64 * want + 1024 {
                 // Extremely skewed + large degree: fill with the first free ids.
                 for s in 0..servers as u32 {
-                    if picked.len() >= want {
+                    if picks.len() >= want {
                         break;
                     }
-                    picked.insert(s);
+                    picks.insert(s);
                 }
             }
         }
-        for s in picked {
+        for &s in picks.as_slice() {
             b.add_edge(NodeId::from(c), NodeId(customers as u32 + s))
                 .unwrap();
         }

@@ -5,9 +5,9 @@
 use crate::algo::bfs_distances_capped;
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::gen::Picks;
 use crate::ids::NodeId;
 use rand::Rng;
-use std::collections::HashSet;
 
 /// Number of nodes of a perfect `d`-ary tree of the given `depth`, where
 /// *d-ary* follows the paper's definition: every non-leaf node has **degree**
@@ -161,7 +161,12 @@ pub fn random_layered(
         }
         acc += w;
     }
-    let mut b = GraphBuilder::new(n);
+    let m = (1..widths.len())
+        .map(|l| widths[l] * down_degree.min(widths[l - 1]))
+        .sum();
+    let mut b = GraphBuilder::with_capacity(n, m);
+    let widest_below = widths[..widths.len() - 1].iter().max();
+    let mut picks = Picks::new(widest_below.copied().unwrap_or(0));
     for l in 1..widths.len() {
         let below = widths[l - 1];
         let base_below = first_id_of_level[l - 1];
@@ -169,12 +174,13 @@ pub fn random_layered(
         let want = down_degree.min(below);
         for i in 0..widths[l] {
             let v = NodeId::from(base + i);
-            let mut picked: HashSet<usize> = HashSet::with_capacity(want);
-            while picked.len() < want {
-                picked.insert(rng.gen_range(0..below));
+            picks.clear();
+            while picks.len() < want {
+                picks.insert(rng.gen_range(0..below) as u32);
             }
-            for c in picked {
-                b.add_edge(v, NodeId::from(base_below + c)).unwrap();
+            for &c in picks.as_slice() {
+                b.add_edge(v, NodeId::from(base_below + c as usize))
+                    .unwrap();
             }
         }
     }

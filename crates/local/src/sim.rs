@@ -348,12 +348,9 @@ mod tests {
         assert_eq!(out.rounds, 7);
     }
 
-    /// The production loop repeats the dense oracle's BFS flood. (Several
-    /// tests in this module keep the names they had when multi-threaded
-    /// and sharded executors were compared with a sequential one; each now
-    /// compares the production loop with the dense oracle.)
+    /// The production loop repeats the dense oracle's BFS flood.
     #[test]
-    fn bfs_parallel_matches_sequential() {
+    fn bfs_flood_matches_the_dense_oracle() {
         let g = cycle(31);
         let dense = Simulator::dense().run::<BfsDist>(&g, &bfs_inputs(31));
         let sp = Simulator::sequential().run::<BfsDist>(&g, &bfs_inputs(31));
@@ -367,7 +364,7 @@ mod tests {
     /// mirror the dense oracle's on the same flood: the node-rounds it
     /// never visited are exactly the ones the dense scan skipped by flag.
     #[test]
-    fn sharded_matches_sequential_on_every_grid_point() {
+    fn work_counters_match_the_dense_oracle_on_every_graph() {
         for g in [cycle(31), path(23), star(8)] {
             let n = g.num_nodes();
             let dense = Simulator::dense().run::<BfsDist>(&g, &bfs_inputs(n));
@@ -398,7 +395,7 @@ mod tests {
 
     /// The dense oracle stops at the same cap, with the same outputs.
     #[test]
-    fn sharded_round_cap_reported() {
+    fn round_cap_matches_the_dense_oracle() {
         let g = path(64);
         let dense = Simulator::dense()
             .with_max_rounds(3)
@@ -427,7 +424,7 @@ mod tests {
 
     /// The production loop records the dense oracle's per-round trace.
     #[test]
-    fn parallel_trace_matches_sequential() {
+    fn cycle_trace_matches_the_dense_oracle() {
         let g = cycle(17);
         let dense = Simulator::dense()
             .with_trace(true)
@@ -441,7 +438,7 @@ mod tests {
 
     /// The same on a path, whose flood front has one node.
     #[test]
-    fn sharded_trace_matches_sequential() {
+    fn path_trace_matches_the_dense_oracle() {
         let g = path(23);
         let dense = Simulator::dense()
             .with_trace(true)
@@ -466,7 +463,7 @@ mod tests {
     /// The production loop finishes an empty graph at once without a
     /// trace, and repeats the dense oracle on a three-node path.
     #[test]
-    fn sharded_empty_graph_and_more_shards_than_nodes() {
+    fn empty_graph_and_short_path_match_the_dense_oracle() {
         let g = td_graph::CsrGraph::from_edges(0, &[]).unwrap();
         let out = Simulator::sequential().run::<BfsDist>(&g, &[]);
         assert!(out.completed);
@@ -543,7 +540,7 @@ mod tests {
 
     /// The dense oracle delivers the same port-addressed echo.
     #[test]
-    fn sharded_port_addressing_and_cross_shard_batches() {
+    fn port_addressing_matches_the_dense_oracle() {
         let g = path(3);
         let out = Simulator::dense().run::<PortEcho>(&g, &[(); 3]);
         assert!(out.completed);
@@ -636,7 +633,7 @@ mod tests {
     /// after round 0: the production loop skips them for the remaining
     /// rounds.
     #[test]
-    fn quiesced_shards_skip_rounds() {
+    fn quiesced_nodes_skip_rounds_and_match_the_dense_oracle() {
         // Path of 32: the first 8 nodes run 21 rounds, the rest halt in
         // round 0.
         let g = path(32);
@@ -678,7 +675,7 @@ mod tests {
     /// bit for bit, and the scheduling-independent counters agree between
     /// the production loop and the dense oracle.
     #[test]
-    fn perf_counters_aggregate_deterministically_across_workers() {
+    fn perf_counters_repeat_and_match_the_dense_oracle() {
         let g = cycle(64);
         let inputs = bfs_inputs(64);
         let dense = Simulator::dense().run::<BfsDist>(&g, &inputs);

@@ -65,7 +65,9 @@ USAGE:
                                        runs the smallest size of each
                                        ladder (the CI smoke); --repeat N
                                        takes min-of-N wall timing per point
-                                       (default 3, 1 under --quick)
+                                       (default 3, 1 under --quick); a
+                                       restricted sweep writes a file only
+                                       with --out
   td serve                             list the servable churn families
   td serve <family> [--size N] [--seed S] [--rate R] [--budget B]
            [--queue Q] [--out FILE]
@@ -535,7 +537,7 @@ fn cmd_fuzz(args: &[String]) -> i32 {
 fn cmd_perf(args: &[String]) -> i32 {
     use td_bench::perf::{self, SweepConfig};
     let mut cfg = SweepConfig::default();
-    let mut out_path = String::from("BENCH_10.json");
+    let mut out_path: Option<String> = None;
     // Pre-scan the perf-specific flags; everything else goes through the
     // shared RunFlags parser so --seed keeps exactly the bench/churn
     // validation semantics (exit 2 on garbage).
@@ -571,7 +573,7 @@ fn cmd_perf(args: &[String]) -> i32 {
             },
             "--out" => match args.get(i + 1) {
                 Some(p) => {
-                    out_path = p.clone();
+                    out_path = Some(p.clone());
                     i += 2;
                 }
                 None => {
@@ -664,6 +666,21 @@ fn cmd_perf(args: &[String]) -> i32 {
             println!("sparse speedup ({}, sparse vs dense): {x:.2}x", sc.name);
         }
     }
+    // Only a full sweep stands in for the committed BENCH_10.json; a
+    // restricted one is written only where --out says.
+    let restricted = cfg.scenario.is_some() || cfg.quick;
+    let out_path = match out_path {
+        Some(p) => p,
+        None if restricted => {
+            println!(
+                "\n{} points: restricted sweep (--scenario/--sizes/--quick), no file written \
+                 (save it with --out FILE)",
+                report.points.len()
+            );
+            return 0;
+        }
+        None => String::from("BENCH_10.json"),
+    };
     let json = perf::write_json(&report);
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("td perf: cannot write {out_path}: {e}");

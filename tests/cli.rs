@@ -475,6 +475,41 @@ fn perf_writes_versioned_json_report() {
     assert!(!json.contains("\"threads\""), "{json}");
 }
 
+/// A restricted sweep without `--out` prints its table and writes no file:
+/// it must not replace the committed full-sweep `BENCH_10.json` with its
+/// few rows.
+#[test]
+fn restricted_perf_sweep_writes_no_file_without_out() {
+    let dir = std::env::temp_dir().join(format!("td-perf-restricted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(BIN)
+        .args([
+            "perf",
+            "--scenario",
+            "drain-wave",
+            "--sizes",
+            "512",
+            "--repeat",
+            "1",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("td runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let written = dir.join("BENCH_10.json").exists();
+    let entries = std::fs::read_dir(&dir).unwrap().count();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("drain-wave"), "{stdout}");
+    assert!(stdout.contains("no file written"), "{stdout}");
+    assert!(!written, "a restricted sweep wrote BENCH_10.json");
+    assert_eq!(entries, 0, "a restricted sweep wrote a file");
+}
+
 #[test]
 fn serve_lists_families_without_args() {
     let (out, _, ok) = run_td(&["serve"], None);
