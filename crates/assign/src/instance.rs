@@ -49,20 +49,35 @@ impl AssignmentInstance {
     /// Interprets a bipartite [`CsrGraph`] whose nodes `0..nc` are customers
     /// and `nc..` are servers (the layout produced by
     /// [`td_graph::gen::random::random_bipartite`]).
+    ///
+    /// A CSR row is strictly sorted, so each customer's row, shifted down
+    /// by `nc`, is already the sorted server list [`AssignmentInstance::new`]
+    /// would build: the rows are copied straight into the instance, which
+    /// allocates twice whatever the size.
+    ///
+    /// # Panics
+    /// If a customer has no adjacent server, or is adjacent to a customer.
     pub fn from_bipartite_graph(g: &CsrGraph, num_customers: usize) -> Self {
         let num_servers = g.num_nodes() - num_customers;
-        let customers: Vec<Vec<u32>> = (0..num_customers)
-            .map(|c| {
-                g.neighbors(td_graph::NodeId::from(c))
-                    .iter()
-                    .map(|&s| {
-                        assert!(s as usize >= num_customers, "edge within customer side");
-                        s - num_customers as u32
-                    })
-                    .collect()
-            })
-            .collect();
-        AssignmentInstance::new(num_servers, &customers)
+        let customers = (0..num_customers).map(td_graph::NodeId::from);
+        let slots = customers.clone().map(|c| g.degree(c)).sum();
+        let mut cust_off = Vec::with_capacity(num_customers + 1);
+        let mut cust_srv = Vec::with_capacity(slots);
+        cust_off.push(0u32);
+        for c in customers {
+            let row = g.neighbors(c);
+            assert!(!row.is_empty(), "customer {} has no servers", c.idx());
+            cust_srv.extend(row.iter().map(|&s| {
+                assert!(s as usize >= num_customers, "edge within customer side");
+                s - num_customers as u32
+            }));
+            cust_off.push(cust_srv.len() as u32);
+        }
+        AssignmentInstance {
+            cust_off,
+            cust_srv,
+            num_servers,
+        }
     }
 
     /// Random instance: each customer picks a degree in `degree_range` and
@@ -176,6 +191,22 @@ mod tests {
     #[should_panic(expected = "out-of-range")]
     fn rejects_out_of_range() {
         let _ = AssignmentInstance::new(2, &[vec![5]]);
+    }
+
+    /// A graph instance keeps the two checks [`AssignmentInstance::new`]
+    /// makes on its input that a CSR row can fail.
+    #[test]
+    #[should_panic(expected = "customer 1 has no servers")]
+    fn graph_rejects_a_customer_without_servers() {
+        let g = CsrGraph::from_edges(4, &[(0, 2), (0, 3)]).unwrap();
+        let _ = AssignmentInstance::from_bipartite_graph(&g, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge within customer side")]
+    fn graph_rejects_an_edge_between_customers() {
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+        let _ = AssignmentInstance::from_bipartite_graph(&g, 2);
     }
 
     #[test]

@@ -1338,8 +1338,10 @@ pub const BENCH_COUNTERS: [&str; 7] = [
 pub fn check_bench(rendered: &str, committed: &str) -> Result<usize, Vec<String>> {
     let points = |doc: &str, what: &str| -> Result<Vec<json::Json>, Vec<String>> {
         json::parse(doc)
-            .ok()
-            .and_then(|d| d.get("points").and_then(|p| p.as_arr()).map(<[_]>::to_vec))
+            .map_err(|e| vec![format!("{what}: {e}")])?
+            .get("points")
+            .and_then(|p| p.as_arr())
+            .map(<[_]>::to_vec)
             .ok_or_else(|| vec![format!("{what}: not a td-perf document with points")])
     };
     let field =

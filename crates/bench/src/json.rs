@@ -82,10 +82,20 @@ impl Json {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so a bound keeps a hostile document from overflowing the stack;
+/// the documents this workspace writes nest 5 levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document. Trailing non-whitespace is an error, as is
-/// anything structurally malformed; the message carries a byte offset.
+/// anything structurally malformed or nested more than 128 levels deep;
+/// the message carries a byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { text, pos: 0 };
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -99,6 +109,8 @@ struct Parser<'a> {
     text: &'a str,
     /// Byte offset of the next unread input.
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -123,8 +135,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -132,6 +144,20 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -368,6 +394,25 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn bounds_nesting_depth_with_a_diagnostic() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "0" + &"}".repeat(depth);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = parse(&objects(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.ends_with(&format!("at byte {}", 5 * MAX_DEPTH)),
+            "{err}"
+        );
+        // The parser recurses once per level, so without the limit this
+        // document would overflow the stack; it stops at the limit instead.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -20,18 +20,19 @@
 //! avoids an O(m) clear every round — crucial when round counts reach Θ(Δ⁴)
 //! on small graphs.
 //!
-//! ## Aliasing discipline
+//! ## One writer per slot
 //!
-//! The stepping loop (and the dense oracle beside it) steps its nodes on
-//! the calling thread, but a round holds the read view of one buffer and
-//! the write view of the other at once, both borrowed from the shared
-//! arena, and every stepped node writes through the same write view. That is sound because of the structural
-//! one-writer-per-slot guarantee spelled out in [`crate::disjoint`]: the
-//! slot of `(receiver, port)` is written by exactly one node per round, and
-//! nothing reads the write buffer until the next round. The slot array is a
-//! [`DisjointSlots`], so the unsafe surface stays in one module.
+//! The two buffers are plain `Vec`s. [`MessageArena::epoch`] borrows the
+//! arena mutably and splits it into a shared [`ArenaReader`] over the
+//! buffer read in the round and an exclusive [`ArenaWriter`] over the
+//! buffer written for the next one, so the borrow checker proves that a
+//! round's writes never touch the messages it reads. Every node stepped in
+//! the round sends through a reborrow of that one writer, which stays the
+//! only way to write. Which node writes a slot is fixed by the port
+//! numbering: the slot of `(receiver, port)` is written only by the
+//! neighbor behind that port, so the order the loop steps nodes in cannot
+//! change what a round delivers.
 
-use crate::disjoint::DisjointSlots;
 use td_graph::CsrGraph;
 
 /// Stamp value meaning "never written". Rounds are capped strictly below
@@ -55,6 +56,14 @@ impl<M: Default> Slot<M> {
     }
 }
 
+impl<M> Slot<M> {
+    /// The payload, if it is a message for round `stamp`.
+    #[inline(always)]
+    pub(crate) fn addressed_to(&self, stamp: u32) -> Option<&M> {
+        (self.stamp == stamp).then_some(&self.msg)
+    }
+}
+
 /// The double-buffered flat message arena of one simulation.
 ///
 /// Allocated once (two buffers of `num_slots` slots each); reused across
@@ -66,7 +75,7 @@ impl<M: Default> Slot<M> {
 /// use td_graph::gen::classic::path;
 ///
 /// let g = path(4); // 3 edges -> 6 directed slots, one per (receiver, port)
-/// let arena: MessageArena<u64> = MessageArena::for_graph(&g);
+/// let mut arena: MessageArena<u64> = MessageArena::for_graph(&g);
 /// assert_eq!(arena.num_slots(), 6);
 /// // Advancing the round is the whole delivery step: `epoch` hands out the
 /// // read view of the previous round's writes and the write view of the
@@ -74,13 +83,13 @@ impl<M: Default> Slot<M> {
 /// let (_reader, _writer) = arena.epoch(0);
 /// ```
 pub struct MessageArena<M> {
-    bufs: [DisjointSlots<Slot<M>>; 2],
+    bufs: [Vec<Slot<M>>; 2],
 }
 
-impl<M: Default + Send> MessageArena<M> {
+impl<M: Default> MessageArena<M> {
     /// An arena with `slots` directed-edge slots per buffer.
     pub fn with_slots(slots: usize) -> Self {
-        let buf = || DisjointSlots::new_with(slots, |_| Slot::empty());
+        let buf = || (0..slots).map(|_| Slot::empty()).collect();
         MessageArena {
             bufs: [buf(), buf()],
         }
@@ -113,7 +122,7 @@ impl<M: Default + Send> MessageArena<M> {
     pub fn reset(&mut self, slots: usize) {
         self.resize(slots);
         for buf in &mut self.bufs {
-            buf.as_mut_slice().fill_with(Slot::empty);
+            buf.fill_with(Slot::empty);
         }
     }
 
@@ -140,7 +149,7 @@ impl<M: Default + Send> MessageArena<M> {
         );
         let live_buf = (live_round % 2) as usize;
         for (b, buf) in self.bufs.iter_mut().enumerate() {
-            for slot in buf.as_mut_slice() {
+            for slot in buf {
                 slot.stamp = if b == live_buf && slot.stamp == live_round {
                     new_round
                 } else {
@@ -154,14 +163,20 @@ impl<M: Default + Send> MessageArena<M> {
     /// advancing the round flips which buffer is read and which is written —
     /// no data moves, no clear pass runs.
     #[inline(always)]
-    pub fn epoch(&self, round: u32) -> (ArenaReader<'_, M>, ArenaWriter<'_, M>) {
+    pub fn epoch(&mut self, round: u32) -> (ArenaReader<'_, M>, ArenaWriter<'_, M>) {
+        let [even, odd] = &mut self.bufs;
+        let (read, write) = if round.is_multiple_of(2) {
+            (even, odd)
+        } else {
+            (odd, even)
+        };
         (
             ArenaReader {
-                slots: &self.bufs[(round % 2) as usize],
+                slots: read,
                 stamp: round,
             },
             ArenaWriter {
-                slots: &self.bufs[((round + 1) % 2) as usize],
+                slots: write,
                 stamp: round + 1,
             },
         )
@@ -170,56 +185,23 @@ impl<M: Default + Send> MessageArena<M> {
 
 /// Read view of the buffer delivered in one round.
 pub struct ArenaReader<'a, M> {
-    slots: &'a DisjointSlots<Slot<M>>,
+    slots: &'a [Slot<M>],
     /// Messages are valid iff their slot stamp equals this round.
     stamp: u32,
 }
 
 /// Write view of the buffer being filled for the next round.
 pub struct ArenaWriter<'a, M> {
-    slots: &'a DisjointSlots<Slot<M>>,
+    slots: &'a mut [Slot<M>],
     /// Stamp published with every write: the round the message arrives in.
     stamp: u32,
 }
 
-// The views are plain (ref, u32) regardless of `M`, so implement Copy by
-// hand instead of deriving (derive would demand `M: Copy`).
-impl<M> Clone for ArenaReader<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for ArenaReader<'_, M> {}
-impl<M> Clone for ArenaWriter<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for ArenaWriter<'_, M> {}
-
 impl<'a, M> ArenaReader<'a, M> {
-    /// The message in `slot`, if one was sent for this round.
-    ///
-    /// # Safety
-    /// Nothing may be writing this buffer (the stepping loops guarantee this:
-    /// writes go to the other buffer until the round ends).
-    #[inline(always)]
-    pub(crate) unsafe fn get(&self, slot: usize) -> Option<&'a M> {
-        let s = self.slots.read(slot);
-        if s.stamp == self.stamp {
-            Some(&s.msg)
-        } else {
-            None
-        }
-    }
-
     /// The contiguous slot run `[base, base + len)` — a node's inbox row.
-    ///
-    /// # Safety
-    /// As for [`ArenaReader::get`].
     #[inline(always)]
-    pub(crate) unsafe fn row(&self, base: usize, len: usize) -> &'a [Slot<M>] {
-        self.slots.slice(base, len)
+    pub(crate) fn row(&self, base: usize, len: usize) -> &'a [Slot<M>] {
+        &self.slots[base..base + len]
     }
 
     /// The round whose messages this view exposes.
@@ -230,21 +212,23 @@ impl<'a, M> ArenaReader<'a, M> {
 }
 
 impl<M> ArenaWriter<'_, M> {
-    /// Writes `msg` into `slot` in place and publishes its stamp.
-    ///
-    /// # Safety
-    /// Within the current round, nothing else may access `slot` in this
-    /// buffer. The simulator's one-writer-per-slot discipline (see
-    /// [`crate::disjoint`]) provides exactly this.
+    /// A writer over the same buffer for a shorter borrow: the stepping
+    /// loops hand one to each node's outbox.
     #[inline(always)]
-    pub(crate) unsafe fn write(&self, slot: usize, msg: M) {
-        self.slots.write(
-            slot,
-            Slot {
-                stamp: self.stamp,
-                msg,
-            },
-        );
+    pub(crate) fn reborrow(&mut self) -> ArenaWriter<'_, M> {
+        ArenaWriter {
+            slots: self.slots,
+            stamp: self.stamp,
+        }
+    }
+
+    /// Writes `msg` into `slot` in place and publishes its stamp.
+    #[inline(always)]
+    pub(crate) fn write(&mut self, slot: usize, msg: M) {
+        self.slots[slot] = Slot {
+            stamp: self.stamp,
+            msg,
+        };
     }
 }
 
@@ -252,59 +236,56 @@ impl<M> ArenaWriter<'_, M> {
 mod tests {
     use super::*;
 
+    /// The message in `slot` of `r`'s buffer, if one was sent for its round.
+    pub(super) fn get<'a, M>(r: &ArenaReader<'a, M>, slot: usize) -> Option<&'a M> {
+        r.slots[slot].addressed_to(r.stamp)
+    }
+
     #[test]
     fn epoch_alternates_buffers() {
-        let arena: MessageArena<u8> = MessageArena::with_slots(3);
+        let mut arena: MessageArena<u8> = MessageArena::with_slots(3);
         let (r0, w0) = arena.epoch(0);
+        let (r0, w0) = (r0.slots.as_ptr(), w0.slots.as_ptr());
         let (r1, w1) = arena.epoch(1);
+        let (r1, w1) = (r1.slots.as_ptr(), w1.slots.as_ptr());
         // What is written in round 0 is read in round 1, and vice versa.
-        assert!(std::ptr::eq(w0.slots, r1.slots));
-        assert!(std::ptr::eq(w1.slots, r0.slots));
-        assert!(!std::ptr::eq(r0.slots, r1.slots));
+        assert!(std::ptr::eq(w0, r1));
+        assert!(std::ptr::eq(w1, r0));
+        assert!(!std::ptr::eq(r0, r1));
     }
 
     #[test]
     fn stamp_gates_delivery() {
-        let arena: MessageArena<u16> = MessageArena::with_slots(4);
+        let mut arena: MessageArena<u16> = MessageArena::with_slots(4);
         // Send in round 0 (stamped 1): visible in round 1, gone in round 3.
-        let (_, w) = arena.epoch(0);
-        unsafe { w.write(2, 99) };
+        let (_, mut w) = arena.epoch(0);
+        w.write(2, 99);
         let (r, _) = arena.epoch(1);
-        unsafe {
-            assert_eq!(r.get(2), Some(&99));
-            assert_eq!(r.get(1), None);
-        }
+        assert_eq!(get(&r, 2), Some(&99));
+        assert_eq!(get(&r, 1), None);
         // Round 3 reads the same physical buffer, but the stamp is stale.
         let (r3, _) = arena.epoch(3);
-        unsafe {
-            assert_eq!(r3.get(2), None);
-        }
+        assert_eq!(get(&r3, 2), None);
     }
 
     #[test]
     fn overwrite_in_same_round_keeps_last() {
-        let arena: MessageArena<u64> = MessageArena::with_slots(2);
-        let (_, w) = arena.epoch(0);
-        unsafe {
-            w.write(0, 1);
-            w.write(0, 2);
-        }
+        let mut arena: MessageArena<u64> = MessageArena::with_slots(2);
+        let (_, mut w) = arena.epoch(0);
+        w.write(0, 1);
+        w.write(0, 2);
         let (r, _) = arena.epoch(1);
-        unsafe {
-            assert_eq!(r.get(0), Some(&2));
-        }
+        assert_eq!(get(&r, 0), Some(&2));
     }
 
     #[test]
     fn row_matches_get() {
-        let arena: MessageArena<u8> = MessageArena::with_slots(5);
-        let (_, w) = arena.epoch(6);
-        unsafe {
-            w.write(1, 10);
-            w.write(3, 30);
-        }
+        let mut arena: MessageArena<u8> = MessageArena::with_slots(5);
+        let (_, mut w) = arena.epoch(6);
+        w.write(1, 10);
+        w.write(3, 30);
         let (r, _) = arena.epoch(7);
-        let row = unsafe { r.row(0, 5) };
+        let row = r.row(0, 5);
         let hits: Vec<(usize, u8)> = row
             .iter()
             .enumerate()
@@ -318,21 +299,19 @@ mod tests {
     fn renormalize_preserves_in_flight_and_clears_stale() {
         let mut arena: MessageArena<u16> = MessageArena::with_slots(4);
         // A stale message from an old round…
-        let (_, w) = arena.epoch(96);
-        unsafe { w.write(0, 11) };
+        let (_, mut w) = arena.epoch(96);
+        w.write(0, 11);
         // …and an in-flight one addressed to round 101 (written in 100).
-        let (_, w) = arena.epoch(100);
-        unsafe { w.write(2, 77) };
+        let (_, mut w) = arena.epoch(100);
+        w.write(2, 77);
         // Rebase round 101 -> 1 (same parity).
         arena.renormalize(101, 1);
         let (r, _) = arena.epoch(1);
-        unsafe {
-            assert_eq!(r.get(2), Some(&77), "in-flight message survives");
-            assert_eq!(r.get(0), None, "stale slot cleared");
-        }
+        assert_eq!(get(&r, 2), Some(&77), "in-flight message survives");
+        assert_eq!(get(&r, 0), None, "stale slot cleared");
         // The stale slot must not resurface at its old stamp either.
         let (r97, _) = arena.epoch(97);
-        unsafe { assert_eq!(r97.get(0), None) };
+        assert_eq!(get(&r97, 0), None);
     }
 
     #[test]
@@ -345,22 +324,20 @@ mod tests {
     #[test]
     fn resize_keeps_slots_and_reset_clears_them() {
         let mut arena: MessageArena<u16> = MessageArena::with_slots(4);
-        let (_, w) = arena.epoch(6);
-        unsafe { w.write(1, 9) };
+        let (_, mut w) = arena.epoch(6);
+        w.write(1, 9);
         arena.resize(6);
         assert_eq!(arena.num_slots(), 6);
         let (r, _) = arena.epoch(7);
-        unsafe {
-            assert_eq!(r.get(1), Some(&9), "kept slot keeps its message");
-            assert_eq!(r.get(5), None, "new slot starts empty");
-        }
+        assert_eq!(get(&r, 1), Some(&9), "kept slot keeps its message");
+        assert_eq!(get(&r, 5), None, "new slot starts empty");
         for slots in [6, 2] {
             arena.reset(slots);
             assert_eq!(arena.num_slots(), slots);
             for round in 0..8 {
                 let (r, _) = arena.epoch(round);
                 for s in 0..slots {
-                    assert_eq!(unsafe { r.get(s) }, None, "round {round} slot {s}");
+                    assert_eq!(get(&r, s), None, "round {round} slot {s}");
                 }
             }
         }
@@ -380,6 +357,7 @@ mod tests {
 /// arena never clears anything and tracks validity only through stamps.
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::get;
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -401,19 +379,19 @@ mod prop_tests {
             density in 0.0f64..1.0,
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let arena: MessageArena<u64> = MessageArena::with_slots(slots);
+            let mut arena: MessageArena<u64> = MessageArena::with_slots(slots);
             // Messages written during the previous round, i.e. what the
             // model delivers this round. The model clears every round; the
             // arena must match without ever clearing.
             let mut inflight: Vec<Option<u64>> = vec![None; slots];
             for r in 0..rounds {
-                let (reader, writer) = arena.epoch(r);
+                let (reader, mut writer) = arena.epoch(r);
                 for (s, expect) in inflight.iter().enumerate() {
-                    prop_assert_eq!(unsafe { reader.get(s) }.copied(), *expect,
+                    prop_assert_eq!(get(&reader, s).copied(), *expect,
                         "round {} slot {}", r, s);
                 }
                 // The row view must agree with per-slot gets.
-                let row = unsafe { reader.row(0, slots) };
+                let row = reader.row(0, slots);
                 for (s, slot) in row.iter().enumerate() {
                     let via_row = (slot.stamp == reader.stamp()).then_some(slot.msg);
                     prop_assert_eq!(via_row, inflight[s], "row round {} slot {}", r, s);
@@ -426,7 +404,7 @@ mod prop_tests {
                         for _ in 0..2 {
                             if rng.gen_bool(density) {
                                 let val: u64 = rng.gen();
-                                unsafe { writer.write(s, val) };
+                                writer.write(s, val);
                                 *model = Some(val);
                             }
                         }
@@ -446,18 +424,18 @@ mod prop_tests {
             start in 0u32..64,
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let arena: MessageArena<u32> = MessageArena::with_slots(slots);
+            let mut arena: MessageArena<u32> = MessageArena::with_slots(slots);
             let slot = rng.gen_range(0..slots);
-            let (reader, writer) = arena.epoch(start);
-            let before = unsafe { reader.get(slot) }.copied();
-            unsafe { writer.write(slot, 7) };
+            let (reader, mut writer) = arena.epoch(start);
+            let before = get(&reader, slot).copied();
+            writer.write(slot, 7);
             // Same epoch, same reader: the write went to the other buffer.
-            prop_assert_eq!(unsafe { reader.get(slot) }.copied(), before);
+            prop_assert_eq!(get(&reader, slot).copied(), before);
             let (r1, _) = arena.epoch(start + 1);
-            prop_assert_eq!(unsafe { r1.get(slot) }.copied(), Some(7));
+            prop_assert_eq!(get(&r1, slot).copied(), Some(7));
             // Two flips later the stamp is stale again.
             let (r3, _) = arena.epoch(start + 3);
-            prop_assert_eq!(unsafe { r3.get(slot) }.copied(), None);
+            prop_assert_eq!(get(&r3, slot).copied(), None);
         }
     }
 }

@@ -707,7 +707,7 @@ impl<P: Protocol> ChurnSim<P> {
         let (stats, perf) = crate::sim::step(
             &self.graph,
             &mut self.states,
-            &self.arena,
+            &mut self.arena,
             &mut self.awake,
             Some(&mut self.wake),
             self.round..self.round + max_rounds,

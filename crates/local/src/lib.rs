@@ -25,6 +25,9 @@
 //! * A zero-allocation hot loop: the [`arena::MessageArena`] is allocated
 //!   once per run, payloads are overwritten in place, and round delivery is
 //!   a buffer-parity flip.
+//! * No `unsafe` code. The arena's two buffers are plain `Vec`s, and each
+//!   round borrows one to read and the other, exclusively, to write, so the
+//!   borrow checker proves that a round never writes what it reads.
 //! * A **churn plane** ([`churn`]): a persistent simulator
 //!   ([`churn::ChurnSim`]) that runs the same loop with a wake set, so
 //!   `Halt` means *quiesce until a message arrives*: repair protocols
@@ -69,12 +72,12 @@
 //! assert!(outcome.outputs.iter().all(|&b| b == 5));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;
 pub mod churn;
 pub mod classics;
-pub mod disjoint;
 pub mod metrics;
 pub mod protocol;
 pub mod sim;

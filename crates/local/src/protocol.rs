@@ -1,6 +1,6 @@
 //! The node-side programming interface of the LOCAL simulator.
 
-use crate::arena::{ArenaReader, ArenaWriter};
+use crate::arena::{ArenaWriter, Slot};
 use crate::churn::WakeSet;
 use td_graph::{CsrGraph, NodeId, Port};
 
@@ -51,39 +51,34 @@ pub enum Status {
 /// A node's view of the messages received this round: one optional message
 /// per port, backed by the node's contiguous run of arena slots.
 pub struct Inbox<'a, M> {
-    pub(crate) reader: ArenaReader<'a, M>,
-    pub(crate) base: usize,
-    pub(crate) degree: usize,
+    /// The node's slot row of the buffer read this round, one per port.
+    pub(crate) row: &'a [Slot<M>],
+    /// The round being read: a slot holds a message iff its stamp equals it.
+    pub(crate) stamp: u32,
 }
 
 impl<'a, M> Inbox<'a, M> {
     /// The message received on `port`, if any.
+    ///
+    /// # Panics
+    /// If `port` is not below the node's degree.
     #[inline]
     pub fn get(&self, port: Port) -> Option<&'a M> {
-        debug_assert!(port.idx() < self.degree);
-        // SAFETY: the read buffer is not written during the round (writes
-        // go to the other buffer of the double-buffered arena).
-        unsafe { self.reader.get(self.base + port.idx()) }
+        self.row[port.idx()].addressed_to(self.stamp)
     }
 
     /// Iterates over `(port, message)` pairs for all ports that received
     /// one, by a single pass over the node's contiguous slot row.
     pub fn iter(&self) -> impl Iterator<Item = (Port, &'a M)> + '_ {
-        // SAFETY: as for `get`.
-        let row = unsafe { self.reader.row(self.base, self.degree) };
-        let want = self.reader.stamp();
-        row.iter().enumerate().filter_map(move |(p, s)| {
-            if s.stamp == want {
-                Some((Port::from(p), &s.msg))
-            } else {
-                None
-            }
-        })
+        let (row, stamp) = (self.row, self.stamp);
+        row.iter()
+            .enumerate()
+            .filter_map(move |(p, s)| s.addressed_to(stamp).map(|m| (Port::from(p), m)))
     }
 
     /// Number of ports (== the node's degree).
     pub fn num_ports(&self) -> usize {
-        self.degree
+        self.row.len()
     }
 
     /// Number of messages received this round.
@@ -100,12 +95,16 @@ impl<'a, M> Inbox<'a, M> {
 /// A node's sending interface for the current round.
 ///
 /// Sending writes the payload in place into the *write* buffer slot owned by
-/// the receiving endpoint and publishes its stamp; the disjointness argument
-/// is in [`crate::disjoint`].
+/// the receiving endpoint and publishes its stamp, through a reborrow of
+/// the round's one [`ArenaWriter`] (see [`crate::arena`]).
 pub struct Outbox<'a, 'g, M> {
     pub(crate) writer: ArenaWriter<'a, M>,
     pub(crate) graph: &'g CsrGraph,
     pub(crate) node: NodeId,
+    /// The node's first CSR slot: `base + port` is the slot of `port`.
+    pub(crate) base: usize,
+    /// The node's degree; every port sent on must be below it.
+    pub(crate) degree: usize,
     pub(crate) sent: u64,
     /// The wake set of a [`crate::churn::ChurnSim`] repair: sending also
     /// schedules the receiver for the delivery round. `None` in a one-shot
@@ -113,18 +112,23 @@ pub struct Outbox<'a, 'g, M> {
     pub(crate) wake: Option<&'a mut WakeSet>,
 }
 
-impl<'g, M: Clone + Default + Send> Outbox<'_, 'g, M> {
+impl<'g, M: Clone> Outbox<'_, 'g, M> {
     /// Sends `msg` over `port`; it arrives at the neighbor next round.
     /// Sending twice on the same port in one round overwrites (one message
     /// per edge per round, as in the LOCAL model).
+    ///
+    /// # Panics
+    /// If `port` is not below the node's degree.
     #[inline]
     pub fn send(&mut self, port: Port, msg: M) {
-        let slot = self.graph.slot(self.node, port);
-        let mirror = self.graph.mirror_slot(slot);
-        // SAFETY: slot `mirror` belongs to (neighbor, its port); the only
-        // writer of that slot in this round is this node, and nothing reads
-        // the write buffer until the next round.
-        unsafe { self.writer.write(mirror, msg) };
+        assert!(
+            port.idx() < self.degree,
+            "port {port} out of range at {} (degree {})",
+            self.node,
+            self.degree
+        );
+        let slot = self.base + port.idx();
+        self.writer.write(self.graph.mirror_slot(slot), msg);
         if let Some(wake) = self.wake.as_deref_mut() {
             wake.mark(self.graph.neighbor_at(self.node, port));
         }
@@ -133,14 +137,14 @@ impl<'g, M: Clone + Default + Send> Outbox<'_, 'g, M> {
 
     /// Sends a clone of `msg` over every port.
     pub fn broadcast(&mut self, msg: M) {
-        for p in 0..self.graph.degree(self.node) {
+        for p in 0..self.degree {
             self.send(Port::from(p), msg.clone());
         }
     }
 
     /// Number of ports available (== the node's degree).
     pub fn num_ports(&self) -> usize {
-        self.graph.degree(self.node)
+        self.degree
     }
 
     /// Identifiers of the neighbors, indexed by port: the
@@ -157,15 +161,15 @@ impl<'g, M: Clone + Default + Send> Outbox<'_, 'g, M> {
 /// The executor creates one `Protocol` value per node via [`Protocol::init`],
 /// calls [`Protocol::round`] once per synchronous round until the node halts,
 /// then collects local outputs via [`Protocol::finish`].
-pub trait Protocol: Sized + Send {
+pub trait Protocol: Sized {
     /// Per-node problem input (e.g. "holds a token", "level 3").
-    type Input: Sync;
+    type Input;
     /// Message type exchanged between neighbors. `Default` seeds the
     /// flat message arena (slot validity is tracked by stamps, so the
     /// default value is never observed as a delivered message).
-    type Message: Clone + Send + Default;
+    type Message: Clone + Default;
     /// Per-node output (e.g. "final orientation of my incident edges").
-    type Output: Send;
+    type Output;
 
     /// Boots the node. LOCAL: only local information is available.
     fn init(node: NodeInit<'_, Self::Input>) -> Self;

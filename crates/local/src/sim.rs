@@ -101,17 +101,23 @@ impl Simulator {
         // The arena is the only message storage: allocated once here, then
         // reused for every round (writes happen in place, delivery is the
         // epoch parity flip).
-        let arena = MessageArena::for_graph(graph);
+        let mut arena = MessageArena::for_graph(graph);
         let mut trace = self.trace.then(Vec::new);
         let (run, perf) = if self.dense {
-            dense_scan(graph, &mut states, &arena, self.max_rounds, trace.as_mut())
+            dense_scan(
+                graph,
+                &mut states,
+                &mut arena,
+                self.max_rounds,
+                trace.as_mut(),
+            )
         } else {
             // Every node starts awake, and `Halt` is final: no wake set.
             let mut awake: Vec<u32> = (0..graph.num_nodes() as u32).collect();
             step(
                 graph,
                 &mut states,
-                &arena,
+                &mut arena,
                 &mut awake,
                 None,
                 0..self.max_rounds,
@@ -145,7 +151,7 @@ impl Simulator {
 pub(crate) fn step<P: Protocol>(
     graph: &CsrGraph,
     states: &mut [P],
-    arena: &MessageArena<P::Message>,
+    arena: &mut MessageArena<P::Message>,
     awake: &mut Vec<u32>,
     mut wake: Option<&mut WakeSet>,
     rounds: Range<u32>,
@@ -165,7 +171,7 @@ pub(crate) fn step<P: Protocol>(
             run.completed = false;
             break;
         }
-        let (reader, writer) = arena.epoch(round);
+        let (reader, mut writer) = arena.epoch(round);
         let ctx = RoundCtx { round };
         let active = awake.len();
         let mut round_msgs: u64 = 0;
@@ -173,19 +179,21 @@ pub(crate) fn step<P: Protocol>(
         for i in 0..active {
             let v = awake[i];
             let node = NodeId(v);
+            let (base, degree) = (graph.node_offset(node), graph.degree(node));
             let inbox = Inbox {
-                reader,
-                base: graph.node_offset(node),
-                degree: graph.degree(node),
+                row: reader.row(base, degree),
+                stamp: reader.stamp(),
             };
             let mut outbox = Outbox {
-                writer,
+                writer: writer.reborrow(),
                 graph,
                 node,
+                base,
+                degree,
                 sent: 0,
                 wake: wake.as_deref_mut(),
             };
-            perf.stamp_scans += inbox.degree as u64;
+            perf.stamp_scans += degree as u64;
             let status = states[v as usize].round(&ctx, &inbox, &mut outbox);
             round_msgs += outbox.sent;
             if status == Status::Continue {
@@ -218,7 +226,7 @@ pub(crate) fn step<P: Protocol>(
 fn dense_scan<P: Protocol>(
     graph: &CsrGraph,
     states: &mut [P],
-    arena: &MessageArena<P::Message>,
+    arena: &mut MessageArena<P::Message>,
     max_rounds: u32,
     mut trace: Option<&mut Vec<RoundStats>>,
 ) -> (RepairStats, ExecPerf) {
@@ -229,7 +237,7 @@ fn dense_scan<P: Protocol>(
     let mut perf = ExecPerf::default();
     while remaining > 0 && run.rounds < max_rounds {
         let round = run.rounds;
-        let (reader, writer) = arena.epoch(round);
+        let (reader, mut writer) = arena.epoch(round);
         let ctx = RoundCtx { round };
         let active = remaining;
         perf.halted_scans += (n - active) as u64;
@@ -240,21 +248,23 @@ fn dense_scan<P: Protocol>(
                 continue;
             }
             let node = NodeId::from(v);
+            let (base, degree) = (graph.node_offset(node), graph.degree(node));
             let inbox = Inbox {
-                reader,
-                base: graph.node_offset(node),
-                degree: graph.degree(node),
+                row: reader.row(base, degree),
+                stamp: reader.stamp(),
             };
             let mut outbox = Outbox {
-                writer,
+                writer: writer.reborrow(),
                 graph,
                 node,
+                base,
+                degree,
                 sent: 0,
                 wake: None,
             };
             let status = states[v].round(&ctx, &inbox, &mut outbox);
             round_msgs += outbox.sent;
-            perf.stamp_scans += graph.degree(node) as u64;
+            perf.stamp_scans += degree as u64;
             if status == Status::Halt {
                 halted[v] = true;
                 remaining -= 1;
@@ -549,6 +559,70 @@ mod tests {
         assert_eq!(out.outputs[1], vec![Some(0), Some(0)]);
         assert_eq!(out.outputs[2], vec![Some(1)]);
         assert_eq!(out.messages, 4);
+    }
+
+    /// What a node of the [`OutOfRange`] protocol does in round 0.
+    #[derive(Clone, Copy)]
+    enum Probe {
+        Idle,
+        /// Sends on port `degree`, one past the node's last port.
+        Send,
+        /// Reads the inbox at port `degree`.
+        Read,
+    }
+
+    struct OutOfRange {
+        degree: usize,
+        probe: Probe,
+    }
+
+    impl Protocol for OutOfRange {
+        type Input = Probe;
+        type Message = u32;
+        type Output = ();
+
+        fn init(node: NodeInit<'_, Probe>) -> Self {
+            OutOfRange {
+                degree: node.degree(),
+                probe: *node.input,
+            }
+        }
+
+        fn round(
+            &mut self,
+            _ctx: &RoundCtx,
+            inbox: &Inbox<'_, u32>,
+            outbox: &mut Outbox<'_, '_, u32>,
+        ) -> Status {
+            let port = Port::from(self.degree);
+            match self.probe {
+                Probe::Idle => {}
+                Probe::Send => outbox.send(port, 1),
+                Probe::Read => assert!(inbox.get(port).is_none()),
+            }
+            Status::Halt
+        }
+
+        fn finish(self) {}
+    }
+
+    /// A send on a port the node does not have panics in every build. On
+    /// `path(4)`, node 0's port 1 would be node 1's first slot, and the
+    /// send would land in node 0's own port-0 inbox.
+    #[test]
+    #[should_panic(expected = "port p1 out of range at v0")]
+    fn send_on_an_out_of_range_port_panics() {
+        let probes = [Probe::Send, Probe::Idle, Probe::Idle, Probe::Idle];
+        Simulator::sequential().run::<OutOfRange>(&path(4), &probes);
+    }
+
+    /// Reading a port the node does not have panics in every build. On
+    /// `path(4)`, node 0's port 1 would read node 1's first slot.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn reading_an_out_of_range_port_panics() {
+        let probes = [Probe::Read, Probe::Idle, Probe::Idle, Probe::Idle];
+        Simulator::sequential().run::<OutOfRange>(&path(4), &probes);
     }
 
     /// A protocol where some nodes halt early; late messages to halted nodes

@@ -30,6 +30,8 @@
 //! assert!(result.phases as usize <= 2 * g.max_degree() + 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use td_assign as assign;
 pub use td_core as core;
 pub use td_graph as graph;

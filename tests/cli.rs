@@ -655,6 +655,24 @@ fn exp_check_bench_accepts_the_committed_file_and_rejects_drift() {
     assert!(err.contains("rounds 241 (committed 240)"), "{err}");
 }
 
+/// A document nested far past the JSON reader's depth limit is a
+/// diagnostic with exit 1, not a stack overflow.
+#[test]
+fn exp_check_bench_rejects_a_deeply_nested_document() {
+    let deep =
+        std::env::temp_dir().join(format!("td-check-bench-deep-{}.json", std::process::id()));
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let path = deep.to_str().unwrap();
+    let out = Command::new(BIN)
+        .args(["exp", "check-bench", path, path])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&deep).unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nesting deeper than"), "{err}");
+}
+
 #[test]
 fn churn_flag_errors_exit_2() {
     let out = Command::new(BIN)

@@ -4,10 +4,8 @@
 //! oracle's — the node-rounds it never visits are exactly the halted
 //! node-rounds the dense scan iterates past.
 //!
-//! The file keeps the name it had when it compared sharded executors with
-//! the dense scan. `tests/executor_equivalence.rs` holds the output
-//! differential over every registry scenario and the repair-mode
-//! differential of the churn engines.
+//! `tests/executor_equivalence.rs` holds the output differential over every
+//! registry scenario and the repair-mode differential of the churn engines.
 
 use td_bench::workloads;
 use token_dropping::assign::protocol::run_distributed_assignment;
@@ -27,7 +25,7 @@ fn assert_counters_mirror(dense: &ExecPerf, sp: &ExecPerf, at: &str) {
 
 /// The proposal protocol's move log, solution and counters.
 #[test]
-fn game_outputs_identical_across_executors() {
+fn game_outputs_match_the_dense_oracle() {
     for &seed in &[3u64, 9001] {
         let game = workloads::layered_game(4, 4, seed);
         let dense = proposal::run_on_simulator(&game, &Simulator::dense());
@@ -42,7 +40,7 @@ fn game_outputs_identical_across_executors() {
 
 /// Stable orientation outputs and counters.
 #[test]
-fn orientation_outputs_identical_across_executors() {
+fn orientation_outputs_match_the_dense_oracle() {
     for &seed in &[17u64, 9001] {
         let g = workloads::regular_graph(3, 8, seed);
         let dense = run_distributed(&g, &Simulator::dense());
@@ -57,7 +55,7 @@ fn orientation_outputs_identical_across_executors() {
 
 /// Stable assignment outputs (exact and 2-bounded) and counters.
 #[test]
-fn assignment_outputs_identical_across_executors() {
+fn assignment_outputs_match_the_dense_oracle() {
     let inst = workloads::uniform_assignment(9, 4, 3);
     for bound in [None, Some(2)] {
         let dense = run_distributed_assignment(&inst, bound, &Simulator::dense());
