@@ -46,9 +46,44 @@ impl AssignmentInstance {
         }
     }
 
+    /// Checks that `g` is laid out the way
+    /// [`AssignmentInstance::from_bipartite_graph`] reads it, with a
+    /// diagnostic naming the first violation instead of a panic: there are
+    /// at most `g.num_nodes()` customers (nodes `0..num_customers`), every
+    /// customer has a server, and no edge joins two customers or two
+    /// servers (nodes `num_customers..`).
+    pub fn check_bipartite_layout(g: &CsrGraph, num_customers: usize) -> Result<(), String> {
+        let n = g.num_nodes();
+        if num_customers > n {
+            return Err(format!(
+                "{num_customers} customers, but the graph has only {n} nodes"
+            ));
+        }
+        let nc = num_customers as u32;
+        for v in g.nodes() {
+            // A CSR row is sorted: its ends show which sides it reaches.
+            let row = g.neighbors(v);
+            let (customer, kind) = if v.0 < nc {
+                (row.first(), "customers")
+            } else {
+                (row.last(), "servers")
+            };
+            match customer {
+                None if v.0 < nc => return Err(format!("customer {} has no servers", v.0)),
+                Some(&w) if (w < nc) == (v.0 < nc) => {
+                    return Err(format!("edge {}-{w} joins two {kind}", v.0))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Interprets a bipartite [`CsrGraph`] whose nodes `0..nc` are customers
     /// and `nc..` are servers (the layout produced by
-    /// [`td_graph::gen::random::random_bipartite`]).
+    /// [`td_graph::gen::random::random_bipartite`]). Input that may break
+    /// the layout goes through
+    /// [`AssignmentInstance::check_bipartite_layout`] first.
     ///
     /// A CSR row is strictly sorted, so each customer's row, shifted down
     /// by `nc`, is already the sorted server list [`AssignmentInstance::new`]
@@ -207,6 +242,29 @@ mod tests {
     fn graph_rejects_an_edge_between_customers() {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let _ = AssignmentInstance::from_bipartite_graph(&g, 2);
+    }
+
+    /// The layout check names each violation the constructor panics on,
+    /// and the server-side edge it would drop silently.
+    #[test]
+    fn layout_check_names_each_violation() {
+        let check = |n, edges: &[(u32, u32)], nc| {
+            let g = CsrGraph::from_edges(n, edges).unwrap();
+            AssignmentInstance::check_bipartite_layout(&g, nc)
+        };
+        assert_eq!(check(4, &[(0, 2), (1, 3)], 2), Ok(()));
+        assert_eq!(
+            check(4, &[(0, 2), (1, 3)], 0),
+            Err("edge 0-2 joins two servers".into())
+        );
+        let err = |n, edges: &[(u32, u32)], nc| check(n, edges, nc).unwrap_err();
+        assert_eq!(
+            err(3, &[(0, 1)], 4),
+            "4 customers, but the graph has only 3 nodes"
+        );
+        assert_eq!(err(4, &[(0, 2), (0, 3)], 2), "customer 1 has no servers");
+        assert_eq!(err(3, &[(0, 1), (1, 2)], 2), "edge 0-1 joins two customers");
+        assert_eq!(err(3, &[(0, 1), (1, 2)], 1), "edge 1-2 joins two servers");
     }
 
     #[test]

@@ -25,11 +25,19 @@
 //! The move sequence equals [`crate::phases`]'s lockstep driver exactly
 //! (same tie-breaking, same current-knowledge semantics); tests pin the
 //! final assignments to each other.
+//!
+//! ## Port state
+//!
+//! What a node knows per port (a server's relayed option, a customer's view
+//! of the server's load and whether it is a child this phase) lives in its
+//! row of the simulator's port slab ([`td_local::PortProtocol`]). The node
+//! state keeps one heap buffer: its outgoing messages, because an
+//! [`AssignMsg`] carries a `Vec` of forwarded requests.
 
 use crate::assignment::Assignment;
 use crate::instance::AssignmentInstance;
 use td_graph::{CsrGraph, Port};
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, SimOutcome, Simulator, Status};
+use td_local::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Simulator, Status};
 
 /// Node role in the bipartite network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,15 +161,25 @@ pub struct AssignNode {
     load: u32,
     next_load: u32,
     occupied: bool,
-    /// Per port (customer): the in-game option relayed this block, if any.
-    options: Vec<Option<(u32, bool)>>,
 
     // ---- customer state ----
     head_port: Option<u32>,
-    server_load: Vec<u32>,
     in_game: bool,
     consumed: bool,
-    children_ports: Vec<u32>,
+}
+
+/// One port's state, the node's entry for it in the port slab. Its
+/// `Default` is the state every port starts in.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AssignPort {
+    /// Server: the in-game option relayed through this customer this block,
+    /// if any. Customer: the server's `(id, occupancy)`, if it announced
+    /// its occupancy.
+    option: Option<(u32, bool)>,
+    /// Customer: the server's load as last announced.
+    server_load: u32,
+    /// Customer: the server is a child of my in-game hyperedge this phase.
+    child: bool,
 }
 
 impl AssignNode {
@@ -174,12 +192,12 @@ impl AssignNode {
 }
 
 /// Per-node output.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum AssignOutput {
-    /// Customer: the id of the chosen server node.
+    /// Customer: the port of the chosen server.
     Customer {
-        /// Chosen server's node id.
-        head: Option<u32>,
+        /// Chosen server's port.
+        head_port: Option<u32>,
     },
     /// Server: final load.
     Server {
@@ -188,18 +206,13 @@ pub enum AssignOutput {
     },
 }
 
-/// Neighbor ids are needed throughout; stored once.
-pub struct AssignNodeFull {
-    inner: AssignNode,
-    neighbors: Vec<u32>,
-}
-
-impl Protocol for AssignNodeFull {
+impl PortProtocol for AssignNode {
     type Input = AssignInput;
     type Message = AssignMsg;
     type Output = AssignOutput;
+    type Port = AssignPort;
 
-    fn init(node: NodeInit<'_, AssignInput>) -> Self {
+    fn init(node: NodeInit<'_, AssignInput>, _: &mut [AssignPort]) -> Self {
         let deg = node.neighbor_ids.len();
         let AssignInput {
             c_max, s_max, k, ..
@@ -208,36 +221,32 @@ impl Protocol for AssignNodeFull {
         // and so each of its two factors, inside u32.
         let narrow =
             |x: u64| u32::try_from(x).expect("the phase schedule fits the u32 round counter");
-        AssignNodeFull {
-            inner: AssignNode {
-                role: node.input.role,
-                id: node.id.0,
-                k,
-                phase_len: narrow(phase_len(s_max, k)),
-                total_phases: narrow(phase_budget(c_max, s_max)),
-                out_buf: vec![AssignMsg::default(); deg],
-                load: 0,
-                next_load: 0,
-                occupied: false,
-                options: vec![None; deg],
-                head_port: None,
-                server_load: vec![0; deg],
-                in_game: false,
-                consumed: false,
-                children_ports: Vec::new(),
-            },
-            neighbors: node.neighbor_ids.to_vec(),
+        AssignNode {
+            role: node.input.role,
+            id: node.id.0,
+            k,
+            phase_len: narrow(phase_len(s_max, k)),
+            total_phases: narrow(phase_budget(c_max, s_max)),
+            out_buf: vec![AssignMsg::default(); deg],
+            load: 0,
+            next_load: 0,
+            occupied: false,
+            head_port: None,
+            in_game: false,
+            consumed: false,
         }
     }
 
     fn round(
         &mut self,
         ctx: &RoundCtx,
+        ports: &mut [AssignPort],
         inbox: &Inbox<'_, AssignMsg>,
         outbox: &mut Outbox<'_, '_, AssignMsg>,
     ) -> Status {
-        let s = &mut self.inner;
-        let deg = self.neighbors.len();
+        let s = self;
+        let nbrs = outbox.neighbor_ids();
+        let deg = ports.len();
         if deg == 0 {
             return Status::Halt;
         }
@@ -252,7 +261,7 @@ impl Protocol for AssignNodeFull {
         for (port, msg) in inbox.iter() {
             let pi = port.idx();
             if let Some(l) = msg.load {
-                s.server_load[pi] = l;
+                ports[pi].server_load = l;
             }
             if msg.propose {
                 proposals.push(pi);
@@ -264,15 +273,15 @@ impl Protocol for AssignNodeFull {
                 // Customer records its head's occupancy (only meaningful for
                 // the head port; harmless otherwise).
                 if s.role == Role::Customer {
-                    s.options[pi] = Some((self.neighbors[pi], o));
+                    ports[pi].option = Some((nbrs[pi], o));
                 }
             }
             if let Some(opt) = msg.option {
                 // Server records an in-game option available via this port.
-                s.options[pi] = Some(opt);
+                ports[pi].option = Some(opt);
             }
             if msg.request {
-                fwd.push((self.neighbors[pi], pi));
+                fwd.push((nbrs[pi], pi));
             }
             for &child in &msg.fwd_requests {
                 fwd.push((child, pi));
@@ -307,9 +316,9 @@ impl Protocol for AssignNodeFull {
             // Customers: reset phase-local state.
             s.in_game = false;
             s.consumed = false;
-            s.children_ports.clear();
-            for o in s.options.iter_mut() {
-                *o = None;
+            for p in ports.iter_mut() {
+                p.option = None;
+                p.child = false;
             }
         } else if r_in == 1 {
             if s.role == Role::Customer {
@@ -317,29 +326,25 @@ impl Protocol for AssignNodeFull {
                     // Fix the in-game role for this phase: viewed badness
                     // exactly 1.
                     let hp = hp as usize;
-                    let head_level = s.view(s.server_load[hp]);
+                    let head_level = s.view(ports[hp].server_load);
                     let min_other = (0..deg)
                         .filter(|&i| i != hp)
-                        .map(|i| s.view(s.server_load[i]))
+                        .map(|i| s.view(ports[i].server_load))
                         .min()
                         .unwrap();
                     if head_level as i64 - min_other as i64 == 1 {
                         s.in_game = true;
-                        s.children_ports = (0..deg as u32)
-                            .filter(|&i| {
-                                i as usize != hp
-                                    && s.view(s.server_load[i as usize]) + 1 == head_level
-                            })
-                            .collect();
+                        for (i, p) in ports.iter_mut().enumerate() {
+                            p.child = i != hp && s.view(p.server_load) + 1 == head_level;
+                        }
                     }
                 } else if s.head_port.is_none() {
                     // Propose to the min-(viewed-load, id) server.
                     let mut best: Option<usize> = None;
                     for i in 0..deg {
-                        let key = (s.view(s.server_load[i]), self.neighbors[i]);
-                        if best.is_none_or(|b: usize| {
-                            key < (s.view(s.server_load[b]), self.neighbors[b])
-                        }) {
+                        let key = (s.view(ports[i].server_load), nbrs[i]);
+                        if best.is_none_or(|b: usize| key < (s.view(ports[b].server_load), nbrs[b]))
+                        {
                             best = Some(i);
                         }
                     }
@@ -356,15 +361,14 @@ impl Protocol for AssignNodeFull {
                     // cr1: accepts (block 0) / grants (blocks >= 1), plus
                     // occupancy broadcast.
                     if b == 0 {
-                        if let Some(&pi) = proposals.iter().min_by_key(|&&pi| self.neighbors[pi]) {
+                        if let Some(&pi) = proposals.iter().min_by_key(|&&pi| nbrs[pi]) {
                             s.out_buf[pi].accept = true;
                             s.occupied = true;
                         }
                     } else if s.occupied {
                         // Grant to the smallest (child id, customer id).
-                        if let Some(&(child, via)) = fwd
-                            .iter()
-                            .min_by_key(|&&(child, via)| (child, self.neighbors[via]))
+                        if let Some(&(child, via)) =
+                            fwd.iter().min_by_key(|&&(child, via)| (child, nbrs[via]))
                         {
                             s.out_buf[via].grant_to = Some(child);
                             s.occupied = false;
@@ -380,7 +384,7 @@ impl Protocol for AssignNodeFull {
                         debug_assert_eq!(Some(from_port as u32), s.head_port);
                         debug_assert!(s.in_game && !s.consumed);
                         let child_port = (0..deg)
-                            .find(|&i| self.neighbors[i] == child)
+                            .find(|&i| nbrs[i] == child)
                             .expect("granted child is a neighbor");
                         s.out_buf[child_port].grant_relay = true;
                         s.head_port = Some(child_port as u32);
@@ -388,10 +392,10 @@ impl Protocol for AssignNodeFull {
                     }
                     if s.in_game && !s.consumed {
                         let hp = s.head_port.unwrap() as usize;
-                        let head_occ = s.options[hp].map(|(_, o)| o).unwrap_or(false);
-                        let head_id = self.neighbors[hp];
-                        for &cp in &s.children_ports {
-                            s.out_buf[cp as usize].option = Some((head_id, head_occ));
+                        let head_occ = ports[hp].option.map(|(_, o)| o).unwrap_or(false);
+                        let head_id = nbrs[hp];
+                        for (cp, _) in ports.iter().enumerate().filter(|(_, p)| p.child) {
+                            s.out_buf[cp].option = Some((head_id, head_occ));
                         }
                     }
                     // Final block: announce the head for the load recount.
@@ -406,16 +410,16 @@ impl Protocol for AssignNodeFull {
                     if !s.occupied && b < blocks - 1 {
                         let mut best: Option<usize> = None;
                         for i in 0..deg {
-                            let Some((head, occ)) = s.options[i] else {
+                            let Some((head, occ)) = ports[i].option else {
                                 continue;
                             };
                             if !occ {
                                 continue;
                             }
-                            let key = (head, self.neighbors[i]);
+                            let key = (head, nbrs[i]);
                             if best.is_none_or(|bi: usize| {
-                                let (bh, _) = s.options[bi].unwrap();
-                                key < (bh, self.neighbors[bi])
+                                let (bh, _) = ports[bi].option.unwrap();
+                                key < (bh, nbrs[bi])
                             }) {
                                 best = Some(i);
                             }
@@ -425,8 +429,8 @@ impl Protocol for AssignNodeFull {
                         }
                     }
                     // Options are per-block; clear after use.
-                    for o in s.options.iter_mut() {
-                        *o = None;
+                    for p in ports.iter_mut() {
+                        p.option = None;
                     }
                 }
                 (Role::Customer, 3) => {
@@ -470,13 +474,14 @@ impl Protocol for AssignNodeFull {
         Status::Continue
     }
 
-    fn finish(self) -> AssignOutput {
-        let s = self.inner;
-        match s.role {
+    fn finish(self, _: &[AssignPort]) -> AssignOutput {
+        match self.role {
             Role::Customer => AssignOutput::Customer {
-                head: s.head_port.map(|p| self.neighbors[p as usize]),
+                head_port: self.head_port,
             },
-            Role::Server => AssignOutput::Server { load: s.next_load },
+            Role::Server => AssignOutput::Server {
+                load: self.next_load,
+            },
         }
     }
 }
@@ -544,7 +549,7 @@ pub fn run_distributed_assignment(
         .collect();
     let cap = round_cap(c_max, s_max, k).unwrap_or_else(|e| panic!("{e}"));
     let sim = sim.with_max_rounds(cap);
-    let outcome: SimOutcome<AssignOutput> = sim.run::<AssignNodeFull>(&g, &inputs);
+    let outcome = sim.run::<AssignNode>(&g, &inputs);
     assert!(
         outcome.completed,
         "distributed assignment hit the round cap"
@@ -552,11 +557,12 @@ pub fn run_distributed_assignment(
 
     let mut assignment = Assignment::unassigned(inst);
     for c in 0..nc {
-        match &outcome.outputs[c] {
-            AssignOutput::Customer { head: Some(h) } => {
-                assignment.assign(c, (*h as usize - nc) as u32);
+        match outcome.outputs[c] {
+            AssignOutput::Customer { head_port: Some(p) } => {
+                let head = g.neighbors(td_graph::NodeId::from(c))[p as usize];
+                assignment.assign(c, head - nc as u32);
             }
-            AssignOutput::Customer { head: None } => panic!("customer {c} unassigned"),
+            AssignOutput::Customer { head_port: None } => panic!("customer {c} unassigned"),
             AssignOutput::Server { .. } => unreachable!(),
         }
     }
@@ -616,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_identical() {
+    fn distributed_assignment_matches_the_dense_oracle() {
         let mut rng = SmallRng::seed_from_u64(2720);
         let inst = AssignmentInstance::random(8, 4, 2..=2, &mut rng);
         let a = run_distributed_assignment(&inst, None, &Simulator::sequential());

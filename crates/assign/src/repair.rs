@@ -714,7 +714,7 @@ impl AssignChurnEngine {
         let available = &self.available;
         let list = self.customers[ext].as_deref().expect("just added");
         self.sim.set_round_period(round_period(bits));
-        self.sim.rewire(|graph, states| {
+        self.sim.rewire(|graph, states, _| {
             graph
                 .push_left_node(nc, list)
                 .expect("the candidate list is ascending and in range");
@@ -750,7 +750,7 @@ impl AssignChurnEngine {
         let ns = self.num_servers();
         let (old_bits, bits) = (id_bits(nc + 1 + ns), id_bits(nc + ns));
         self.sim.set_round_period(round_period(bits));
-        self.sim.rewire(|graph, states| {
+        self.sim.rewire(|graph, states, _| {
             graph.remove_left_node(nc + 1, i);
             states.remove(i);
             if bits != old_bits {

@@ -66,12 +66,6 @@ pub mod workloads {
             .expect("configuration model converges")
     }
 
-    /// An Erdős–Rényi graph with average degree `avg_deg`.
-    pub fn gnm_graph(n: usize, avg_deg: usize, seed: u64) -> CsrGraph {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        td_graph::gen::random::gnm(n, n * avg_deg / 2, &mut rng)
-    }
-
     /// A bipartite assignment instance with customer degree exactly `c` and
     /// expected server degree `s_avg` over `ns` servers.
     pub fn assignment_instance(c: usize, s_avg: usize, ns: usize, seed: u64) -> AssignmentInstance {

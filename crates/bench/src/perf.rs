@@ -529,7 +529,7 @@ fn run_drain_wave(cfg: &SweepConfig, size: u32) -> Result<Vec<PerfPoint>, String
         let mut last = None;
         for _ in 0..cfg.repeat.max(1) {
             let t0 = Instant::now();
-            let outcome: SimOutcome<u32> = sim.with_trace(true).run::<DrainWave>(&g, &inputs);
+            let outcome: SimOutcome<Vec<u32>> = sim.with_trace(true).run::<DrainWave>(&g, &inputs);
             wall_ns = wall_ns.min(t0.elapsed().as_nanos());
             last = Some(outcome);
         }

@@ -50,11 +50,19 @@
 //! edge or a goodbye arrives), so the termination rule is O(1) per round:
 //! an occupied node halts when it has no open child, an unoccupied one when
 //! it has no open parent.
+//!
+//! # Port state
+//!
+//! A node's per-port state, and the grants it sent, live in its row of the
+//! simulator's port slab ([`td_local::PortProtocol`]), so the node state is
+//! a few integers. A grant consumes its edge, so each port records at most
+//! one grant: the round it was sent in. [`run_on_simulator`] reads the move
+//! log off the finished rows.
 
 use crate::game::TokenGame;
 use crate::solution::{MoveEvent, MoveLog, Solution};
 use td_graph::{NodeId, Port};
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, SimOutcome, Simulator, Status};
+use td_local::{Finished, Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Simulator, Status};
 
 /// Per-node input: the node's level and whether it initially holds a token.
 #[derive(Clone, Copy, Debug)]
@@ -92,28 +100,42 @@ pub struct Msg {
     flags: u8,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct PortState {
-    neighbor: u32,
+/// One port's state, the node's entry for it in the port slab. Its
+/// `Default` is the state every port starts in.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PortState {
     /// The neighbor sits one level up (set by its hello; a child otherwise).
     parent: bool,
-    alive: bool,
+    /// The neighbor said goodbye.
+    gone: bool,
+    /// A grant consumed the edge.
     consumed: bool,
     /// For parent ports: last known occupancy of the parent.
     parent_occupied: bool,
+    /// The communication round in which this node granted its token over
+    /// the port, or 0 if it did not (grants are sent in rounds ≥ 2).
+    granted_at: u32,
 }
 
-/// Per-node local output, from which the host reconstructs the global
-/// solution (the paper notes traversals are derivable from the node-centered
-/// output; we do that reconstruction host-side).
-#[derive(Clone, Debug)]
+impl PortState {
+    /// The edge is unconsumed and the neighbor has not said goodbye.
+    fn open(self) -> bool {
+        !self.gone && !self.consumed
+    }
+}
+
+/// Per-node local output. The moves a node made stay in its port row,
+/// where [`run_on_simulator`] reads them to reconstruct the global solution
+/// (the paper notes traversals are derivable from the node-centered output;
+/// we do that reconstruction host-side).
+#[derive(Clone, Copy, Debug)]
 pub struct NodeOutput {
     /// Did this node start with a token?
     pub initial_token: bool,
     /// Does this node end with a token?
     pub final_token: bool,
-    /// Grants this node sent: `(comm_round, receiver_id)`.
-    pub grants_sent: Vec<(u32, u32)>,
+    /// Grants this node sent, one per edge its token left by.
+    pub grants: u32,
 }
 
 /// Node state of the proposal algorithm.
@@ -125,16 +147,14 @@ pub struct ProposalNode {
     open_parents: u32,
     /// Open (alive, unconsumed) child ports.
     open_children: u32,
-    ports: Box<[PortState]>,
-    grants_sent: Vec<(u32, u32)>,
 }
 
 impl ProposalNode {
     /// Takes port `i` out of the open-port counts, if it is open; the
     /// caller then marks its edge consumed or its neighbor gone.
-    fn close(&mut self, i: usize) {
-        let p = self.ports[i];
-        if p.alive && !p.consumed {
+    fn close(&mut self, ports: &[PortState], i: usize) {
+        let p = ports[i];
+        if p.open() {
             if p.parent {
                 self.open_parents -= 1;
             } else {
@@ -142,60 +162,45 @@ impl ProposalNode {
             }
         }
     }
-
-    /// The smallest-id open parent known to be occupied, if any.
-    fn best_occupied_parent(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, p) in self.ports.iter().enumerate() {
-            if p.parent
-                && p.alive
-                && !p.consumed
-                && p.parent_occupied
-                && best.is_none_or(|b| p.neighbor < self.ports[b].neighbor)
-            {
-                best = Some(i);
-            }
-        }
-        best
-    }
 }
 
-impl Protocol for ProposalNode {
+/// The smallest-id open parent known to be occupied, if any.
+fn best_occupied_parent(ports: &[PortState], nbrs: &[u32]) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for (i, p) in ports.iter().enumerate() {
+        if p.parent && p.open() && p.parent_occupied && best.is_none_or(|b| nbrs[i] < nbrs[b]) {
+            best = Some(i);
+        }
+    }
+    best
+}
+
+impl PortProtocol for ProposalNode {
     type Input = TokenInput;
     type Message = Msg;
     type Output = NodeOutput;
+    type Port = PortState;
 
-    fn init(node: NodeInit<'_, TokenInput>) -> Self {
+    fn init(node: NodeInit<'_, TokenInput>, _: &mut [PortState]) -> Self {
         ProposalNode {
             level: node.input.level,
             occupied: node.input.token,
             initial_token: node.input.token,
             open_parents: 0,
             open_children: 0,
-            ports: node
-                .neighbor_ids
-                .iter()
-                .map(|&nb| PortState {
-                    neighbor: nb,
-                    parent: false,
-                    alive: true,
-                    consumed: false,
-                    parent_occupied: false,
-                })
-                .collect(),
-            grants_sent: Vec::new(),
         }
     }
 
     fn round(
         &mut self,
         ctx: &RoundCtx,
+        ports: &mut [PortState],
         inbox: &Inbox<'_, Msg>,
         outbox: &mut Outbox<'_, '_, Msg>,
     ) -> Status {
         let r = ctx.round;
         if r == 0 {
-            if self.ports.is_empty() {
+            if ports.is_empty() {
                 // Isolated node: trivially stuck either way.
                 return Status::Halt;
             }
@@ -213,6 +218,7 @@ impl Protocol for ProposalNode {
 
         // ---- Process the inbox, picking the smallest-id open requester
         // on the way.
+        let nbrs = outbox.neighbor_ids();
         let mut became_occupied = false;
         let mut requester: Option<usize> = None;
         for (port, msg) in inbox.iter() {
@@ -220,35 +226,31 @@ impl Protocol for ProposalNode {
             let f = msg.flags;
             if f & HELLO != 0 {
                 let parent = msg.level == self.level + 1;
-                self.ports[i].parent = parent;
+                ports[i].parent = parent;
                 if parent {
                     self.open_parents += 1;
                 } else {
                     self.open_children += 1;
                 }
             }
-            if f & (OCCUPIED | EMPTIED) != 0 && self.ports[i].parent {
-                self.ports[i].parent_occupied = f & OCCUPIED != 0;
+            if f & (OCCUPIED | EMPTIED) != 0 && ports[i].parent {
+                ports[i].parent_occupied = f & OCCUPIED != 0;
             }
             if f & GRANT != 0 {
                 debug_assert!(!self.occupied, "granted while occupied");
-                debug_assert!(self.ports[i].parent);
+                debug_assert!(ports[i].parent);
                 self.occupied = true;
                 became_occupied = true;
-                self.close(i);
-                self.ports[i].consumed = true;
-                self.ports[i].parent_occupied = false;
+                self.close(ports, i);
+                ports[i].consumed = true;
+                ports[i].parent_occupied = false;
             }
             if f & GOODBYE != 0 {
-                self.close(i);
-                self.ports[i].alive = false;
+                self.close(ports, i);
+                ports[i].gone = true;
             }
-            let p = self.ports[i];
-            if f & REQUEST != 0
-                && p.alive
-                && !p.consumed
-                && requester.is_none_or(|b| p.neighbor < self.ports[b].neighbor)
-            {
+            let p = ports[i];
+            if f & REQUEST != 0 && p.open() && requester.is_none_or(|b| nbrs[i] < nbrs[b]) {
                 debug_assert!(!p.parent);
                 requester = Some(i);
             }
@@ -264,15 +266,15 @@ impl Protocol for ProposalNode {
                 announce = OCCUPIED;
             }
             if !self.occupied && self.open_parents > 0 {
-                request = self.best_occupied_parent();
+                request = best_occupied_parent(ports, nbrs);
             }
         } else if self.occupied {
             // Grant phase (r >= 2).
             if let Some(i) = requester {
-                self.close(i);
-                self.ports[i].consumed = true;
+                self.close(ports, i);
+                ports[i].consumed = true;
+                ports[i].granted_at = r;
                 self.occupied = false;
-                self.grants_sent.push((r, self.ports[i].neighbor));
                 grant = Some(i);
                 announce = EMPTIED;
             }
@@ -287,9 +289,9 @@ impl Protocol for ProposalNode {
 
         // ---- Send: one message per port that has a flag to carry.
         if announce != 0 || request.is_some() || die {
-            for (i, p) in self.ports.iter().enumerate() {
+            for (i, p) in ports.iter().enumerate() {
                 let mut flags = 0;
-                if p.alive && !p.parent && Some(i) != grant {
+                if !p.gone && !p.parent && Some(i) != grant {
                     flags |= announce;
                 }
                 if Some(i) == request {
@@ -298,7 +300,7 @@ impl Protocol for ProposalNode {
                 if Some(i) == grant {
                     flags |= GRANT;
                 }
-                if die && p.alive {
+                if die && !p.gone {
                     flags |= GOODBYE;
                 }
                 if flags != 0 {
@@ -313,11 +315,11 @@ impl Protocol for ProposalNode {
         }
     }
 
-    fn finish(self) -> NodeOutput {
+    fn finish(self, ports: &[PortState]) -> NodeOutput {
         NodeOutput {
             initial_token: self.initial_token,
             final_token: self.occupied,
-            grants_sent: self.grants_sent,
+            grants: ports.iter().filter(|p| p.granted_at != 0).count() as u32,
         }
     }
 }
@@ -354,16 +356,36 @@ impl td_local::Summarize for ProtocolRunResult {
 /// If the simulation hits the round cap before completing.
 pub fn run_on_simulator(game: &TokenGame, sim: &Simulator) -> ProtocolRunResult {
     let ins = inputs(game);
-    let outcome: SimOutcome<NodeOutput> = sim.run::<ProposalNode>(game.graph(), &ins);
-    assert!(outcome.completed, "proposal protocol hit the round cap");
-    // Counting sort by game round (a grant in comm round r is a move in game
-    // round r / 2 - 1). Nodes are visited in id order and grant at most once
-    // per round, so each round's moves come out sorted by source.
-    let mut next = vec![0usize; (outcome.rounds / 2) as usize];
-    for out in &outcome.outputs {
-        for &(r, _) in &out.grants_sent {
-            debug_assert!(r >= 2 && r % 2 == 0);
-            next[(r / 2 - 1) as usize] += 1;
+    let outcome = sim.run_with(game.graph(), &ins, move_log);
+    let log = outcome.outputs;
+    let solution = Solution::from_moves(game, &log);
+    ProtocolRunResult {
+        solution,
+        log,
+        comm_rounds: outcome.rounds,
+        messages: outcome.messages,
+        perf: outcome.perf,
+        trace: outcome.trace,
+    }
+}
+
+/// Reads the move log off a finished run's port rows: a grant sent over a
+/// port in comm round `r` is a move in game round `r / 2 - 1`, from the
+/// node to the neighbor behind the port.
+///
+/// # Panics
+/// If the run hit the round cap before completing.
+pub fn move_log(done: Finished<'_, ProposalNode>) -> MoveLog {
+    assert!(done.completed(), "proposal protocol hit the round cap");
+    let g = done.graph();
+    // Counting sort by game round. Nodes are visited in id order and grant
+    // at most once per round, so each round's moves come out sorted by
+    // source.
+    let mut next = vec![0usize; (done.rounds() / 2) as usize];
+    for v in g.nodes() {
+        for p in done.node(v).1.iter().filter(|p| p.granted_at != 0) {
+            debug_assert!(p.granted_at >= 2 && p.granted_at % 2 == 0);
+            next[(p.granted_at / 2 - 1) as usize] += 1;
         }
     }
     let mut total = 0;
@@ -378,28 +400,23 @@ pub fn run_on_simulator(game: &TokenGame, sim: &Simulator) -> ProtocolRunResult 
         to: NodeId(0),
     };
     let mut events = vec![blank; total];
-    for (v, out) in outcome.outputs.iter().enumerate() {
-        for &(r, to) in &out.grants_sent {
-            let round = r / 2 - 1;
+    for v in g.nodes() {
+        let row = done.node(v).1;
+        for (p, &to) in row.iter().zip(g.neighbors(v)) {
+            if p.granted_at == 0 {
+                continue;
+            }
+            let round = p.granted_at / 2 - 1;
             let slot = &mut next[round as usize];
             events[*slot] = MoveEvent {
                 round,
-                from: NodeId::from(v),
+                from: v,
                 to: NodeId(to),
             };
             *slot += 1;
         }
     }
-    let log = MoveLog { events };
-    let solution = Solution::from_moves(game, &log);
-    ProtocolRunResult {
-        solution,
-        log,
-        comm_rounds: outcome.rounds,
-        messages: outcome.messages,
-        perf: outcome.perf,
-        trace: outcome.trace,
-    }
+    MoveLog { events }
 }
 
 #[cfg(test)]
@@ -478,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn protocol_parallel_executor_identical() {
+    fn protocol_sequential_matches_the_dense_oracle() {
         let mut rng = SmallRng::seed_from_u64(43);
         let game = TokenGame::random(&[10, 12, 12, 10], 3, 0.5, &mut rng);
         let seq = run_on_simulator(&game, &Simulator::sequential());

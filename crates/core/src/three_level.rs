@@ -10,8 +10,8 @@
 //! the general rule. The progress argument (each round some neighbor of a
 //! busy level-1 node terminates) yields O(Δ) rounds.
 //!
-//! Both a lockstep engine and a message-passing [`td_local::Protocol`] are
-//! provided; their move sequences are identical (all occupancy knowledge in
+//! Both a lockstep engine and a message-passing [`td_local::PortProtocol`]
+//! are provided; their move sequences are identical (all occupancy knowledge in
 //! the 3-level game is *current* — level-2 nodes never gain tokens and
 //! level-0 nodes terminate the moment they gain one, announcing it with the
 //! goodbye that accompanies termination).
@@ -19,7 +19,7 @@
 use crate::game::TokenGame;
 use crate::solution::{MoveEvent, MoveLog, Solution};
 use td_graph::{NodeId, Port};
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, SimOutcome, Simulator, Status};
+use td_local::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Simulator, Status};
 
 /// Result of the lockstep 3-level engine.
 #[derive(Clone, Debug)]
@@ -214,23 +214,39 @@ pub struct Msg3 {
     pub goodbye: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Port3 {
+/// One port's state, the node's entry for it in the port slab. Its
+/// `Default` is the state every port starts in.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Port3 {
     is_parent: bool,
-    alive: bool,
+    /// The neighbor said goodbye.
+    gone: bool,
     consumed: bool,
     /// Parent ports: parent occupancy. Child ports: child occupancy.
     other_occupied: bool,
-    neighbor: u32,
+    /// The comm round of the move this node sent over the port (a grant by
+    /// level 2, an accepted proposal by level 1, whose move round is the
+    /// acceptance round), or 0. A move consumes its edge, so a port carries
+    /// at most one, and every move round is at least 2.
+    moved_at: u32,
+    /// The message this round sends on the port, if not `Msg3::default()`.
+    out: Msg3,
 }
 
-/// Per-node output of the 3-level protocol.
-#[derive(Clone, Debug)]
+impl Port3 {
+    /// The edge is unconsumed and the neighbor has not said goodbye.
+    fn open(self) -> bool {
+        !self.gone && !self.consumed
+    }
+}
+
+/// Per-node output of the 3-level protocol. The moves a node sent stay in
+/// its port row, where [`run_protocol`] reads them.
+#[derive(Clone, Copy, Debug)]
 pub struct NodeOutput3 {
     /// Moves this node *sent* (grants by level-2, accepted proposals by
-    /// level-1): `(comm_round_of_move, receiver_id)`. For accepted proposals
-    /// the move round is the acceptance round.
-    pub moves_sent: Vec<(u32, u32)>,
+    /// level-1).
+    pub moves_sent: u32,
     /// Whether the node ends up holding a token.
     pub final_token: bool,
 }
@@ -239,76 +255,40 @@ pub struct NodeOutput3 {
 pub struct ThreeLevelNode {
     level: u32,
     occupied: bool,
-    ports: Vec<Port3>,
-    out_buf: Vec<Msg3>,
-    moves_sent: Vec<(u32, u32)>,
     /// Outstanding proposal port (level-1): set when proposing, cleared on
     /// the answer.
     pending_proposal: Option<usize>,
 }
 
 impl ThreeLevelNode {
-    fn should_terminate(&self) -> bool {
+    fn should_terminate(&self, ports: &[Port3]) -> bool {
+        let open = |parent: bool| ports.iter().any(|p| p.open() && p.is_parent == parent);
         match self.level {
             // Unoccupied, or occupied with no children left (general rule).
-            2 => {
-                !self.occupied
-                    || !self
-                        .ports
-                        .iter()
-                        .any(|p| p.alive && !p.consumed && !p.is_parent)
-            }
-            0 => {
-                self.occupied
-                    || !self
-                        .ports
-                        .iter()
-                        .any(|p| p.alive && !p.consumed && p.is_parent)
-            }
+            2 => !self.occupied || !open(false),
+            0 => self.occupied || !open(true),
             _ => {
                 if self.pending_proposal.is_some() {
                     // Waiting for an answer; the token may still move.
                     return false;
                 }
-                if self.occupied {
-                    !self
-                        .ports
-                        .iter()
-                        .any(|p| p.alive && !p.consumed && !p.is_parent)
-                } else {
-                    !self
-                        .ports
-                        .iter()
-                        .any(|p| p.alive && !p.consumed && p.is_parent)
-                }
+                !open(!self.occupied)
             }
         }
     }
 }
 
-impl Protocol for ThreeLevelNode {
+impl PortProtocol for ThreeLevelNode {
     type Input = super::proposal::TokenInput;
     type Message = Msg3;
     type Output = NodeOutput3;
+    type Port = Port3;
 
-    fn init(node: NodeInit<'_, super::proposal::TokenInput>) -> Self {
+    fn init(node: NodeInit<'_, super::proposal::TokenInput>, _: &mut [Port3]) -> Self {
         assert!(node.input.level <= 2, "3-level protocol needs levels 0..=2");
         ThreeLevelNode {
             level: node.input.level,
             occupied: node.input.token,
-            ports: node
-                .neighbor_ids
-                .iter()
-                .map(|&nb| Port3 {
-                    is_parent: false,
-                    alive: true,
-                    consumed: false,
-                    other_occupied: false,
-                    neighbor: nb,
-                })
-                .collect(),
-            out_buf: vec![Msg3::default(); node.neighbor_ids.len()],
-            moves_sent: Vec::new(),
             pending_proposal: None,
         }
     }
@@ -316,12 +296,13 @@ impl Protocol for ThreeLevelNode {
     fn round(
         &mut self,
         ctx: &RoundCtx,
+        ports: &mut [Port3],
         inbox: &Inbox<'_, Msg3>,
         outbox: &mut Outbox<'_, '_, Msg3>,
     ) -> Status {
         let r = ctx.round;
         if r == 0 {
-            if self.ports.is_empty() {
+            if ports.is_empty() {
                 return Status::Halt;
             }
             outbox.broadcast(Msg3 {
@@ -331,20 +312,23 @@ impl Protocol for ThreeLevelNode {
             return Status::Continue;
         }
 
-        // ---- Process inbox.
-        let mut requests: Vec<usize> = Vec::new();
-        let mut proposals: Vec<usize> = Vec::new();
+        // ---- Process inbox, picking the smallest-id open requester and
+        // the smallest-id proposer on the way (a port's state changes only
+        // with its own message, so picking now sees what the acts below
+        // see).
+        let nbrs = outbox.neighbor_ids();
+        let mut requester: Option<usize> = None;
+        let mut proposer: Option<usize> = None;
         for (port, msg) in inbox.iter() {
             let pi = port.idx();
+            let p = &mut ports[pi];
             if let Some((lvl, occ)) = msg.hello {
-                let p = &mut self.ports[pi];
                 p.is_parent = lvl == self.level + 1;
                 p.other_occupied = occ;
             }
             if msg.grant {
                 debug_assert!(self.level == 1 && !self.occupied);
                 self.occupied = true;
-                let p = &mut self.ports[pi];
                 p.consumed = true;
                 p.other_occupied = false;
             }
@@ -353,117 +337,88 @@ impl Protocol for ThreeLevelNode {
                 debug_assert_eq!(self.pending_proposal, Some(pi));
                 self.occupied = false;
                 self.pending_proposal = None;
-                let p = &mut self.ports[pi];
                 p.consumed = true;
                 // The move happened in the acceptance round (r - 1).
-                self.moves_sent.push((r - 1, p.neighbor));
-            }
-            if msg.request {
-                requests.push(pi);
-            }
-            if msg.propose {
-                proposals.push(pi);
+                p.moved_at = r - 1;
             }
             if msg.goodbye {
-                self.ports[pi].alive = false;
+                p.gone = true;
                 // A terminated level-0 child is occupied (or unreachable);
                 // either way it is gone, which is all the proposer needs.
+            }
+            if msg.request && p.open() && requester.is_none_or(|b| nbrs[pi] < nbrs[b]) {
+                requester = Some(pi);
+            }
+            if msg.propose && proposer.is_none_or(|b| nbrs[pi] < nbrs[b]) {
+                proposer = Some(pi);
             }
         }
         // A rejected proposal is detected by the child's goodbye.
         if let Some(pi) = self.pending_proposal {
-            if !self.ports[pi].alive && !self.ports[pi].consumed {
+            if ports[pi].gone && !ports[pi].consumed {
                 self.pending_proposal = None;
             }
         }
 
         // ---- Act.
-        for m in self.out_buf.iter_mut() {
-            *m = Msg3::default();
+        for p in ports.iter_mut() {
+            p.out = Msg3::default();
         }
         if r % 2 == 1 {
             // Phase A: level-1 requests / proposals.
             if self.level == 1 {
-                if !self.occupied {
+                // Unoccupied: request from an occupied parent. Occupied:
+                // propose to an unoccupied child.
+                let parent = !self.occupied;
+                if parent || self.pending_proposal.is_none() {
                     let mut best: Option<usize> = None;
-                    for (i, p) in self.ports.iter().enumerate() {
-                        if p.alive
-                            && !p.consumed
-                            && p.is_parent
-                            && p.other_occupied
-                            && best.is_none_or(|b: usize| p.neighbor < self.ports[b].neighbor)
+                    for (i, p) in ports.iter().enumerate() {
+                        if p.open()
+                            && p.is_parent == parent
+                            && p.other_occupied == parent
+                            && best.is_none_or(|b: usize| nbrs[i] < nbrs[b])
                         {
                             best = Some(i);
                         }
                     }
                     if let Some(i) = best {
-                        self.out_buf[i].request = true;
-                    }
-                } else if self.pending_proposal.is_none() {
-                    let mut best: Option<usize> = None;
-                    for (i, p) in self.ports.iter().enumerate() {
-                        if p.alive
-                            && !p.consumed
-                            && !p.is_parent
-                            && !p.other_occupied
-                            && best.is_none_or(|b: usize| p.neighbor < self.ports[b].neighbor)
-                        {
-                            best = Some(i);
+                        if parent {
+                            ports[i].out.request = true;
+                        } else {
+                            ports[i].out.propose = true;
+                            self.pending_proposal = Some(i);
                         }
-                    }
-                    if let Some(i) = best {
-                        self.out_buf[i].propose = true;
-                        self.pending_proposal = Some(i);
                     }
                 }
             }
         } else {
             // Phase B: level-2 grants, level-0 accepts.
             if self.level == 2 && self.occupied {
-                let mut best: Option<usize> = None;
-                for &i in &requests {
-                    let p = self.ports[i];
-                    if p.alive
-                        && !p.consumed
-                        && best.is_none_or(|b: usize| p.neighbor < self.ports[b].neighbor)
-                    {
-                        best = Some(i);
-                    }
-                }
-                if let Some(i) = best {
-                    self.out_buf[i].grant = true;
-                    self.ports[i].consumed = true;
+                if let Some(i) = requester {
+                    ports[i].out.grant = true;
+                    ports[i].consumed = true;
+                    ports[i].moved_at = r;
                     self.occupied = false;
-                    self.moves_sent.push((r, self.ports[i].neighbor));
                 }
             }
-            if self.level == 0 && !self.occupied && !proposals.is_empty() {
-                let mut best = proposals[0];
-                for &i in &proposals[1..] {
-                    if self.ports[i].neighbor < self.ports[best].neighbor {
-                        best = i;
-                    }
+            if self.level == 0 && !self.occupied {
+                if let Some(i) = proposer {
+                    ports[i].out.accept = true;
+                    ports[i].consumed = true;
+                    self.occupied = true;
+                    // The receiving side does not record the move; the
+                    // proposer does (upon the accept), keeping each move
+                    // single-sourced.
                 }
-                self.out_buf[best].accept = true;
-                self.ports[best].consumed = true;
-                self.occupied = true;
-                // The receiving side does not record the move; the proposer
-                // does (upon the accept), keeping each move single-sourced.
             }
         }
 
         // ---- Termination.
-        let die = self.should_terminate();
-        if die {
-            for (i, p) in self.ports.iter().enumerate() {
-                if p.alive {
-                    self.out_buf[i].goodbye = true;
-                }
-            }
-        }
-        for (i, m) in self.out_buf.iter().enumerate() {
-            if *m != Msg3::default() {
-                outbox.send(Port::from(i), *m);
+        let die = self.should_terminate(ports);
+        for (i, p) in ports.iter_mut().enumerate() {
+            p.out.goodbye = die && !p.gone;
+            if p.out != Msg3::default() {
+                outbox.send(Port::from(i), p.out);
             }
         }
         if die {
@@ -473,9 +428,9 @@ impl Protocol for ThreeLevelNode {
         }
     }
 
-    fn finish(self) -> NodeOutput3 {
+    fn finish(self, ports: &[Port3]) -> NodeOutput3 {
         NodeOutput3 {
-            moves_sent: self.moves_sent,
+            moves_sent: ports.iter().filter(|p| p.moved_at != 0).count() as u32,
             final_token: self.occupied,
         }
     }
@@ -494,23 +449,31 @@ pub struct ThreeLevelProtocolResult {
     pub messages: u64,
 }
 
-/// Runs the 3-level protocol and reconstructs the solution.
+/// Runs the 3-level protocol and reconstructs the solution from the moves
+/// recorded in the finished port rows.
 pub fn run_protocol(game: &TokenGame, sim: &Simulator) -> ThreeLevelProtocolResult {
     assert!(game.height() <= 2);
     let ins = super::proposal::inputs(game);
-    let outcome: SimOutcome<NodeOutput3> = sim.run::<ThreeLevelNode>(game.graph(), &ins);
-    assert!(outcome.completed, "3-level protocol hit the round cap");
-    let mut events: Vec<MoveEvent> = Vec::new();
-    for (v, out) in outcome.outputs.iter().enumerate() {
-        for &(r, to) in &out.moves_sent {
-            debug_assert!(r >= 2 && r % 2 == 0);
-            events.push(MoveEvent {
-                round: r / 2 - 1,
-                from: NodeId::from(v),
-                to: NodeId(to),
-            });
+    let outcome = sim.run_with::<ThreeLevelNode, _>(game.graph(), &ins, |done| {
+        assert!(done.completed(), "3-level protocol hit the round cap");
+        let g = done.graph();
+        let mut events: Vec<MoveEvent> = Vec::new();
+        for v in g.nodes() {
+            for (p, &to) in done.node(v).1.iter().zip(g.neighbors(v)) {
+                let r = p.moved_at;
+                if r != 0 {
+                    debug_assert!(r >= 2 && r % 2 == 0);
+                    events.push(MoveEvent {
+                        round: r / 2 - 1,
+                        from: v,
+                        to: NodeId(to),
+                    });
+                }
+            }
         }
-    }
+        events
+    });
+    let mut events = outcome.outputs;
     events.sort_by_key(|e| (e.round, e.from));
     let log = MoveLog { events };
     let solution = Solution::from_moves(game, &log);

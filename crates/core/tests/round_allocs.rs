@@ -1,6 +1,7 @@
-//! `ProposalNode::round` allocates nothing per node-round except the pushes
-//! onto its record of grants sent: over a whole solve, the allocations made
-//! inside `round` never outnumber the grants.
+//! `ProposalNode::round` allocates nothing: over whole solves, no
+//! allocation is made inside `round`, including the grant rounds. The
+//! node's port states live in the simulator's port slab, and a grant is
+//! recorded in the granting port's entry.
 //!
 //! The counting allocator counts per thread, and the sequential executor
 //! steps every node on the calling thread, so the count is exact even while
@@ -10,9 +11,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use td_core::proposal::{self, Msg, NodeOutput, ProposalNode, TokenInput};
+use td_core::proposal::{self, Msg, NodeOutput, PortState, ProposalNode, TokenInput};
 use td_core::TokenGame;
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Simulator, Status};
+use td_local::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Simulator, Status};
 
 thread_local! {
     /// Allocations made by this thread.
@@ -39,34 +40,36 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The proposal node program, with the allocations of each round counted.
 struct Counted(ProposalNode);
 
-impl Protocol for Counted {
+impl PortProtocol for Counted {
     type Input = TokenInput;
     type Message = Msg;
     type Output = NodeOutput;
+    type Port = PortState;
 
-    fn init(node: NodeInit<'_, TokenInput>) -> Self {
-        Counted(ProposalNode::init(node))
+    fn init(node: NodeInit<'_, TokenInput>, ports: &mut [PortState]) -> Self {
+        Counted(ProposalNode::init(node, ports))
     }
 
     fn round(
         &mut self,
         ctx: &RoundCtx,
+        ports: &mut [PortState],
         inbox: &Inbox<'_, Msg>,
         outbox: &mut Outbox<'_, '_, Msg>,
     ) -> Status {
         let before = ALLOCS.get();
-        let status = self.0.round(ctx, inbox, outbox);
+        let status = self.0.round(ctx, ports, inbox, outbox);
         ROUND_ALLOCS.set(ROUND_ALLOCS.get() + ALLOCS.get() - before);
         status
     }
 
-    fn finish(self) -> NodeOutput {
-        self.0.finish()
+    fn finish(self, ports: &[PortState]) -> NodeOutput {
+        self.0.finish(ports)
     }
 }
 
 #[test]
-fn round_allocates_only_for_its_grant_record() {
+fn proposal_round_allocates_nothing() {
     let mut rng = SmallRng::seed_from_u64(5);
     let games = [
         TokenGame::figure2(),
@@ -78,12 +81,12 @@ fn round_allocates_only_for_its_grant_record() {
         ROUND_ALLOCS.set(0);
         let out = Simulator::sequential().run::<Counted>(game.graph(), &proposal::inputs(game));
         assert!(out.completed, "game {k}");
-        let grants: usize = out.outputs.iter().map(|o| o.grants_sent.len()).sum();
+        let grants: u32 = out.outputs.iter().map(|o| o.grants).sum();
         assert!(grants > 0, "game {k}: no token moved");
-        let in_round = ROUND_ALLOCS.get();
-        assert!(
-            in_round <= grants as u64,
-            "game {k}: {in_round} allocations inside round() for {grants} grants"
+        assert_eq!(
+            ROUND_ALLOCS.get(),
+            0,
+            "game {k}: allocations inside round() for {grants} grants"
         );
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! One arena slot exists per *directed* edge slot of the CSR graph (the slot
 //! of `(receiver, port)`, i.e. one per `EdgeId` per direction), so a node's
-//! inbox is a contiguous run of slots. The arena is allocated **once** per
-//! simulation; after that warm-up the hot loop performs **zero message
-//! allocations**: sending overwrites the slot's payload in place, and
-//! "delivering" a round's messages is a logical **buffer swap** — a parity
-//! flip selecting which of the two buffers is read and which is written,
-//! moving no data.
+//! inbox is a contiguous run of slots. The arena is allocated once and then
+//! kept: a [`crate::ChurnSim`] keeps its own for its whole life, and
+//! [`crate::Simulator`] keeps one per thread and protocol type from one run
+//! to the next, growing it only when a run's network has more slots. The
+//! hot loop performs **zero message allocations**: sending overwrites the
+//! slot's payload in place, and "delivering" a round's messages is a
+//! logical **buffer swap** — a parity flip selecting which of the two
+//! buffers is read and which is written, moving no data.
 //!
 //! ## Layout
 //!
@@ -19,6 +21,16 @@
 //! the receive path, keeps stamp and payload on the same cache line, and
 //! avoids an O(m) clear every round — crucial when round counts reach Θ(Δ⁴)
 //! on small graphs.
+//!
+//! ## Stamps across runs
+//!
+//! A slot's stamp is the arena's *base* plus the round it is addressed to.
+//! The base is 0 for a churn plane, whose round counter never goes back. A
+//! one-shot run restarts its round numbers at 0, so
+//! [`MessageArena::restart`] moves the base above every stamp the arena
+//! holds: what earlier runs left behind is stale without a clear pass. Only
+//! when the base would run into the reserved [`STAMP_EMPTY`] stamp are the
+//! slots cleared and the base reset to 0.
 //!
 //! ## One writer per slot
 //!
@@ -36,7 +48,9 @@
 use td_graph::CsrGraph;
 
 /// Stamp value meaning "never written". Rounds are capped strictly below
-/// `u32::MAX - 1` (the simulator asserts this), so no live stamp collides.
+/// `u32::MAX - 1` (the simulator asserts this), and a run's base plus its
+/// round cap stays below that too ([`MessageArena::restart`]), so no live
+/// stamp collides.
 pub const STAMP_EMPTY: u32 = u32::MAX;
 
 /// One message slot: the round the payload is addressed to, plus the payload
@@ -67,8 +81,8 @@ impl<M> Slot<M> {
 /// The double-buffered flat message arena of one simulation.
 ///
 /// Allocated once (two buffers of `num_slots` slots each); reused across
-/// every round. `bufs[round % 2]` is the buffer *read* in `round` (written
-/// during `round - 1`).
+/// every round, and across runs. `bufs[stamp % 2]` is the buffer *read* in
+/// the round whose stamp is `stamp` (written during the round before).
 ///
 /// ```
 /// use td_local::arena::MessageArena;
@@ -84,6 +98,10 @@ impl<M> Slot<M> {
 /// ```
 pub struct MessageArena<M> {
     bufs: [Vec<Slot<M>>; 2],
+    /// Added to a round number to make its stamp.
+    base: u32,
+    /// Every stamp the arena holds is below this, or [`STAMP_EMPTY`].
+    fresh: u32,
 }
 
 impl<M: Default> MessageArena<M> {
@@ -92,6 +110,8 @@ impl<M: Default> MessageArena<M> {
         let buf = || (0..slots).map(|_| Slot::empty()).collect();
         MessageArena {
             bufs: [buf(), buf()],
+            base: 0,
+            fresh: 0,
         }
     }
 
@@ -118,11 +138,30 @@ impl<M: Default> MessageArena<M> {
     }
 
     /// [`MessageArena::resize`], then clears every slot to the
-    /// never-written state [`MessageArena::with_slots`] starts from.
+    /// never-written state [`MessageArena::with_slots`] starts from, with
+    /// base 0.
     pub fn reset(&mut self, slots: usize) {
         self.resize(slots);
         for buf in &mut self.bufs {
             buf.fill_with(Slot::empty);
+        }
+        self.base = 0;
+        self.fresh = 0;
+    }
+
+    /// Readies a kept arena for a new run of at most `max_rounds` rounds,
+    /// numbered from 0, on `slots` slots per buffer: it is
+    /// [`MessageArena::resize`]d, and its base moves above every stamp it
+    /// holds, so no slot reads as a message before the new run writes it.
+    /// Only when that base plus `max_rounds` would reach `STAMP_EMPTY - 1`,
+    /// past the stamps a run may use, is the arena [`MessageArena::reset`]
+    /// instead.
+    pub fn restart(&mut self, slots: usize, max_rounds: u32) {
+        if u64::from(self.fresh) + u64::from(max_rounds) >= u64::from(STAMP_EMPTY - 1) {
+            self.reset(slots);
+        } else {
+            self.resize(slots);
+            self.base = self.fresh;
         }
     }
 
@@ -164,20 +203,19 @@ impl<M: Default> MessageArena<M> {
     /// no data moves, no clear pass runs.
     #[inline(always)]
     pub fn epoch(&mut self, round: u32) -> (ArenaReader<'_, M>, ArenaWriter<'_, M>) {
+        let stamp = self.base + round;
+        self.fresh = self.fresh.max(stamp + 2);
         let [even, odd] = &mut self.bufs;
-        let (read, write) = if round.is_multiple_of(2) {
+        let (read, write) = if stamp.is_multiple_of(2) {
             (even, odd)
         } else {
             (odd, even)
         };
         (
-            ArenaReader {
-                slots: read,
-                stamp: round,
-            },
+            ArenaReader { slots: read, stamp },
             ArenaWriter {
                 slots: write,
-                stamp: round + 1,
+                stamp: stamp + 1,
             },
         )
     }
@@ -340,6 +378,51 @@ mod tests {
                     assert_eq!(get(&r, s), None, "round {round} slot {s}");
                 }
             }
+        }
+    }
+
+    /// A restarted arena shows none of an earlier run's messages, without
+    /// a clear, and delivers the new run's as before.
+    #[test]
+    fn restart_moves_the_base_past_every_stamp() {
+        let mut arena: MessageArena<u16> = MessageArena::with_slots(3);
+        for round in 0..3 {
+            let (_, mut w) = arena.epoch(round);
+            w.write(round as usize, 7);
+        }
+        arena.restart(4, 100);
+        assert_eq!((arena.num_slots(), arena.base), (4, 4));
+        for round in 0..8 {
+            let (r, _) = arena.epoch(round);
+            for slot in 0..4 {
+                assert_eq!(get(&r, slot), None, "round {round} slot {slot}");
+            }
+        }
+        let (_, mut w) = arena.epoch(8);
+        w.write(1, 5);
+        let (r, _) = arena.epoch(9);
+        assert_eq!(get(&r, 1), Some(&5));
+        assert_eq!(get(&r, 0), None);
+    }
+
+    /// Where the base plus the next run's round cap would reach the last
+    /// stamps before [`STAMP_EMPTY`], the restart clears the arena and
+    /// starts over at base 0; one round less, and it moves the base.
+    #[test]
+    fn restart_near_the_reserved_stamp_clears() {
+        let mut arena: MessageArena<u8> = MessageArena::with_slots(2);
+        let (_, mut w) = arena.epoch(0);
+        w.write(0, 1);
+        // Every stamp is below 2 now.
+        arena.restart(2, u32::MAX - 4);
+        assert_eq!(arena.base, 2, "2 + (u32::MAX - 4) stays below u32::MAX - 1");
+        let (_, mut w) = arena.epoch(0);
+        w.write(1, 2);
+        arena.restart(2, u32::MAX - 4);
+        assert_eq!(arena.base, 0, "4 + (u32::MAX - 4) reaches u32::MAX - 1");
+        for round in 0..4 {
+            let (r, _) = arena.epoch(round);
+            assert_eq!((get(&r, 0), get(&r, 1)), (None, None), "round {round}");
         }
     }
 

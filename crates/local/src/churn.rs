@@ -12,10 +12,10 @@
 //!   variants that apply to it and rejects the rest.
 //! * [`ChurnSim`] — a persistent simulator in which nodes *quiesce* instead
 //!   of halting forever: [`crate::Status::Halt`] parks the node, and any
-//!   later message wakes it. Between repairs the node states, the message
-//!   arena, and the round counter all persist, so a repair touches exactly
-//!   the nodes that messages reach — untouched regions are never stepped
-//!   and pay **zero protocol work**.
+//!   later message wakes it. Between repairs the node states, the port
+//!   slab, the message arena, and the round counter all persist, so a
+//!   repair touches exactly the nodes that messages reach — untouched
+//!   regions are never stepped and pay **zero protocol work**.
 //! * [`RepairStats`] — rounds / messages / node-steps of one repair run,
 //!   the quantities experiment E15 compares against full recomputation.
 //!
@@ -35,11 +35,11 @@
 //!
 //! Events that add or remove nodes (a customer joining or leaving) change
 //! the network itself. [`ChurnSim::rewire`] patches a quiescent sim in
-//! place instead of building a new one: the host edits the graph and the
-//! node states, and the sim re-lays its arena and wake set over the same
-//! allocations and moves its round counter to a multiple of the protocol's
-//! period, where the protocol sees exactly what a freshly built sim shows
-//! it at round 0.
+//! place instead of building a new one: the host edits the graph, the node
+//! states and the port slab, and the sim re-lays its arena and wake set
+//! over the same allocations and moves its round counter to a multiple of
+//! the protocol's period, where the protocol sees exactly what a freshly
+//! built sim shows it at round 0.
 //!
 //! ## Determinism
 //!
@@ -50,9 +50,9 @@
 //! the wakes and the round counter's residue; the differential tests in
 //! `tests/churn_differential.rs` check it against full recomputation.
 
-use crate::arena::MessageArena;
 use crate::metrics::ExecPerf;
-use crate::protocol::{NodeInit, Protocol};
+use crate::protocol::PortProtocol;
+use crate::sim::Plane;
 use td_graph::{CsrGraph, NodeId};
 
 /// One update to a live instance. The vocabulary is shared across the
@@ -418,10 +418,10 @@ impl WakeSet {
 /// A persistent, wake-based simulator for churn engines.
 ///
 /// Unlike [`crate::Simulator`], the `ChurnSim` *owns* its graph, node
-/// states, and message arena, and survives across repair runs: `Halt` means
-/// "quiesce until a message arrives", and the round counter is monotonic so
-/// the arena's stamps keep invalidating stale slots for free. Membership
-/// churn rewires the sim in place ([`ChurnSim::rewire`]).
+/// states, port slab and message arena, and survives across repair runs:
+/// `Halt` means "quiesce until a message arrives", and the round counter is
+/// monotonic so the arena's stamps keep invalidating stale slots for free.
+/// Membership churn rewires the sim in place ([`ChurnSim::rewire`]).
 ///
 /// ```
 /// use td_local::{ChurnSim, Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
@@ -471,14 +471,13 @@ impl WakeSet {
 /// // Only the flood's wavefront was stepped — no dense n x rounds scan.
 /// assert!(stats.node_steps < (5 * stats.rounds) as u64);
 /// ```
-pub struct ChurnSim<P: Protocol> {
+pub struct ChurnSim<P: PortProtocol> {
     graph: CsrGraph,
-    states: Vec<P>,
-    arena: MessageArena<P::Message>,
-    wake: WakeSet,
-    /// The nodes the next round steps: empty after a completed run, the
+    /// The node states, the port slab, the arena, and the awake list: the
+    /// nodes the next round steps, empty after a completed run and the
     /// pending frontier after a capped one.
-    awake: Vec<u32>,
+    plane: Plane<P>,
+    wake: WakeSet,
     round: u32,
     /// When `round + max_rounds` would reach this value, the stamps are
     /// renormalized before the run (see [`ChurnSim::set_stamp_horizon`]).
@@ -496,32 +495,17 @@ pub struct ChurnSim<P: Protocol> {
     perf: ExecPerf,
 }
 
-impl<P: Protocol> ChurnSim<P> {
+impl<P: PortProtocol> ChurnSim<P> {
     /// Boots one node per graph node from `inputs`, all asleep.
     pub fn new(graph: CsrGraph, inputs: &[P::Input]) -> Self {
-        assert_eq!(
-            inputs.len(),
-            graph.num_nodes(),
-            "one input per node required"
-        );
-        let states: Vec<P> = graph
-            .nodes()
-            .map(|v| {
-                P::init(NodeInit {
-                    id: v,
-                    neighbor_ids: graph.neighbors(v),
-                    input: &inputs[v.idx()],
-                })
-            })
-            .collect();
-        let arena = MessageArena::for_graph(&graph);
+        let mut plane = Plane::new();
+        plane.boot(&graph, inputs);
+        plane.arena.restart(graph.num_slots(), 0);
         let n = graph.num_nodes();
         ChurnSim {
             graph,
-            states,
-            arena,
+            plane,
             wake: WakeSet::new(n),
-            awake: Vec::new(),
             round: 0,
             stamp_horizon: u32::MAX - 1,
             round_period: 1,
@@ -537,12 +521,12 @@ impl<P: Protocol> ChurnSim<P> {
 
     /// Read access to all node states (for snapshotting solutions).
     pub fn states(&self) -> &[P] {
-        &self.states
+        &self.plane.states
     }
 
     /// Mutable access to one node's state (for host-side event application).
     pub fn state_mut(&mut self, v: NodeId) -> &mut P {
-        &mut self.states[v.idx()]
+        &mut self.plane.states[v.idx()]
     }
 
     /// Schedules `v` to be stepped in the next repair run.
@@ -561,12 +545,15 @@ impl<P: Protocol> ChurnSim<P> {
     /// changed network in place, for membership churn that adds or removes
     /// nodes and edges.
     ///
-    /// `edit` receives the graph and the node states. It must leave one
-    /// state per node of the edited graph, each the state a fresh sim would
-    /// hold for it; typically it patches the graph in its own buffers (e.g.
-    /// [`CsrGraph::push_left_node`]) and inserts or removes states. The sim
-    /// then starts over as [`ChurnSim::new`] would on the edited graph: the
-    /// arena and the wake set are resized. The stamp
+    /// `edit` receives the graph, the node states and the port slab. It
+    /// must leave one state per node of the edited graph, each the state a
+    /// fresh sim would hold for it; typically it patches the graph in its
+    /// own buffers (e.g. [`CsrGraph::push_left_node`]) and inserts or
+    /// removes states, and moves the port rows of a [`PortProtocol`] with
+    /// per-port state along with their slots. The sim then starts over as
+    /// [`ChurnSim::new`] would on the edited graph: the slab, the arena and
+    /// the wake set are resized to it (slab entries past the edit's end
+    /// start at `Default`). The stamp
     /// horizon, the round period and the lifetime [`ChurnSim::exec_perf`]
     /// counters carry over; no buffer is reallocated unless the network
     /// outgrows it.
@@ -581,26 +568,29 @@ impl<P: Protocol> ChurnSim<P> {
     /// # Panics
     /// If a node is awake, if a round-capped run left messages in flight,
     /// or if `edit` leaves a state count different from the node count.
-    pub fn rewire(&mut self, edit: impl FnOnce(&mut CsrGraph, &mut Vec<P>)) {
+    pub fn rewire(&mut self, edit: impl FnOnce(&mut CsrGraph, &mut Vec<P>, &mut Vec<P::Port>)) {
         assert!(
             !self.in_flight,
             "rewiring a sim with messages in flight; finish the capped run first"
         );
         assert!(
-            self.awake.is_empty() && self.wake.queue.is_empty(),
+            self.plane.awake.is_empty() && self.wake.queue.is_empty(),
             "rewiring a sim with nodes awake; run them first"
         );
-        edit(&mut self.graph, &mut self.states);
+        let modulus = self.stamp_modulus();
+        let plane = &mut self.plane;
+        edit(&mut self.graph, &mut plane.states, &mut plane.ports);
         let n = self.graph.num_nodes();
-        assert_eq!(self.states.len(), n, "one state per node required");
+        assert_eq!(plane.states.len(), n, "one state per node required");
         let slots = self.graph.num_slots();
-        match self.round.checked_next_multiple_of(self.stamp_modulus()) {
+        plane.ports.resize(slots, P::Port::default());
+        match self.round.checked_next_multiple_of(modulus) {
             Some(round) if round < self.stamp_horizon => {
-                self.arena.resize(slots);
+                plane.arena.resize(slots);
                 self.round = round;
             }
             _ => {
-                self.arena.reset(slots);
+                plane.arena.reset(slots);
                 self.round = 0;
             }
         }
@@ -678,7 +668,7 @@ impl<P: Protocol> ChurnSim<P> {
         let modulus = self.stamp_modulus();
         let old = self.round;
         let new = old % modulus;
-        self.arena.renormalize(old, new);
+        self.plane.arena.renormalize(old, new);
         self.round = new;
         assert!(
             (self.round as u64) + (max_rounds as u64) < self.stamp_horizon as u64,
@@ -706,9 +696,7 @@ impl<P: Protocol> ChurnSim<P> {
         self.ensure_stamp_headroom(max_rounds);
         let (stats, perf) = crate::sim::step(
             &self.graph,
-            &mut self.states,
-            &mut self.arena,
-            &mut self.awake,
+            &mut self.plane,
             Some(&mut self.wake),
             self.round..self.round + max_rounds,
             None,
@@ -723,7 +711,7 @@ impl<P: Protocol> ChurnSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Inbox, NodeInit, Outbox, RoundCtx, Status};
+    use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
     use td_graph::gen::classic::{cycle, path};
     use td_graph::Port;
 
@@ -1041,7 +1029,7 @@ mod tests {
     /// asleep, reaches all of them, repeats exactly on a twin sim, and
     /// steps far fewer node-rounds than a dense scan would.
     #[test]
-    fn boundary_message_wakes_fully_quiesced_shard() {
+    fn message_wakes_a_fully_quiesced_region() {
         let g = path(16);
         let mut inputs = vec![0u64; 16];
         inputs[0] = 9;
@@ -1186,7 +1174,7 @@ mod tests {
     /// still asleep), and repeated 1-round slices must make monotonic
     /// progress to the same final state and totals as an uncapped run.
     #[test]
-    fn round_cap_resume_with_partially_woken_shard() {
+    fn round_cap_resume_with_a_partially_woken_frontier() {
         let g = path(16);
         let mut inputs = vec![0u64; 16];
         inputs[0] = 9;
@@ -1283,10 +1271,9 @@ mod tests {
 
     /// Renormalization on a wider network whose repairs start far apart
     /// (every seventh node of 16) under a round cap close to the horizon:
-    /// every repair and the final state match a never-rebased twin. (The
-    /// test keeps the name it had when the churn plane could be sharded.)
+    /// every repair and the final state match a never-rebased twin.
     #[test]
-    fn sharded_plane_survives_stamp_renormalization() {
+    fn wide_plane_survives_stamp_renormalization() {
         let g = path(16);
         let mut wrap: ChurnSim<MaxHold> = ChurnSim::new(g.clone(), &[0u64; 16]);
         wrap.set_stamp_horizon(48);
@@ -1371,7 +1358,7 @@ mod tests {
             sim.wake(NodeId(0));
             assert!(sim.run(10_000).completed);
             let before = sim.exec_perf();
-            sim.rewire(|g, states| {
+            sim.rewire(|g, states, _| {
                 *g = path(n);
                 states.clear();
                 states.resize_with(n, zero);
@@ -1410,7 +1397,7 @@ mod tests {
         assert!(sim.run(8).completed);
         // The next multiple of lcm(2, 3) is the horizon itself.
         assert!((7..12).contains(&sim.round()), "round {}", sim.round());
-        sim.rewire(|g, states| {
+        sim.rewire(|g, states, _| {
             *g = path(4);
             states.truncate(4);
         });
@@ -1430,7 +1417,7 @@ mod tests {
     fn rewire_refuses_a_sim_with_nodes_awake() {
         let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(3), &[0; 3]);
         sim.wake(NodeId(1));
-        sim.rewire(|_, _| ());
+        sim.rewire(|_, _, _| ());
     }
 
     #[test]
@@ -1441,13 +1428,13 @@ mod tests {
         sim.state_mut(NodeId(0)).dirty = true;
         sim.wake(NodeId(0));
         assert!(!sim.run(2).completed);
-        sim.rewire(|_, _| ());
+        sim.rewire(|_, _, _| ());
     }
 
     #[test]
     #[should_panic(expected = "one state per node")]
     fn rewire_checks_the_state_count() {
         let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(3), &[0; 3]);
-        sim.rewire(|g, _| *g = path(4));
+        sim.rewire(|g, _, _| *g = path(4));
     }
 }

@@ -7,7 +7,7 @@
 //! \[HKP98\] that the paper cites as the Θ(Δ) reference point for its own
 //! lower bounds.
 
-use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
+use crate::protocol::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Status};
 
 /// BFS layering from a set of sources: every node outputs its hop distance
 /// to the nearest source. Nodes announce every improvement; a node halts
@@ -18,36 +18,40 @@ use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 ///
 /// Contract: every connected component must contain a source (otherwise the
 /// component never quiesces; the simulator's round cap applies).
+///
+/// Each port's entry of the port slab holds the distance its neighbor
+/// announced last (`u32::MAX` until it announces one).
 pub struct BfsLayering {
     dist: u32,
     announced_dist: Option<u32>,
-    nbr_dist: Vec<u32>,
 }
 
-impl Protocol for BfsLayering {
+impl PortProtocol for BfsLayering {
     type Input = bool; // is this node a source?
     type Message = u32;
     type Output = u32;
+    type Port = u32;
 
-    fn init(node: NodeInit<'_, bool>) -> Self {
+    fn init(node: NodeInit<'_, bool>, nbr_dist: &mut [u32]) -> Self {
+        nbr_dist.fill(u32::MAX);
         BfsLayering {
             dist: if *node.input { 0 } else { u32::MAX },
             announced_dist: None,
-            nbr_dist: vec![u32::MAX; node.degree()],
         }
     }
 
     fn round(
         &mut self,
         _ctx: &RoundCtx,
+        nbr_dist: &mut [u32],
         inbox: &Inbox<'_, u32>,
         outbox: &mut Outbox<'_, '_, u32>,
     ) -> Status {
-        if self.nbr_dist.is_empty() {
+        if nbr_dist.is_empty() {
             return Status::Halt; // isolated node (a source or hopeless)
         }
         for (port, &d) in inbox.iter() {
-            self.nbr_dist[port.idx()] = d;
+            nbr_dist[port.idx()] = d;
             if d.saturating_add(1) < self.dist {
                 self.dist = d + 1;
             }
@@ -58,8 +62,7 @@ impl Protocol for BfsLayering {
             return Status::Continue;
         }
         let settled = self.dist != u32::MAX
-            && self
-                .nbr_dist
+            && nbr_dist
                 .iter()
                 .all(|&d| d != u32::MAX && d.saturating_add(1) >= self.dist);
         if settled {
@@ -69,7 +72,7 @@ impl Protocol for BfsLayering {
         }
     }
 
-    fn finish(self) -> u32 {
+    fn finish(self, _: &[u32]) -> u32 {
         self.dist
     }
 }
@@ -77,14 +80,15 @@ impl Protocol for BfsLayering {
 /// The proposal-based bipartite maximal matching protocol \[HKP98-style\]:
 /// left nodes propose to their lowest-id unmatched right neighbor; right
 /// nodes accept the lowest-id proposal. Runs in O(Δ) rounds on bipartite
-/// graphs. Outputs, per node, the id of its partner (or `u32::MAX`).
+/// graphs. Outputs, per node, the port of its partner (or `u32::MAX`).
+///
+/// Each port's entry of the port slab says whether the port is *dead*:
+/// on the left, its right neighbor said "taken"; on the right, its left
+/// neighbor said "done".
 pub struct ProposalMatching {
     /// Side 0 = proposer (left), side 1 = acceptor (right).
     left: bool,
     matched_to: u32,
-    /// Left: right neighbors that said "taken". Right: ports whose left
-    /// neighbor said "done".
-    dead: Vec<bool>,
     /// Proposal outstanding to this port (left side).
     pending: Option<usize>,
 }
@@ -103,16 +107,16 @@ pub struct MatchMsg {
     pub done: bool,
 }
 
-impl Protocol for ProposalMatching {
+impl PortProtocol for ProposalMatching {
     type Input = bool; // true = left (proposer) side
     type Message = MatchMsg;
     type Output = u32;
+    type Port = bool;
 
-    fn init(node: NodeInit<'_, bool>) -> Self {
+    fn init(node: NodeInit<'_, bool>, _: &mut [bool]) -> Self {
         ProposalMatching {
             left: *node.input,
             matched_to: u32::MAX,
-            dead: vec![false; node.degree()],
             pending: None,
         }
     }
@@ -120,10 +124,11 @@ impl Protocol for ProposalMatching {
     fn round(
         &mut self,
         _ctx: &RoundCtx,
+        dead: &mut [bool],
         inbox: &Inbox<'_, MatchMsg>,
         outbox: &mut Outbox<'_, '_, MatchMsg>,
     ) -> Status {
-        let deg = self.dead.len();
+        let deg = dead.len();
         if deg == 0 {
             return Status::Halt;
         }
@@ -137,7 +142,7 @@ impl Protocol for ProposalMatching {
                     finished = true;
                 }
                 if msg.taken {
-                    self.dead[pi] = true;
+                    dead[pi] = true;
                     if self.pending == Some(pi) {
                         self.pending = None;
                     }
@@ -148,7 +153,7 @@ impl Protocol for ProposalMatching {
                     return Status::Continue; // answer still in flight
                 }
                 // Propose to the first live right neighbor, if any.
-                if let Some(i) = (0..deg).find(|&i| !self.dead[i]) {
+                if let Some(i) = (0..deg).find(|&i| !dead[i]) {
                     outbox.send(
                         td_graph::Port::from(i),
                         MatchMsg {
@@ -169,50 +174,34 @@ impl Protocol for ProposalMatching {
             });
             Status::Halt
         } else {
-            // Right side: accept the smallest proposer, reject the rest.
-            let mut proposals: Vec<usize> = Vec::new();
+            // Right side: accept the smallest proposer (the inbox lists
+            // ports in ascending order), reject the rest.
+            let mut winner: Option<usize> = None;
             for (port, msg) in inbox.iter() {
-                if msg.propose {
-                    proposals.push(port.idx());
+                if msg.propose && winner.is_none() && self.matched_to == u32::MAX {
+                    winner = Some(port.idx());
                 }
                 if msg.done {
-                    self.dead[port.idx()] = true;
+                    dead[port.idx()] = true;
                 }
             }
-            if self.matched_to == u32::MAX {
-                if let Some(&winner) = proposals.iter().min() {
-                    self.matched_to = winner as u32;
-                    outbox.send(
-                        td_graph::Port::from(winner),
-                        MatchMsg {
-                            accept: true,
-                            ..MatchMsg::default()
-                        },
-                    );
-                    for &pi in proposals.iter().filter(|&&pi| pi != winner) {
-                        outbox.send(
-                            td_graph::Port::from(pi),
-                            MatchMsg {
-                                taken: true,
-                                ..MatchMsg::default()
-                            },
-                        );
-                    }
-                    return Status::Continue;
-                }
-            } else {
-                for &pi in &proposals {
-                    outbox.send(
-                        td_graph::Port::from(pi),
-                        MatchMsg {
-                            taken: true,
-                            ..MatchMsg::default()
-                        },
-                    );
-                }
+            for (port, _) in inbox.iter().filter(|(_, msg)| msg.propose) {
+                let accept = Some(port.idx()) == winner;
+                outbox.send(
+                    port,
+                    MatchMsg {
+                        accept,
+                        taken: !accept,
+                        ..MatchMsg::default()
+                    },
+                );
+            }
+            if let Some(winner) = winner {
+                self.matched_to = winner as u32;
+                return Status::Continue;
             }
             // Halt once every left neighbor has finished.
-            if self.dead.iter().all(|&d| d) {
+            if dead.iter().all(|&d| d) {
                 Status::Halt
             } else {
                 Status::Continue
@@ -220,7 +209,7 @@ impl Protocol for ProposalMatching {
         }
     }
 
-    fn finish(self) -> u32 {
+    fn finish(self, _: &[bool]) -> u32 {
         self.matched_to
     }
 }
@@ -331,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn matching_parallel_equivalent() {
+    fn matching_sequential_matches_the_dense_oracle() {
         let mut rng = SmallRng::seed_from_u64(405);
         let g = random_bipartite(20, 15, 1..=3, &mut rng);
         let left: Vec<bool> = (0..g.num_nodes()).map(|v| v < 20).collect();

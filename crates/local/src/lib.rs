@@ -13,18 +13,25 @@
 //! * [`Protocol`] — what a node runs: `init` (sees only its id, degree,
 //!   neighbor ids and its problem-specific local input), `round` (reads the
 //!   inbox, writes the outbox, decides whether to halt), `finish` (produces
-//!   the local output).
+//!   the local output). A [`PortProtocol`] keeps its per-port state in the
+//!   simulator's *port slab*, one CSR-aligned entry per slot, and sees the
+//!   node's row in all three; every `Protocol` is one, with no port state.
 //! * [`Simulator`] — executes a protocol on a [`td_graph::CsrGraph`] until
 //!   all nodes halt (or a round cap is hit), counting rounds and messages.
+//!   [`Simulator::run_with`] lends the finished states and port rows to a
+//!   reader, so a host assembles its result without per-node copies.
 //! * **One stepping loop** on the calling thread, shared by one-shot runs
 //!   ([`Simulator::sequential`]) and churn repairs: it steps a sorted list
 //!   of awake nodes and never visits a halted node again. A dense reference
 //!   scan, which visits every node every round, survives only as the test
 //!   oracle; outputs, rounds and messages of the two are **bit-identical**,
 //!   and the differential suites enforce this.
-//! * A zero-allocation hot loop: the [`arena::MessageArena`] is allocated
-//!   once per run, payloads are overwritten in place, and round delivery is
-//!   a buffer-parity flip.
+//! * Zero-allocation runs: the *plane* of a run (node states, port slab,
+//!   [`arena::MessageArena`] and awake list) is kept between runs, one per
+//!   thread and protocol type, so a warm run allocates nothing that grows
+//!   with the network. Payloads are overwritten in place, round delivery is
+//!   a buffer-parity flip, and a kept arena starts each run from a stamp
+//!   base above everything it holds instead of being cleared.
 //! * No `unsafe` code. The arena's two buffers are plain `Vec`s, and each
 //!   round borrows one to read and the other, exclusively, to write, so the
 //!   borrow checker proves that a round never writes what it reads.
@@ -86,5 +93,5 @@ pub use churn::{
     ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats, TraceRecorder, WakeSet,
 };
 pub use metrics::{ExecPerf, RoundStats, RunSummary, SimOutcome, Summarize};
-pub use protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
-pub use sim::Simulator;
+pub use protocol::{Inbox, NodeInit, Outbox, PortProtocol, Protocol, RoundCtx, Status};
+pub use sim::{Finished, Simulator};

@@ -54,10 +54,15 @@ impl ExecPerf {
 }
 
 /// The result of simulating a protocol to completion (or to the round cap).
+///
+/// `O` is what the run's reader made of the finished plane: for
+/// [`crate::Simulator::run`], `Vec` of every node's local output.
 #[derive(Clone, Debug)]
 pub struct SimOutcome<O> {
-    /// Local output of every node, indexed by node id.
-    pub outputs: Vec<O>,
+    /// What the reader returned: for [`crate::Simulator::run`], the local
+    /// output of every node, indexed by node id; for
+    /// [`crate::Simulator::run_with`], whatever its reader assembled.
+    pub outputs: O,
     /// Number of communication rounds executed. This is the quantity the
     /// paper's theorems bound.
     pub rounds: u32,
@@ -70,14 +75,6 @@ pub struct SimOutcome<O> {
     pub trace: Option<Vec<RoundStats>>,
     /// Low-level work counters (collected by every loop).
     pub perf: ExecPerf,
-}
-
-impl<O> SimOutcome<O> {
-    /// The round by which the last node halted. Panics if not completed.
-    pub fn rounds_checked(&self) -> u32 {
-        assert!(self.completed, "simulation hit the round cap");
-        self.rounds
-    }
 }
 
 /// The communication-cost summary every protocol stack reports in the same

@@ -105,6 +105,9 @@ pub struct Outbox<'a, 'g, M> {
     pub(crate) base: usize,
     /// The node's degree; every port sent on must be below it.
     pub(crate) degree: usize,
+    /// Messages sent through this outbox. The production loop points one
+    /// outbox at every node of a round in turn, so there it counts the
+    /// round's sends.
     pub(crate) sent: u64,
     /// The wake set of a [`crate::churn::ChurnSim`] repair: sending also
     /// schedules the receiver for the delivery round. `None` in a one-shot
@@ -160,7 +163,9 @@ impl<'g, M: Clone> Outbox<'_, 'g, M> {
 ///
 /// The executor creates one `Protocol` value per node via [`Protocol::init`],
 /// calls [`Protocol::round`] once per synchronous round until the node halts,
-/// then collects local outputs via [`Protocol::finish`].
+/// then collects local outputs via [`Protocol::finish`]. Every `Protocol` is
+/// a [`PortProtocol`] with no per-port state (`Port = ()`); a node that keeps
+/// state per port implements [`PortProtocol`] instead.
 pub trait Protocol: Sized {
     /// Per-node problem input (e.g. "holds a token", "level 3").
     type Input;
@@ -185,4 +190,73 @@ pub trait Protocol: Sized {
 
     /// Consumes the node state and emits the local output after halting.
     fn finish(self) -> Self::Output;
+}
+
+/// A [`Protocol`] that keeps its per-port state in the simulator's *port
+/// slab* instead of in the node state.
+///
+/// The slab is one CSR-aligned `Vec<Self::Port>`, with one entry per slot
+/// like the [`crate::arena::MessageArena`]: a node's *row* holds the entries
+/// of its ports, in port order (`row[p]` belongs to port `p`). `init`,
+/// `round` and `finish` each see the node's row, so the node state can be a
+/// fixed-size value, and the simulator keeps the slab, like the arena, from
+/// one run to the next instead of allocating per node. Neighbor ids need no
+/// copy either: [`Outbox::neighbor_ids`] reads them off the network.
+///
+/// The stepping loops run `PortProtocol`s: every [`Protocol`] is one, with
+/// `Port = ()`.
+pub trait PortProtocol: Sized {
+    /// Per-node problem input.
+    type Input;
+    /// Message type exchanged between neighbors (see
+    /// [`Protocol::Message`]).
+    type Message: Clone + Default;
+    /// Per-node output.
+    type Output;
+    /// Per-port state. Every entry of a row reads `Port::default()` when
+    /// `init` runs, on a fresh plane and on a kept one alike.
+    type Port: Copy + Default;
+
+    /// Boots the node, which may fill its port row. LOCAL: only local
+    /// information is available.
+    fn init(node: NodeInit<'_, Self::Input>, ports: &mut [Self::Port]) -> Self;
+
+    /// Executes one synchronous round (see [`Protocol::round`]), with the
+    /// node's port row.
+    fn round(
+        &mut self,
+        ctx: &RoundCtx,
+        ports: &mut [Self::Port],
+        inbox: &Inbox<'_, Self::Message>,
+        outbox: &mut Outbox<'_, '_, Self::Message>,
+    ) -> Status;
+
+    /// Consumes the node state and emits the local output after halting.
+    fn finish(self, ports: &[Self::Port]) -> Self::Output;
+}
+
+impl<P: Protocol> PortProtocol for P {
+    type Input = P::Input;
+    type Message = P::Message;
+    type Output = P::Output;
+    type Port = ();
+
+    fn init(node: NodeInit<'_, P::Input>, _: &mut [()]) -> Self {
+        P::init(node)
+    }
+
+    #[inline]
+    fn round(
+        &mut self,
+        ctx: &RoundCtx,
+        _: &mut [()],
+        inbox: &Inbox<'_, P::Message>,
+        outbox: &mut Outbox<'_, '_, P::Message>,
+    ) -> Status {
+        Protocol::round(self, ctx, inbox, outbox)
+    }
+
+    fn finish(self, _: &[()]) -> P::Output {
+        Protocol::finish(self)
+    }
 }

@@ -1,18 +1,32 @@
-//! The stepping loops. The crate-private `step` is the one production
-//! loop: one-shot runs ([`Simulator::run`]) and churn repairs
-//! ([`crate::ChurnSim::run`]) both step their nodes through it. The dense
-//! reference scan behind the doc-hidden `Simulator::dense` survives only as
-//! the differential oracle the test suites check `step` against.
+//! The stepping loops and the execution plane they step. The crate-private
+//! `step` is the one production loop: one-shot runs ([`Simulator::run`])
+//! and churn repairs ([`crate::ChurnSim::run`]) both step their nodes
+//! through it. The dense reference scan behind the doc-hidden
+//! `Simulator::dense` survives only as the differential oracle the test
+//! suites check `step` against.
+//!
+//! A run's *plane* is everything it steps besides the network: the node
+//! states, the port slab of [`PortProtocol`]s, the message arena and the
+//! awake list. A `ChurnSim` owns one for its whole life. [`Simulator::run`]
+//! borrows one from a per-thread pool that holds one plane per protocol
+//! type and puts it back afterwards, so a warm run on a network no larger
+//! than an earlier one allocates nothing that grows with it. A run that
+//! panics drops its plane, so the thread's next run builds a fresh one, and
+//! a run nested inside another run of the same protocol finds no plane in
+//! the pool and builds its own.
 
 use crate::arena::MessageArena;
 use crate::churn::{RepairStats, WakeSet};
 use crate::metrics::{ExecPerf, RoundStats, SimOutcome};
-use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
+use crate::protocol::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Status};
+use std::any::Any;
+use std::cell::RefCell;
 use std::ops::Range;
 use td_graph::{CsrGraph, NodeId};
 
-/// Configurable simulator for [`Protocol`]s. See the crate docs for an
-/// end-to-end example.
+/// Configurable simulator for [`PortProtocol`]s (every
+/// [`crate::Protocol`] is one). See the crate docs for an end-to-end
+/// example.
 #[derive(Clone, Copy, Debug)]
 pub struct Simulator {
     /// Step with the dense reference scan instead of [`step`].
@@ -77,55 +91,70 @@ impl Simulator {
     }
 
     /// Runs `P` on `graph` with per-node `inputs` until all nodes halt or the
-    /// round cap is reached.
+    /// round cap is reached, and finishes every node: the outcome's
+    /// `outputs` are the local outputs, indexed by node id.
     ///
     /// # Panics
     /// If `inputs.len() != graph.num_nodes()`.
-    pub fn run<P: Protocol>(&self, graph: &CsrGraph, inputs: &[P::Input]) -> SimOutcome<P::Output> {
-        assert_eq!(
-            inputs.len(),
-            graph.num_nodes(),
-            "one input per node required"
-        );
+    pub fn run<P: PortProtocol + 'static>(
+        &self,
+        graph: &CsrGraph,
+        inputs: &[P::Input],
+    ) -> SimOutcome<Vec<P::Output>> {
+        self.run_with(graph, inputs, |done: Finished<'_, P>| done.outputs())
+    }
+
+    /// Runs `P` like [`Simulator::run`], then lends the finished plane to
+    /// `read`, whose result becomes the outcome's `outputs`. The reader sees
+    /// every node's final state and port row, so a host can assemble a
+    /// global result straight from them instead of from per-node outputs.
+    ///
+    /// ```
+    /// use td_local::{classics::BfsLayering, Simulator};
+    /// use td_graph::{gen::classic::path, NodeId};
+    ///
+    /// let g = path(5);
+    /// let sources = [true, false, false, false, false];
+    /// // Node 2's row holds the distance each neighbor announced last.
+    /// let out = Simulator::sequential()
+    ///     .run_with::<BfsLayering, _>(&g, &sources, |done| done.node(NodeId(2)).1.to_vec());
+    /// assert!(out.completed);
+    /// assert_eq!(out.outputs, vec![1, 3]);
+    /// ```
+    ///
+    /// # Panics
+    /// If `inputs.len() != graph.num_nodes()`.
+    pub fn run_with<P: PortProtocol + 'static, R>(
+        &self,
+        graph: &CsrGraph,
+        inputs: &[P::Input],
+        read: impl FnOnce(Finished<'_, P>) -> R,
+    ) -> SimOutcome<R> {
         debug_assert!(self.max_rounds < u32::MAX - 1, "stamps reserve u32::MAX");
-        let mut states: Vec<P> = graph
-            .nodes()
-            .map(|v| {
-                P::init(NodeInit {
-                    id: v,
-                    neighbor_ids: graph.neighbors(v),
-                    input: &inputs[v.idx()],
-                })
-            })
-            .collect();
-        // The arena is the only message storage: allocated once here, then
-        // reused for every round (writes happen in place, delivery is the
-        // epoch parity flip).
-        let mut arena = MessageArena::for_graph(graph);
+        let mut plane = Plane::<P>::take();
+        plane.boot(graph, inputs);
+        // A kept arena holds the stamps of earlier runs; the restart moves
+        // its base past them instead of clearing it.
+        plane.arena.restart(graph.num_slots(), self.max_rounds);
         let mut trace = self.trace.then(Vec::new);
         let (run, perf) = if self.dense {
-            dense_scan(
-                graph,
-                &mut states,
-                &mut arena,
-                self.max_rounds,
-                trace.as_mut(),
-            )
+            dense_scan(graph, &mut plane, self.max_rounds, trace.as_mut())
         } else {
             // Every node starts awake, and `Halt` is final: no wake set.
-            let mut awake: Vec<u32> = (0..graph.num_nodes() as u32).collect();
-            step(
-                graph,
-                &mut states,
-                &mut arena,
-                &mut awake,
-                None,
-                0..self.max_rounds,
-                trace.as_mut(),
-            )
+            plane.awake.clear();
+            plane.awake.extend(0..graph.num_nodes() as u32);
+            step(graph, &mut plane, None, 0..self.max_rounds, trace.as_mut())
         };
+        let outputs = read(Finished {
+            graph,
+            states: &mut plane.states,
+            ports: &plane.ports,
+            rounds: run.rounds,
+            completed: run.completed,
+        });
+        plane.keep();
         SimOutcome {
-            outputs: states.into_iter().map(P::finish).collect(),
+            outputs,
             rounds: run.rounds,
             messages: run.messages,
             completed: run.completed,
@@ -135,11 +164,154 @@ impl Simulator {
     }
 }
 
-/// The production stepping loop. Each round steps the sorted,
-/// duplicate-free `awake` list in ascending id order against the messages
+/// A finished run's plane, lent to the reader of [`Simulator::run_with`]:
+/// every node's final state and port row, before the states are finished.
+pub struct Finished<'a, P: PortProtocol> {
+    graph: &'a CsrGraph,
+    states: &'a mut Vec<P>,
+    ports: &'a [P::Port],
+    rounds: u32,
+    completed: bool,
+}
+
+impl<'a, P: PortProtocol> Finished<'a, P> {
+    /// The network the run stepped.
+    pub fn graph(&self) -> &'a CsrGraph {
+        self.graph
+    }
+
+    /// Rounds the run executed.
+    pub fn rounds(&self) -> u32 {
+        self.rounds
+    }
+
+    /// True if every node halted before the round cap.
+    pub fn completed(&self) -> bool {
+        self.completed
+    }
+
+    /// Node `v`'s final state and its port row.
+    pub fn node(&self, v: NodeId) -> (&P, &'a [P::Port]) {
+        (&self.states[v.idx()], row(self.graph, self.ports, v))
+    }
+
+    /// Finishes every node, in id order: the reader behind
+    /// [`Simulator::run`].
+    pub fn outputs(self) -> Vec<P::Output> {
+        let Finished {
+            graph,
+            states,
+            ports,
+            ..
+        } = self;
+        states
+            .drain(..)
+            .zip(graph.nodes())
+            .map(|(state, v)| state.finish(row(graph, ports, v)))
+            .collect()
+    }
+}
+
+/// Node `v`'s row of a CSR-aligned slab (the port slab, or an arena
+/// buffer): one entry per port, in port order.
+#[inline(always)]
+fn row<'a, T>(graph: &CsrGraph, slab: &'a [T], v: NodeId) -> &'a [T] {
+    &slab[graph.node_offset(v)..][..graph.degree(v)]
+}
+
+/// Everything a run steps besides the network: the node states, the port
+/// slab, the message arena and the awake list (see the module docs).
+pub(crate) struct Plane<P: PortProtocol> {
+    pub(crate) states: Vec<P>,
+    /// One entry per slot of the network, CSR-aligned like the arena.
+    pub(crate) ports: Vec<P::Port>,
+    pub(crate) arena: MessageArena<P::Message>,
+    /// The nodes the next round steps, sorted and duplicate-free.
+    pub(crate) awake: Vec<u32>,
+}
+
+thread_local! {
+    /// The planes kept between [`Simulator::run`]s on this thread, at most
+    /// one per protocol type.
+    static PLANES: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl<P: PortProtocol> Plane<P> {
+    /// A plane with no node, slot or message yet.
+    pub(crate) fn new() -> Self {
+        Plane {
+            states: Vec::new(),
+            ports: Vec::new(),
+            arena: MessageArena::with_slots(0),
+            awake: Vec::new(),
+        }
+    }
+
+    /// Boots one state per node of `graph` from `inputs`, in id order. The
+    /// port slab is laid out for `graph` with every entry
+    /// `P::Port::default()`, whatever an earlier run left in it, and each
+    /// node's `init` sees its row. The arena and the awake list are left
+    /// to the caller.
+    ///
+    /// # Panics
+    /// If `inputs.len() != graph.num_nodes()`.
+    pub(crate) fn boot(&mut self, graph: &CsrGraph, inputs: &[P::Input]) {
+        assert_eq!(
+            inputs.len(),
+            graph.num_nodes(),
+            "one input per node required"
+        );
+        self.ports.clear();
+        self.ports.resize(graph.num_slots(), P::Port::default());
+        self.states.clear();
+        let ports = &mut self.ports;
+        self.states.extend(graph.nodes().map(|v| {
+            let row = &mut ports[graph.node_offset(v)..][..graph.degree(v)];
+            P::init(
+                NodeInit {
+                    id: v,
+                    neighbor_ids: graph.neighbors(v),
+                    input: &inputs[v.idx()],
+                },
+                row,
+            )
+        }));
+    }
+}
+
+impl<P: PortProtocol + 'static> Plane<P> {
+    /// This thread's kept plane for `P`, or a fresh one if the pool has
+    /// none: on the thread's first run of `P`, inside another run of `P`,
+    /// or after a run of `P` that panicked.
+    fn take() -> Box<Self> {
+        PLANES
+            .with_borrow_mut(|pool| {
+                let i = pool.iter().position(|plane| plane.is::<Self>())?;
+                pool.swap_remove(i).downcast().ok()
+            })
+            .unwrap_or_else(|| Box::new(Plane::new()))
+    }
+
+    /// Puts the plane back into the pool for the thread's next run of `P`,
+    /// dropping the finished states first.
+    fn keep(mut self: Box<Self>) {
+        self.states.clear();
+        // During thread teardown the pool may be gone: the plane is dropped.
+        let _ = PLANES.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            match pool.iter_mut().find(|plane| plane.is::<Self>()) {
+                Some(kept) => *kept = self,
+                None => pool.push(self),
+            }
+        });
+    }
+}
+
+/// The production stepping loop. Each round steps the plane's sorted,
+/// duplicate-free awake list in ascending id order against the messages
 /// of the previous round, starting at round `rounds.start`, until the list
 /// is empty or round `rounds.end` is reached (then the run is not
-/// `completed`, and `awake` holds the nodes a later call resumes).
+/// `completed`, and the list holds the nodes a later call resumes).
 ///
 /// A node that returns [`Status::Continue`] stays in the list by in-place
 /// compaction, which keeps it sorted; one that returns [`Status::Halt`]
@@ -148,15 +320,19 @@ impl Simulator {
 /// round. Halted nodes are never visited, so the returned counters report
 /// the node-rounds the loop skipped as `sparse_skips` and no
 /// `halted_scans`.
-pub(crate) fn step<P: Protocol>(
+pub(crate) fn step<P: PortProtocol>(
     graph: &CsrGraph,
-    states: &mut [P],
-    arena: &mut MessageArena<P::Message>,
-    awake: &mut Vec<u32>,
+    plane: &mut Plane<P>,
     mut wake: Option<&mut WakeSet>,
     rounds: Range<u32>,
     mut trace: Option<&mut Vec<RoundStats>>,
 ) -> (RepairStats, ExecPerf) {
+    let Plane {
+        states,
+        ports,
+        arena,
+        awake,
+    } = plane;
     let mut run = RepairStats::accumulator();
     let mut perf = ExecPerf::default();
     let mut round = rounds.start;
@@ -171,36 +347,42 @@ pub(crate) fn step<P: Protocol>(
             run.completed = false;
             break;
         }
-        let (reader, mut writer) = arena.epoch(round);
+        let (reader, writer) = arena.epoch(round);
         let ctx = RoundCtx { round };
         let active = awake.len();
-        let mut round_msgs: u64 = 0;
         let mut keep = 0;
+        // One inbox and one outbox serve the whole round: each stepped node
+        // gets them pointed at its own rows, and the outbox counts the
+        // round's sends. Building them per node cost orient-regular's idle
+        // node-rounds about a tenth more.
+        let mut inbox = Inbox {
+            row: &[],
+            stamp: reader.stamp(),
+        };
+        let mut outbox = Outbox {
+            writer,
+            graph,
+            node: NodeId(0),
+            base: 0,
+            degree: 0,
+            sent: 0,
+            wake: wake.as_deref_mut(),
+        };
         for i in 0..active {
             let v = awake[i];
             let node = NodeId(v);
             let (base, degree) = (graph.node_offset(node), graph.degree(node));
-            let inbox = Inbox {
-                row: reader.row(base, degree),
-                stamp: reader.stamp(),
-            };
-            let mut outbox = Outbox {
-                writer: writer.reborrow(),
-                graph,
-                node,
-                base,
-                degree,
-                sent: 0,
-                wake: wake.as_deref_mut(),
-            };
+            inbox.row = reader.row(base, degree);
+            (outbox.node, outbox.base, outbox.degree) = (node, base, degree);
             perf.stamp_scans += degree as u64;
-            let status = states[v as usize].round(&ctx, &inbox, &mut outbox);
-            round_msgs += outbox.sent;
+            let row = &mut ports[base..base + degree];
+            let status = states[v as usize].round(&ctx, row, &inbox, &mut outbox);
             if status == Status::Continue {
                 awake[keep] = v;
                 keep += 1;
             }
         }
+        let round_msgs = outbox.sent;
         awake.truncate(keep);
         run.node_steps += active as u64;
         run.messages += round_msgs;
@@ -223,13 +405,18 @@ pub(crate) fn step<P: Protocol>(
 /// The dense reference scan behind [`Simulator::dense`]: every round visits
 /// every node and skips the halted ones by flag, paying one
 /// `halted_scans` per node-round that [`step`] skips.
-fn dense_scan<P: Protocol>(
+fn dense_scan<P: PortProtocol>(
     graph: &CsrGraph,
-    states: &mut [P],
-    arena: &mut MessageArena<P::Message>,
+    plane: &mut Plane<P>,
     max_rounds: u32,
     mut trace: Option<&mut Vec<RoundStats>>,
 ) -> (RepairStats, ExecPerf) {
+    let Plane {
+        states,
+        ports,
+        arena,
+        ..
+    } = plane;
     let n = graph.num_nodes();
     let mut halted = vec![false; n];
     let mut remaining = n;
@@ -262,7 +449,8 @@ fn dense_scan<P: Protocol>(
                 sent: 0,
                 wake: None,
             };
-            let status = states[v].round(&ctx, &inbox, &mut outbox);
+            let row = &mut ports[base..base + degree];
+            let status = states[v].round(&ctx, row, &inbox, &mut outbox);
             round_msgs += outbox.sent;
             perf.stamp_scans += degree as u64;
             if status == Status::Halt {
@@ -289,7 +477,7 @@ fn dense_scan<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Inbox, NodeInit, Outbox, RoundCtx};
+    use crate::protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx};
     use td_graph::gen::classic::{cycle, path, star};
     use td_graph::Port;
 
@@ -484,6 +672,32 @@ mod tests {
         let dense = Simulator::dense().run::<BfsDist>(&g, &bfs_inputs(3));
         assert_eq!(out.outputs, dense.outputs);
         assert_eq!((out.rounds, out.messages), (dense.rounds, dense.messages));
+    }
+
+    /// A run whose reader panics leaves no plane behind, and one nested
+    /// in the reader of another run of the same protocol finds none to
+    /// take: both build a fresh plane, and every run on the thread still
+    /// repeats the dense oracle.
+    #[test]
+    fn panicking_and_nested_runs_build_fresh_planes() {
+        let sim = Simulator::sequential();
+        let (g, h) = (cycle(31), path(9));
+        let want = |g: &td_graph::CsrGraph| {
+            Simulator::dense()
+                .run::<BfsDist>(g, &bfs_inputs(g.num_nodes()))
+                .outputs
+        };
+        let panicked = std::panic::catch_unwind(|| {
+            sim.run_with::<BfsDist, ()>(&g, &bfs_inputs(31), |_| panic!("reader fails"))
+        });
+        assert!(panicked.is_err());
+        assert_eq!(sim.run::<BfsDist>(&h, &bfs_inputs(9)).outputs, want(&h));
+        let nested = sim.run_with(&g, &bfs_inputs(31), |done: Finished<'_, BfsDist>| {
+            let inner = sim.run::<BfsDist>(&h, &bfs_inputs(9)).outputs;
+            (done.outputs(), inner)
+        });
+        assert_eq!(nested.outputs, (want(&g), want(&h)));
+        assert_eq!(sim.run::<BfsDist>(&g, &bfs_inputs(31)).outputs, want(&g));
     }
 
     /// Message delivered exactly one round later, port-addressed.

@@ -4,7 +4,7 @@
 //! The lockstep driver in [`crate::phases`] measures the algorithm with
 //! exact per-phase termination detection. This module is the
 //! model-faithful counterpart: every node runs the complete algorithm as a
-//! [`td_local::Protocol`], with phases synchronized by a **known-Δ round
+//! [`td_local::PortProtocol`], with phases synchronized by a **known-Δ round
 //! budget** (the standard device for phase-based LOCAL algorithms — the
 //! only global knowledge used, and the reason Theorem 5.1's bound is
 //! O(Δ⁴) rather than adaptive).
@@ -60,10 +60,17 @@
 //! node grants to is picked while it reads the inbox. An idle node-round
 //! thus costs its inbox scan and a few comparisons, and `round` allocates
 //! nothing.
+//!
+//! ## Port state
+//!
+//! Each incident edge's state, its orientation included, lives in the
+//! node's row of the simulator's port slab, so the node state is a few
+//! integers. [`run_distributed`] reads the orientation off the finished
+//! rows.
 
 use crate::orientation::Orientation;
 use td_graph::{CsrGraph, Port};
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, SimOutcome, Simulator, Status};
+use td_local::{Finished, Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Simulator, Status};
 
 /// Per-node input: the global maximum degree (the one piece of global
 /// knowledge, used for the phase budget).
@@ -95,16 +102,18 @@ impl OrientMsg {
 }
 
 /// Orientation state of one incident edge, from this node's perspective.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum EdgeState {
+    #[default]
     Unoriented,
     TowardMe,
     AwayFromMe,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct PortState {
-    neighbor: u32,
+/// One incident edge's state, the node's entry for its port in the port
+/// slab. Its `Default` is the state every port starts in.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PortState {
     state: EdgeState,
     neighbor_load: u32,
     /// Token dropping, within the current phase: is this edge part of the
@@ -117,11 +126,10 @@ struct PortState {
     accepted_here: bool,
 }
 
-/// Per-node output: the orientation of every incident edge.
-#[derive(Clone, Debug)]
+/// Per-node output. The orientation of each incident edge stays in the
+/// node's port row, where [`run_distributed`] reads it.
+#[derive(Clone, Copy, Debug)]
 pub struct OrientOutput {
-    /// For each port: `true` if the edge points toward this node.
-    pub toward_me: Vec<bool>,
     /// Final load (indegree).
     pub load: u32,
 }
@@ -131,7 +139,6 @@ pub struct OrientNode {
     id: u32,
     load: u32,
     occupied: bool,
-    ports: Vec<PortState>,
     /// In-game parent ports this phase: in-game edges oriented away from
     /// me, each a request target until a grant consumes it.
     game_parents: u32,
@@ -194,31 +201,32 @@ pub fn round_cap(delta: u32) -> Result<u32, String> {
 }
 
 impl OrientNode {
-    /// Canonical key of the edge on port `i` (matches `td-graph`'s edge id
-    /// order, so acceptance tie-breaking agrees with the lockstep driver).
-    fn edge_key(&self, i: usize) -> (u32, u32) {
-        let nb = self.ports[i].neighbor;
+    /// Canonical key of the edge to neighbor `nb` (matches `td-graph`'s
+    /// edge id order, so acceptance tie-breaking agrees with the lockstep
+    /// driver).
+    fn edge_key(&self, nb: u32) -> (u32, u32) {
         (self.id.min(nb), self.id.max(nb))
     }
 
     /// My level minus the neighbor's level, as seen through loads.
-    fn is_parent(&self, i: usize) -> bool {
+    fn is_parent(&self, p: PortState) -> bool {
         // The neighbor is my parent in the game if the edge is oriented
         // toward it with badness 1 (its load = mine + 1).
-        self.ports[i].state == EdgeState::AwayFromMe && self.ports[i].neighbor_load == self.load + 1
+        p.state == EdgeState::AwayFromMe && p.neighbor_load == self.load + 1
     }
 
-    fn is_child(&self, i: usize) -> bool {
-        self.ports[i].state == EdgeState::TowardMe && self.ports[i].neighbor_load + 1 == self.load
+    fn is_child(&self, p: PortState) -> bool {
+        p.state == EdgeState::TowardMe && p.neighbor_load + 1 == self.load
     }
 }
 
-impl Protocol for OrientNode {
+impl PortProtocol for OrientNode {
     type Input = OrientInput;
     type Message = OrientMsg;
     type Output = OrientOutput;
+    type Port = PortState;
 
-    fn init(node: NodeInit<'_, OrientInput>) -> Self {
+    fn init(node: NodeInit<'_, OrientInput>, _: &mut [PortState]) -> Self {
         let delta = node.input.delta;
         // `run_distributed`'s round cap bounds Δ to 151, far inside the Δ
         // (below 1024) at which a phase's length stops fitting u32.
@@ -227,18 +235,6 @@ impl Protocol for OrientNode {
             id: node.id.0,
             load: 0,
             occupied: false,
-            ports: node
-                .neighbor_ids
-                .iter()
-                .map(|&nb| PortState {
-                    neighbor: nb,
-                    state: EdgeState::Unoriented,
-                    neighbor_load: 0,
-                    in_game: false,
-                    neighbor_occupied: false,
-                    accepted_here: false,
-                })
-                .collect(),
             game_parents: 0,
             my_accept: None,
             phase_len: narrow(phase_len(delta)),
@@ -251,10 +247,11 @@ impl Protocol for OrientNode {
     fn round(
         &mut self,
         ctx: &RoundCtx,
+        ports: &mut [PortState],
         inbox: &Inbox<'_, OrientMsg>,
         outbox: &mut Outbox<'_, '_, OrientMsg>,
     ) -> Status {
-        let deg = self.ports.len();
+        let deg = ports.len();
         if deg == 0 {
             return Status::Halt;
         }
@@ -273,35 +270,36 @@ impl Protocol for OrientNode {
             let pi = port.idx();
             let f = msg.flags;
             if f & LOAD != 0 {
-                self.ports[pi].neighbor_load = msg.load;
+                ports[pi].neighbor_load = msg.load;
             }
             if f & (OCCUPIED | EMPTIED) != 0 {
-                self.ports[pi].neighbor_occupied = f & OCCUPIED != 0;
+                ports[pi].neighbor_occupied = f & OCCUPIED != 0;
             }
             if f & ACCEPT != 0 {
                 // The neighbor accepted the proposal of our shared edge: it
                 // will be oriented toward the neighbor at phase end.
-                debug_assert_eq!(self.ports[pi].state, EdgeState::Unoriented);
-                self.ports[pi].accepted_here = true;
+                debug_assert_eq!(ports[pi].state, EdgeState::Unoriented);
+                ports[pi].accepted_here = true;
             }
-            if f & REQUEST != 0
-                && requester.is_none_or(|b| self.ports[pi].neighbor < self.ports[b].neighbor)
-            {
-                requester = Some(pi);
+            if f & REQUEST != 0 {
+                let nbrs = outbox.neighbor_ids();
+                if requester.is_none_or(|b| nbrs[pi] < nbrs[b]) {
+                    requester = Some(pi);
+                }
             }
             if f & GRANT != 0 {
                 // Token arrives; the edge flips toward me NOW (the grantor
                 // was its head). It answers my request of two rounds ago,
                 // sent on an in-game parent port, which the grant consumes.
                 debug_assert!(!self.occupied);
-                debug_assert_eq!(self.ports[pi].state, EdgeState::AwayFromMe);
-                debug_assert!(self.ports[pi].in_game);
+                debug_assert_eq!(ports[pi].state, EdgeState::AwayFromMe);
+                debug_assert!(ports[pi].in_game);
                 self.game_parents -= 1;
                 self.occupied = true;
                 grantor = Some(pi);
-                self.ports[pi].state = EdgeState::TowardMe;
-                self.ports[pi].in_game = false;
-                self.ports[pi].neighbor_occupied = false;
+                ports[pi].state = EdgeState::TowardMe;
+                ports[pi].in_game = false;
+                ports[pi].neighbor_occupied = false;
             }
         }
 
@@ -315,7 +313,7 @@ impl Protocol for OrientNode {
             // Reset phase-local state.
             self.occupied = false;
             self.game_parents = 0;
-            for p in self.ports.iter_mut() {
+            for p in ports.iter_mut() {
                 p.in_game = false;
                 p.neighbor_occupied = false;
                 p.accepted_here = false;
@@ -324,17 +322,18 @@ impl Protocol for OrientNode {
             // Loads are fresh. Compute, per unoriented incident edge, its
             // proposal target; accept the smallest proposing edge if any
             // target me.
+            let nbrs = outbox.neighbor_ids();
             let mut best: Option<usize> = None;
             for i in 0..deg {
-                if self.ports[i].state != EdgeState::Unoriented {
+                if ports[i].state != EdgeState::Unoriented {
                     continue;
                 }
-                let nl = self.ports[i].neighbor_load;
-                let nb = self.ports[i].neighbor;
+                let nl = ports[i].neighbor_load;
+                let nb = nbrs[i];
                 // Edge proposes to the endpoint with the smaller load, ties
                 // to the smaller id (same rule as the lockstep driver).
                 let to_me = self.load < nl || (self.load == nl && self.id < nb);
-                if to_me && best.is_none_or(|b| self.edge_key(i) < self.edge_key(b)) {
+                if to_me && best.is_none_or(|b| self.edge_key(nb) < self.edge_key(nbrs[b])) {
                     best = Some(i);
                 }
             }
@@ -350,14 +349,13 @@ impl Protocol for OrientNode {
             // Mark the game edges for this phase: badness exactly 1. Count
             // the in-game parents, the ports a request can go to.
             let mut parents = 0;
-            for i in 0..deg {
-                let p = self.ports[i];
+            for p in ports.iter_mut() {
                 let badness_one = match p.state {
                     EdgeState::AwayFromMe => p.neighbor_load == self.load + 1,
                     EdgeState::TowardMe => self.load == p.neighbor_load + 1,
                     EdgeState::Unoriented => false,
                 };
-                self.ports[i].in_game = badness_one;
+                p.in_game = badness_one;
                 parents += u32::from(badness_one && p.state == EdgeState::AwayFromMe);
             }
             self.game_parents = parents;
@@ -372,13 +370,14 @@ impl Protocol for OrientNode {
                     }
                 }
                 if !self.occupied && self.game_parents > 0 {
+                    let nbrs = outbox.neighbor_ids();
                     let mut bi: Option<usize> = None;
                     for i in 0..deg {
-                        let p = self.ports[i];
+                        let p = ports[i];
                         if p.in_game
-                            && self.is_parent(i)
+                            && self.is_parent(p)
                             && p.neighbor_occupied
-                            && bi.is_none_or(|b| p.neighbor < self.ports[b].neighbor)
+                            && bi.is_none_or(|b| nbrs[i] < nbrs[b])
                         {
                             bi = Some(i);
                         }
@@ -390,15 +389,15 @@ impl Protocol for OrientNode {
             } else {
                 // Grant round.
                 if let Some(i) = requester.filter(|_| self.occupied) {
-                    debug_assert!(self.ports[i].in_game && self.is_child(i));
+                    debug_assert!(ports[i].in_game && self.is_child(ports[i]));
                     outbox.send(Port::from(i), OrientMsg::flags(GRANT));
                     // Flip the edge away from me immediately.
-                    debug_assert_eq!(self.ports[i].state, EdgeState::TowardMe);
-                    self.ports[i].state = EdgeState::AwayFromMe;
-                    self.ports[i].in_game = false;
+                    debug_assert_eq!(ports[i].state, EdgeState::TowardMe);
+                    ports[i].state = EdgeState::AwayFromMe;
+                    ports[i].in_game = false;
                     self.occupied = false;
-                    for j in 0..deg {
-                        if self.ports[j].in_game {
+                    for (j, p) in ports.iter().enumerate() {
+                        if p.in_game {
                             outbox.send(Port::from(j), OrientMsg::flags(EMPTIED));
                         }
                     }
@@ -408,28 +407,25 @@ impl Protocol for OrientNode {
             // Settling round (r_in == phase_len - 1): final grants were just
             // processed. Commit the phase: orient accepted edges, recompute
             // load locally.
-            for i in 0..deg {
-                if self.ports[i].accepted_here {
-                    debug_assert_eq!(self.ports[i].state, EdgeState::Unoriented);
-                    self.ports[i].state = EdgeState::AwayFromMe;
-                }
+            for p in ports.iter_mut().filter(|p| p.accepted_here) {
+                debug_assert_eq!(p.state, EdgeState::Unoriented);
+                p.state = EdgeState::AwayFromMe;
             }
             // The edge I accepted is oriented toward me regardless of where
             // the token travelled (the token models the pending +1 load
             // unit; the flips already rebalanced the rest).
             if let Some(i) = self.my_accept.take() {
                 let i = i as usize;
-                debug_assert_eq!(self.ports[i].state, EdgeState::Unoriented);
-                self.ports[i].state = EdgeState::TowardMe;
+                debug_assert_eq!(ports[i].state, EdgeState::Unoriented);
+                ports[i].state = EdgeState::TowardMe;
             }
-            self.load = self
-                .ports
+            self.load = ports
                 .iter()
                 .filter(|p| p.state == EdgeState::TowardMe)
                 .count() as u32;
             if self.phase + 1 >= self.total_phases {
                 debug_assert!(
-                    self.ports.iter().all(|p| p.state != EdgeState::Unoriented),
+                    ports.iter().all(|p| p.state != EdgeState::Unoriented),
                     "v{}: unoriented edge after the Lemma 5.5 phase budget",
                     self.id
                 );
@@ -439,15 +435,8 @@ impl Protocol for OrientNode {
         Status::Continue
     }
 
-    fn finish(self) -> OrientOutput {
-        OrientOutput {
-            toward_me: self
-                .ports
-                .iter()
-                .map(|p| p.state == EdgeState::TowardMe)
-                .collect(),
-            load: self.load,
-        }
+    fn finish(self, _: &[PortState]) -> OrientOutput {
+        OrientOutput { load: self.load }
     }
 }
 
@@ -466,6 +455,32 @@ pub struct DistributedResult {
     pub trace: Option<Vec<td_local::RoundStats>>,
 }
 
+/// Reads the orientation off a finished run's port rows, checking that
+/// the two endpoints of every edge agree.
+///
+/// # Panics
+/// If the run hit the round cap, or two endpoints disagree.
+fn assemble(done: Finished<'_, OrientNode>) -> Orientation {
+    assert!(
+        done.completed(),
+        "distributed orientation hit the round cap"
+    );
+    let g = done.graph();
+    let mut orientation = Orientation::unoriented(g);
+    for (e, u, v) in g.edge_list() {
+        let pu = g.port_of(u, e).unwrap();
+        let pv = g.port_of(v, e).unwrap();
+        let to_u = done.node(u).1[pu.idx()].state == EdgeState::TowardMe;
+        let to_v = done.node(v).1[pv.idx()].state == EdgeState::TowardMe;
+        assert!(
+            to_u != to_v,
+            "endpoints of {e} disagree: toward_u={to_u}, toward_v={to_v}"
+        );
+        orientation.orient(g, e, if to_u { u } else { v });
+    }
+    orientation
+}
+
 impl td_local::Summarize for DistributedResult {
     fn summary(&self) -> td_local::RunSummary {
         td_local::RunSummary {
@@ -482,26 +497,9 @@ pub fn run_distributed(g: &CsrGraph, sim: &Simulator) -> DistributedResult {
     let cap = round_cap(delta).unwrap_or_else(|e| panic!("{e}"));
     let inputs = vec![OrientInput { delta }; g.num_nodes()];
     let sim = sim.with_max_rounds(cap);
-    let outcome: SimOutcome<OrientOutput> = sim.run::<OrientNode>(g, &inputs);
-    assert!(
-        outcome.completed,
-        "distributed orientation hit the round cap"
-    );
-
-    let mut orientation = Orientation::unoriented(g);
-    for (e, u, v) in g.edge_list() {
-        let pu = g.port_of(u, e).unwrap();
-        let pv = g.port_of(v, e).unwrap();
-        let to_u = outcome.outputs[u.idx()].toward_me[pu.idx()];
-        let to_v = outcome.outputs[v.idx()].toward_me[pv.idx()];
-        assert!(
-            to_u != to_v,
-            "endpoints of {e} disagree: toward_u={to_u}, toward_v={to_v}"
-        );
-        orientation.orient(g, e, if to_u { u } else { v });
-    }
+    let outcome = sim.run_with(g, &inputs, assemble);
     DistributedResult {
-        orientation,
+        orientation: outcome.outputs,
         comm_rounds: outcome.rounds,
         messages: outcome.messages,
         perf: outcome.perf,
@@ -552,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_same_result() {
+    fn distributed_orientation_matches_the_dense_oracle() {
         let mut rng = SmallRng::seed_from_u64(315);
         let g = gnm(20, 40, &mut rng);
         let a = run_distributed(&g, &Simulator::sequential());

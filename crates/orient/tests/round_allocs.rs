@@ -1,7 +1,7 @@
 //! `OrientNode::round` allocates nothing: over whole solves, no allocation
 //! is made inside `round`, including the grant rounds in which requests
-//! arrive. The node's port table is sized once in `init`, and the requester
-//! it grants to is picked while it reads the inbox.
+//! arrive. The node's port states live in the simulator's port slab, and
+//! the requester it grants to is picked while it reads the inbox.
 //!
 //! The counting allocator counts per thread, and the sequential executor
 //! steps every node on the calling thread, so the count is exact even while
@@ -13,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use td_graph::gen::classic::{petersen, star, torus};
 use td_graph::gen::random::gnm;
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Simulator, Status};
-use td_orient::protocol::{OrientInput, OrientMsg, OrientNode, OrientOutput};
+use td_local::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Simulator, Status};
+use td_orient::protocol::{OrientInput, OrientMsg, OrientNode, OrientOutput, PortState};
 use td_orient::{solve_stable_orientation, PhaseConfig};
 
 thread_local! {
@@ -42,29 +42,31 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The orientation node program, with the allocations of each round counted.
 struct Counted(OrientNode);
 
-impl Protocol for Counted {
+impl PortProtocol for Counted {
     type Input = OrientInput;
     type Message = OrientMsg;
     type Output = OrientOutput;
+    type Port = PortState;
 
-    fn init(node: NodeInit<'_, OrientInput>) -> Self {
-        Counted(OrientNode::init(node))
+    fn init(node: NodeInit<'_, OrientInput>, ports: &mut [PortState]) -> Self {
+        Counted(OrientNode::init(node, ports))
     }
 
     fn round(
         &mut self,
         ctx: &RoundCtx,
+        ports: &mut [PortState],
         inbox: &Inbox<'_, OrientMsg>,
         outbox: &mut Outbox<'_, '_, OrientMsg>,
     ) -> Status {
         let before = ALLOCS.get();
-        let status = self.0.round(ctx, inbox, outbox);
+        let status = self.0.round(ctx, ports, inbox, outbox);
         ROUND_ALLOCS.set(ROUND_ALLOCS.get() + ALLOCS.get() - before);
         status
     }
 
-    fn finish(self) -> OrientOutput {
-        self.0.finish()
+    fn finish(self, ports: &[PortState]) -> OrientOutput {
+        self.0.finish(ports)
     }
 }
 

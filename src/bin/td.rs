@@ -1875,6 +1875,10 @@ fn assign_inner(args: &[String]) -> Result<i32, i32> {
         return Err(2);
     };
     let g = load_graph(path);
+    if let Err(e) = AssignmentInstance::check_bipartite_layout(&g, nc) {
+        eprintln!("td assign: {e} (with --customers {nc}, nodes 0..{nc} are customers)");
+        return Err(2);
+    }
     let inst = AssignmentInstance::from_bipartite_graph(&g, nc);
     let assignment = if optimal {
         let res = optimal_semi_matching(&inst);

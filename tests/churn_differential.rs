@@ -67,7 +67,7 @@ fn repair_equals_full_recompute_over_100_traces() {
 /// The incremental repair is deterministic: running a trace again
 /// repeats its final solution, rounds, messages and node-steps.
 #[test]
-fn parallel_incremental_matches_sequential() {
+fn incremental_repair_repeats_itself() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
         for seed in [3u64, 17] {
@@ -87,7 +87,7 @@ fn parallel_incremental_matches_sequential() {
 /// The fallback is deterministic too (all-dirty wakes are the stress case
 /// for the wake bookkeeping).
 #[test]
-fn parallel_full_recompute_matches_sequential() {
+fn full_recompute_repeats_itself() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
         let first = sc.run(size, 6, 9, RepairMode::FullRecompute, false);

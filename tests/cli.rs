@@ -180,6 +180,47 @@ fn assign_stable_and_bounded() {
     assert!(out.contains("optimal semi-matching"));
 }
 
+/// A graph that is not laid out customers-first gets a diagnostic and
+/// exit 2, never a panic or a silently dropped edge.
+#[test]
+fn assign_rejects_a_graph_not_laid_out_customers_first() {
+    let (gnm, _, ok) = run_td(&["gen", "gnm", "10", "15", "1"], None);
+    assert!(ok);
+    let path = "3 2\n0 1\n1 2\n";
+    for (graph, nc, says) in [
+        (gnm.as_str(), "10", "joins two customers"),
+        (
+            gnm.as_str(),
+            "11",
+            "11 customers, but the graph has only 10 nodes",
+        ),
+        (path, "1", "edge 1-2 joins two servers"),
+    ] {
+        let mut child = Command::new(BIN)
+            .args(["assign", "-", "--customers", nc])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        child
+            .stdin
+            .as_mut()
+            .unwrap()
+            .write_all(graph.as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--customers {nc}: {err}");
+        assert!(err.contains(says), "--customers {nc}: {err}");
+        assert!(!err.contains("panicked"), "--customers {nc}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "--customers {nc}: printed an assignment"
+        );
+    }
+}
+
 #[test]
 fn bad_input_fails_cleanly() {
     let (_, err, ok) = run_td(&["info", "-"], Some("this is not a graph\n"));

@@ -136,7 +136,7 @@ fn matching_reductions_cross_check() {
 }
 
 #[test]
-fn simulator_parallel_equivalence_on_real_protocol() {
+fn simulator_dense_oracle_equivalence_on_real_protocol() {
     // The real proposal protocol (not a toy) must be executor-invariant.
     let mut rng = SmallRng::seed_from_u64(1006);
     let game = TokenGame::random(&[20, 24, 24, 20], 4, 0.5, &mut rng);
