@@ -153,8 +153,8 @@ pub struct AssignNode {
     role: Role,
     id: u32,
     k: Option<u32>,
-    phase_len: u32,
-    total_phases: u32,
+    phase_len: u64,
+    total_phases: u64,
     out_buf: Vec<AssignMsg>,
 
     // ---- server state ----
@@ -217,16 +217,12 @@ impl PortProtocol for AssignNode {
         let AssignInput {
             c_max, s_max, k, ..
         } = *node.input;
-        // `run_distributed_assignment`'s round cap keeps the whole budget,
-        // and so each of its two factors, inside u32.
-        let narrow =
-            |x: u64| u32::try_from(x).expect("the phase schedule fits the u32 round counter");
         AssignNode {
             role: node.input.role,
             id: node.id.0,
             k,
-            phase_len: narrow(phase_len(s_max, k)),
-            total_phases: narrow(phase_budget(c_max, s_max)),
+            phase_len: phase_len(s_max, k),
+            total_phases: phase_budget(c_max, s_max),
             out_buf: vec![AssignMsg::default(); deg],
             load: 0,
             next_load: 0,

@@ -48,7 +48,7 @@ use td_local::churn::{
 use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 
 /// Rounds per request/grant/propose/accept/commit/depart cycle.
-const PHASES: u32 = 6;
+const PHASES: u64 = 6;
 
 /// `from_load` value marking an unassigned proposer (top priority).
 const UNASSIGNED_PRIORITY: u32 = u32::MAX;
@@ -145,7 +145,7 @@ impl CustomerState {
     /// A valid move target this cycle: available, acceptor-role, and (for
     /// assigned movers) at least 2 below my server's cached load. Returns
     /// the best by (load, server id).
-    fn target(&self, nbr_ids: &[u32], cycle: u32) -> Option<Port> {
+    fn target(&self, nbr_ids: &[u32], cycle: u64) -> Option<Port> {
         let limit = match self.assigned {
             Some(ps) => self.cache_load[ps.idx()].checked_sub(2)?,
             None => u32::MAX,
@@ -435,15 +435,6 @@ pub struct AssignChurnEngine {
     max_rounds: u32,
 }
 
-/// The repair protocol's period in `ctx.round` for `bits` identifier bits:
-/// `round % PHASES` picks the phase, and [`split_role`] reads `cycle % 2`
-/// and `(cycle / 2) % bits`, jointly periodic in `2 · bits` cycles.
-/// Declared to the sim so neither stamp renormalization nor a membership
-/// rewire can disturb the role schedule.
-fn round_period(bits: u32) -> u32 {
-    PHASES * 2 * bits
-}
-
 /// The input a fresh build gives a customer with candidate `list` (whose
 /// order is its port order), assignment `assigned` and server loads
 /// `load`.
@@ -529,15 +520,6 @@ impl AssignChurnEngine {
         self
     }
 
-    /// Lowers the stamp-renormalization horizon of the underlying sim,
-    /// which joins and leaves patch in place, so the horizon holds for the
-    /// engine's whole life — a test hook for crossing the wrap point
-    /// quickly; see [`ChurnSim::set_stamp_horizon`].
-    pub fn with_stamp_horizon(mut self, horizon: u32) -> Self {
-        self.sim.set_stamp_horizon(horizon);
-        self
-    }
-
     /// Lifetime [`td_local::ExecPerf`] work counters over every repair this
     /// engine has run (the sim's own: membership patches keep counting).
     pub fn exec_perf(&self) -> td_local::ExecPerf {
@@ -593,9 +575,7 @@ impl AssignChurnEngine {
                 }
             })
             .collect();
-        let mut sim = ChurnSim::new(graph, &inputs);
-        sim.set_round_period(round_period(bits));
-        sim
+        ChurnSim::new(graph, &inputs)
     }
 
     /// Panics unless the live sim equals a fresh build from the engine's
@@ -622,11 +602,6 @@ impl AssignChurnEngine {
                 live[v], want[v]
             );
         }
-        assert_eq!(
-            self.sim.round_period(),
-            fresh.round_period(),
-            "patched round period differs from a fresh build"
-        );
     }
 
     fn wake_dirty(&mut self, dirty: &[NodeId]) {
@@ -713,7 +688,6 @@ impl AssignChurnEngine {
         self.alive.push(ext as u32);
         let available = &self.available;
         let list = self.customers[ext].as_deref().expect("just added");
-        self.sim.set_round_period(round_period(bits));
         self.sim.rewire(|graph, states, _| {
             graph
                 .push_left_node(nc, list)
@@ -749,7 +723,6 @@ impl AssignChurnEngine {
         let nc = self.alive.len();
         let ns = self.num_servers();
         let (old_bits, bits) = (id_bits(nc + 1 + ns), id_bits(nc + ns));
-        self.sim.set_round_period(round_period(bits));
         self.sim.rewire(|graph, states, _| {
             graph.remove_left_node(nc + 1, i);
             states.remove(i);
@@ -784,11 +757,9 @@ impl AssignChurnEngine {
     }
 
     /// Wakes `dirty` and repairs after a membership patch. Debug builds
-    /// first check the patch: the sim must equal a fresh build, at a round
-    /// the protocol cannot tell from 0.
+    /// first check the patch: the sim must equal a fresh build.
     fn repair_after_patch(&mut self, dirty: &[NodeId]) -> RepairStats {
         if cfg!(debug_assertions) {
-            assert_eq!(self.sim.round() % self.sim.round_period(), 0);
             self.assert_matches_fresh_build();
         }
         self.wake_dirty(dirty);
@@ -1089,12 +1060,15 @@ mod tests {
 
     /// 11 customers + 5 servers = 16 nodes: a join crosses to 17 and a
     /// leave back, so the identifier width, and with it every customer's
-    /// role schedule and the sim's round period, changes with membership.
+    /// role schedule, changes with membership.
     #[test]
     fn membership_across_a_power_of_two_changes_the_role_schedule() {
         let inst = uniform(11, 5, 21);
         let mut eng = stable_engine(&inst, RepairMode::Incremental);
-        let bits = |eng: &AssignChurnEngine| eng.sim.round_period() / (PHASES * 2);
+        let bits = |eng: &AssignChurnEngine| match &eng.sim.states()[0] {
+            AssignRepairNode::Customer(c) => c.id_bits,
+            AssignRepairNode::Server(_) => unreachable!("customer range"),
+        };
         assert_eq!(bits(&eng), 4);
         let events = [
             (

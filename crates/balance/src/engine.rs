@@ -14,7 +14,7 @@
 //! conservation, the gap ≤ 1 termination predicate, and cache exactness.
 
 use crate::instance::{fingerprint_of, max_edge_gap_of, potential_of, total_of, BalanceInstance};
-use crate::node::{BalanceInput, BalanceNode, Rule, PHASES};
+use crate::node::{BalanceInput, BalanceNode, Rule};
 use td_graph::{CsrGraph, GraphBuilder, NodeId};
 use td_local::churn::{id_bits, ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats};
 
@@ -27,7 +27,6 @@ pub struct BalanceEngine {
     seed: u64,
     mode: RepairMode,
     max_rounds: u32,
-    stamp_horizon: Option<u32>,
     /// Tokens currently in the system (maintained by the host).
     total: u64,
     /// The potential ledger: Σ load² at build time, adjusted by the exact
@@ -53,7 +52,6 @@ impl BalanceEngine {
             seed,
             mode,
             max_rounds: 10_000_000,
-            stamp_horizon: None,
             total: inst.total(),
             pot_ledger: inst.potential(),
             retired_moves: 0,
@@ -68,17 +66,7 @@ impl BalanceEngine {
         self
     }
 
-    /// Lowers the stamp-renormalization horizon (test hook; carried across
-    /// topology rebuilds).
-    pub fn with_stamp_horizon(mut self, horizon: u32) -> Self {
-        self.stamp_horizon = Some(horizon);
-        self.sim.set_stamp_horizon(horizon);
-        self
-    }
-
-    /// Builds the sim with the protocol's round period declared: phase
-    /// selection is `round % 3` and the role/matching schedule is periodic
-    /// in `2 · bits` cycles, so the joint period is `3 · 2 · bits` rounds.
+    /// Builds the sim over `graph` with node loads `loads`.
     fn build_sim(graph: &CsrGraph, loads: &[u32], rule: Rule, seed: u64) -> ChurnSim<BalanceNode> {
         let bits = id_bits(graph.num_nodes());
         let inputs: Vec<BalanceInput> = graph
@@ -96,9 +84,7 @@ impl BalanceEngine {
                 id_bits: bits,
             })
             .collect();
-        let mut sim = ChurnSim::new(graph.clone(), &inputs);
-        sim.set_round_period(PHASES * 2 * bits);
-        sim
+        ChurnSim::new(graph.clone(), &inputs)
     }
 
     /// Which rule this engine runs.
@@ -272,9 +258,6 @@ impl BalanceEngine {
         self.retired_drops += self.sim.states().iter().map(|s| s.pot_drop).sum::<u64>();
         self.perf_retired.absorb(self.sim.exec_perf());
         self.sim = Self::build_sim(&graph, &self.loads, self.rule, self.seed);
-        if let Some(h) = self.stamp_horizon {
-            self.sim.set_stamp_horizon(h);
-        }
         self.wake_dirty(dirty);
     }
 

@@ -29,16 +29,15 @@
 //!
 //! Everything is a pure function of `(id, seed, round)`: the rotor pointer
 //! is deterministic state, and the matching rule draws from a seeded hash
-//! of `(seed, cycle mod 2·bits, id)` — periodic in the round number, so
-//! the executor's stamp renormalization stays sound and runs are
-//! bit-reproducible on every executor.
+//! of `(seed, cycle mod 2·bits, id)`, so runs are bit-reproducible on every
+//! executor.
 
 use td_graph::Port;
 use td_local::churn::split_role;
 use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 
 /// Rounds per propose/accept/commit cycle.
-pub(crate) const PHASES: u32 = 3;
+const PHASES: u64 = 3;
 
 /// How an active node picks its transfer target, and how many tokens an
 /// accepted transfer moves. This is the only point where the competing
@@ -163,7 +162,7 @@ impl BalanceNode {
     /// True if the neighbor on `port` is a valid transfer target this cycle:
     /// cached gap ≥ 2 and the neighbor holds the passive role.
     #[inline]
-    fn eligible(&self, port: usize, cycle: u32) -> bool {
+    fn eligible(&self, port: usize, cycle: u64) -> bool {
         self.load >= self.nbr_load[port] + 2 && !split_role(self.nbr_ids[port], cycle, self.id_bits)
     }
 
@@ -174,7 +173,7 @@ impl BalanceNode {
     }
 
     /// The rule-specific target choice among eligible ports, or `None`.
-    fn pick_target(&mut self, cycle: u32) -> Option<Port> {
+    fn pick_target(&mut self, cycle: u64) -> Option<Port> {
         let deg = self.nbr_load.len();
         match self.rule {
             Rule::TokenDrop => {
@@ -208,14 +207,14 @@ impl BalanceNode {
             }
             Rule::Matching => {
                 // Seeded pseudorandom pick among the eligible ports. The
-                // draw depends on the cycle only through `cycle mod 2·bits`
-                // (the role-schedule period), keeping node behavior periodic
-                // in the round number for stamp renormalization.
+                // draw depends on the cycle only through `cycle mod 2·bits`,
+                // the role schedule's window: that is how the draws the
+                // `td compare` golden pins are defined.
                 let elig: Vec<usize> = (0..deg).filter(|&p| self.eligible(p, cycle)).collect();
                 if elig.is_empty() {
                     return None;
                 }
-                let slot = cycle % (2 * self.id_bits.max(1));
+                let slot = (cycle % u64::from(2 * self.id_bits.max(1))) as u32;
                 let h = mix(self.seed, slot, self.id);
                 Some(Port::from(elig[(h % elig.len() as u64) as usize]))
             }

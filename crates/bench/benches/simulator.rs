@@ -80,7 +80,7 @@ impl Payload for FatMsg {
     }
 }
 
-const GOSSIP_ROUNDS: u32 = 24;
+const GOSSIP_ROUNDS: u64 = 24;
 
 impl<M: Payload> Protocol for Gossip<M> {
     type Input = ();
@@ -169,7 +169,7 @@ impl Protocol for SparseBeacon {
             self.heard = self.heard.wrapping_add(m);
         }
         if self.beacon {
-            outbox.broadcast(ctx.round as u64 + 1);
+            outbox.broadcast(ctx.round + 1);
         }
         if ctx.round >= GOSSIP_ROUNDS {
             Status::Halt

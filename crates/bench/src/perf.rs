@@ -483,7 +483,7 @@ const DRAIN_ROUNDS: u32 = 240;
 
 impl Protocol for DrainWave {
     type Input = bool;
-    type Message = u32;
+    type Message = u64;
     type Output = u32;
 
     fn init(node: NodeInit<'_, bool>) -> Self {
@@ -496,15 +496,15 @@ impl Protocol for DrainWave {
     fn round(
         &mut self,
         ctx: &RoundCtx,
-        _inbox: &Inbox<'_, u32>,
-        outbox: &mut Outbox<'_, '_, u32>,
+        _inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<'_, '_, u64>,
     ) -> Status {
         self.steps += 1;
         if !self.long {
             return Status::Halt;
         }
         outbox.broadcast(ctx.round);
-        if ctx.round + 1 >= DRAIN_ROUNDS {
+        if ctx.round + 1 >= u64::from(DRAIN_ROUNDS) {
             Status::Halt
         } else {
             Status::Continue

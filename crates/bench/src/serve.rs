@@ -259,10 +259,6 @@ pub struct ServeConfig {
     pub queue: usize,
     /// Interleave a load query after every `query_every` events (0 = never).
     pub query_every: u32,
-    /// Test hook: lowered stamp-renormalization horizon (see
-    /// [`td_local::ChurnSim::set_stamp_horizon`]); caps single-run round
-    /// budgets to half the horizon so headroom always exists.
-    pub stamp_horizon: Option<u32>,
     /// Recorded event stream to serve instead of the spec's generated mix
     /// (the `td trace replay --consumer serve` path). When set, the
     /// effective budget is the trace length and `budget` is ignored; the
@@ -290,7 +286,6 @@ impl ServeConfig {
             budget: 256,
             queue: 1024,
             query_every: 64,
-            stamp_horizon: None,
             trace: None,
         })
     }
@@ -581,21 +576,15 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     let spec = cfg.spec.clone().with_param("events", budget);
     let (mut engine, trace) = match spec.build()? {
         WorkloadInstance::OrientChurn { graph, trace } => {
-            let mut eng = OrientChurnEngine::new(
+            let eng = OrientChurnEngine::new(
                 graph.clone(),
                 Orientation::toward_larger(&graph),
                 RepairMode::Incremental,
             );
-            if let Some(h) = cfg.stamp_horizon {
-                eng = eng.with_max_rounds(h / 2).with_stamp_horizon(h);
-            }
             (ServeEngine::Orient(Box::new(eng)), trace)
         }
         WorkloadInstance::AssignChurn { base, trace } => {
-            let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental);
-            if let Some(h) = cfg.stamp_horizon {
-                eng = eng.with_max_rounds(h / 2).with_stamp_horizon(h);
-            }
+            let eng = AssignChurnEngine::new(&base, RepairMode::Incremental);
             (ServeEngine::Assign(Box::new(eng)), trace)
         }
         _ => {
@@ -998,31 +987,6 @@ mod tests {
         assert!(ServeConfig::new("rotor").is_err());
         assert!(ServeConfig::new("no-such-family").is_err());
         assert!(churn_families().contains(&"churn-assign"));
-    }
-
-    #[test]
-    fn serve_survives_the_stamp_horizon() {
-        // Flip-only trace: the engine never rebuilds its sim, so the round
-        // counter climbs monotonically — the exact profile that panicked at
-        // the pre-fix assert. A lowered horizon crosses the wrap point
-        // dozens of times within one budgeted run.
-        let mut cfg = ServeConfig::new("small-world").unwrap();
-        cfg.spec = cfg
-            .spec
-            .with_size(32)
-            .with_seed(5)
-            .with_param("flip_w", 1)
-            .with_param("ins_w", 0)
-            .with_param("del_w", 0);
-        cfg.budget = 200;
-        cfg.stamp_horizon = Some(256);
-        let wrapped = serve(&cfg).expect("serve across renormalizations");
-        assert_eq!(wrapped.events, 200);
-        // Bit-identical to the same run with the default horizon.
-        cfg.stamp_horizon = None;
-        let plain = serve(&cfg).expect("serve without renormalization");
-        assert_eq!(wrapped.fingerprint, plain.fingerprint);
-        assert_eq!(wrapped.repair, plain.repair);
     }
 
     #[test]

@@ -902,8 +902,8 @@ mod tests {
             assert!(spec.validate().is_ok(), "{}: default spec", f.name);
             assert!(spec.build().is_ok(), "{}: default build", f.name);
         }
-        // Individual weights may be zero as long as the mix sums to >= 1
-        // (the serve stamp-horizon test runs a pure-flip mix this way).
+        // Individual weights may be zero as long as the mix sums to >= 1,
+        // as in a pure-flip mix, which never changes the graph.
         let spec = WorkloadSpec::parse("churn-orient:flip_w=1:ins_w=0:del_w=0").unwrap();
         assert!(spec.build().is_ok());
     }

@@ -86,12 +86,6 @@ impl TokenGame {
         &self.token
     }
 
-    /// Sets whether `v` holds a token (any token pattern is a valid
-    /// instance). Used by the dynamic churn engine ([`crate::dynamic`]).
-    pub fn set_token(&mut self, v: NodeId, has: bool) {
-        self.token[v.idx()] = has;
-    }
-
     /// Number of tokens in the instance.
     pub fn token_count(&self) -> usize {
         self.token.iter().filter(|&&t| t).count()

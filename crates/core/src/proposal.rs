@@ -117,6 +117,12 @@ pub struct PortState {
     granted_at: u32,
 }
 
+/// `round` as a `u32`: a one-shot run's rounds stay below its `u32` round
+/// cap, so a port records the round of its move in 4 bytes.
+pub(crate) fn one_shot_round(round: u64) -> u32 {
+    u32::try_from(round).expect("a one-shot run's rounds fit its u32 round cap")
+}
+
 impl PortState {
     /// The edge is unconsumed and the neighbor has not said goodbye.
     fn open(self) -> bool {
@@ -273,7 +279,7 @@ impl PortProtocol for ProposalNode {
             if let Some(i) = requester {
                 self.close(ports, i);
                 ports[i].consumed = true;
-                ports[i].granted_at = r;
+                ports[i].granted_at = one_shot_round(r);
                 self.occupied = false;
                 grant = Some(i);
                 announce = EMPTIED;

@@ -17,6 +17,7 @@
 //! goodbye that accompanies termination).
 
 use crate::game::TokenGame;
+use crate::proposal::one_shot_round;
 use crate::solution::{MoveEvent, MoveLog, Solution};
 use td_graph::{NodeId, Port};
 use td_local::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Simulator, Status};
@@ -339,7 +340,7 @@ impl PortProtocol for ThreeLevelNode {
                 self.pending_proposal = None;
                 p.consumed = true;
                 // The move happened in the acceptance round (r - 1).
-                p.moved_at = r - 1;
+                p.moved_at = one_shot_round(r - 1);
             }
             if msg.goodbye {
                 p.gone = true;
@@ -397,7 +398,7 @@ impl PortProtocol for ThreeLevelNode {
                 if let Some(i) = requester {
                     ports[i].out.grant = true;
                     ports[i].consumed = true;
-                    ports[i].moved_at = r;
+                    ports[i].moved_at = one_shot_round(r);
                     self.occupied = false;
                 }
             }

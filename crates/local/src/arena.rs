@@ -16,21 +16,30 @@
 //! Each slot is a bare `(stamp, payload)` pair — **no `Option`**. The
 //! payload is always initialized (`M: Default` seeds the arena) and validity
 //! is tracked *only* by the stamp: a slot's content counts as a message for
-//! round `r` iff its stamp equals `r`. This removes the `Option`
+//! round `r` iff its stamp equals the stamp of `r`. This removes the `Option`
 //! discriminant write from the send path and the discriminant branch from
 //! the receive path, keeps stamp and payload on the same cache line, and
 //! avoids an O(m) clear every round — crucial when round counts reach Θ(Δ⁴)
 //! on small graphs.
 //!
-//! ## Stamps across runs
+//! ## Stamps
 //!
-//! A slot's stamp is the arena's *base* plus the round it is addressed to.
-//! The base is 0 for a churn plane, whose round counter never goes back. A
-//! one-shot run restarts its round numbers at 0, so
-//! [`MessageArena::restart`] moves the base above every stamp the arena
-//! holds: what earlier runs left behind is stale without a clear pass. Only
-//! when the base would run into the reserved [`STAMP_EMPTY`] stamp are the
-//! slots cleared and the base reset to 0.
+//! Rounds are `u64`, but a slot's stamp is a `u32`, so the 8-byte messages
+//! of the proposal and orientation protocols keep 12-byte slots. The arena
+//! maps a round to its stamp through a private offset, and no caller sees
+//! either the offset or the stamp limit:
+//!
+//! * **Across runs.** A one-shot run starts its rounds at 0, and so does a
+//!   churn plane after a rewire. [`MessageArena::restart`] moves the offset
+//!   so that round 0 maps above every stamp the arena holds: what earlier
+//!   runs left behind is stale without a clear pass.
+//! * **At the stamp limit.** Stamps stay below `STAMP_EMPTY - 1`. When the
+//!   stamp a round writes would reach it, that round's
+//!   [`MessageArena::epoch`] first *renormalizes*: it re-stamps the
+//!   messages in flight (those addressed to the round) to a low stamp of the
+//!   same parity, so they stay in the buffer the round reads, clears every
+//!   other slot, and moves the offset to match. The O(slots) scrub runs once
+//!   per ~4·10⁹ rounds, and no protocol can see it.
 //!
 //! ## One writer per slot
 //!
@@ -47,14 +56,17 @@
 
 use td_graph::CsrGraph;
 
-/// Stamp value meaning "never written". Rounds are capped strictly below
-/// `u32::MAX - 1` (the simulator asserts this), and a run's base plus its
-/// round cap stays below that too ([`MessageArena::restart`]), so no live
-/// stamp collides.
+/// Stamp value meaning "never written". No live stamp reaches it: every
+/// stamp a round reads or writes stays below `STAMP_EMPTY - 1`.
 pub const STAMP_EMPTY: u32 = u32::MAX;
 
-/// One message slot: the round the payload is addressed to, plus the payload
-/// itself (always initialized; meaningful only when the stamp matches).
+/// Stamps in use stay below this; a round whose write stamp would reach it
+/// renormalizes first (see the module docs).
+const STAMP_LIMIT: u64 = STAMP_EMPTY as u64 - 1;
+
+/// One message slot: the stamp of the round the payload is addressed to,
+/// plus the payload itself (always initialized; meaningful only when the
+/// stamp matches).
 pub struct Slot<M> {
     pub(crate) stamp: u32,
     pub(crate) msg: M,
@@ -71,7 +83,7 @@ impl<M: Default> Slot<M> {
 }
 
 impl<M> Slot<M> {
-    /// The payload, if it is a message for round `stamp`.
+    /// The payload, if it is a message for the round stamped `stamp`.
     #[inline(always)]
     pub(crate) fn addressed_to(&self, stamp: u32) -> Option<&M> {
         (self.stamp == stamp).then_some(&self.msg)
@@ -98,8 +110,8 @@ impl<M> Slot<M> {
 /// ```
 pub struct MessageArena<M> {
     bufs: [Vec<Slot<M>>; 2],
-    /// Added to a round number to make its stamp.
-    base: u32,
+    /// Added, wrapping, to a round to make its stamp.
+    offset: u64,
     /// Every stamp the arena holds is below this, or [`STAMP_EMPTY`].
     fresh: u32,
 }
@@ -110,7 +122,7 @@ impl<M: Default> MessageArena<M> {
         let buf = || (0..slots).map(|_| Slot::empty()).collect();
         MessageArena {
             bufs: [buf(), buf()],
-            base: 0,
+            offset: 0,
             fresh: 0,
         }
     }
@@ -127,83 +139,64 @@ impl<M: Default> MessageArena<M> {
 
     /// Resizes the arena to `slots` slots per buffer, keeping the buffers'
     /// allocations: kept slots keep their contents, new ones start
-    /// never-written. The churn plane re-lays its arena this way when
-    /// membership changes the network under a quiescent simulation: slot
-    /// indices move, but every kept stamp is stale as long as the round
-    /// counter only moves forward.
-    pub fn resize(&mut self, slots: usize) {
+    /// never-written.
+    fn resize(&mut self, slots: usize) {
         for buf in &mut self.bufs {
             buf.resize_with(slots, Slot::empty);
         }
     }
 
-    /// [`MessageArena::resize`], then clears every slot to the
-    /// never-written state [`MessageArena::with_slots`] starts from, with
-    /// base 0.
-    pub fn reset(&mut self, slots: usize) {
+    /// Readies a kept arena for a run whose rounds start again at 0, on
+    /// `slots` slots per buffer: it is resized, keeping the buffers'
+    /// allocations, and round 0 maps above every stamp it holds, so no slot
+    /// reads as a message before the new run writes it.
+    pub fn restart(&mut self, slots: usize) {
         self.resize(slots);
-        for buf in &mut self.bufs {
-            buf.fill_with(Slot::empty);
-        }
-        self.base = 0;
-        self.fresh = 0;
+        self.offset = u64::from(self.fresh);
     }
 
-    /// Readies a kept arena for a new run of at most `max_rounds` rounds,
-    /// numbered from 0, on `slots` slots per buffer: it is
-    /// [`MessageArena::resize`]d, and its base moves above every stamp it
-    /// holds, so no slot reads as a message before the new run writes it.
-    /// Only when that base plus `max_rounds` would reach `STAMP_EMPTY - 1`,
-    /// past the stamps a run may use, is the arena [`MessageArena::reset`]
-    /// instead.
-    pub fn restart(&mut self, slots: usize, max_rounds: u32) {
-        if u64::from(self.fresh) + u64::from(max_rounds) >= u64::from(STAMP_EMPTY - 1) {
-            self.reset(slots);
-        } else {
-            self.resize(slots);
-            self.base = self.fresh;
-        }
-    }
-
-    /// Rebases the arena's stamps so a long-lived simulation can reset its
-    /// monotonic round counter without losing in-flight messages.
-    ///
-    /// Messages addressed to round `live_round` (stamped `live_round`, in
-    /// the buffer read at that round) are re-stamped to `new_round`; every
-    /// other slot — necessarily stale — is cleared to [`STAMP_EMPTY`]. The
-    /// caller then continues running from `new_round`, which must have the
-    /// same parity as `live_round` so the preserved messages stay in the
-    /// buffer the next epoch reads.
-    ///
-    /// This is the wraparound escape hatch for persistent executors (the
-    /// churn plane's round counter is monotonic across repairs, so a daemon
-    /// that never rebuilds its arena would eventually collide with the
-    /// reserved [`STAMP_EMPTY`] stamp): an O(slots) scrub, amortized over
-    /// the billions of rounds between renormalizations.
-    pub fn renormalize(&mut self, live_round: u32, new_round: u32) {
+    /// Re-stamps the messages in flight, those stamped `live` in the buffer
+    /// read at `live`, to `new`, and clears every other slot to
+    /// [`STAMP_EMPTY`]. `new` must have `live`'s parity, so the kept
+    /// messages stay in the buffer the next epoch reads. It runs once per
+    /// ~4·10⁹ rounds, so it stays out of line of the stepping loops, into
+    /// which `epoch` is inlined.
+    #[cold]
+    #[inline(never)]
+    fn renormalize(&mut self, live: u64, new: u32) {
         assert_eq!(
-            live_round % 2,
-            new_round % 2,
+            live % 2,
+            u64::from(new % 2),
             "renormalization must preserve buffer parity"
         );
-        let live_buf = (live_round % 2) as usize;
+        debug_assert_ne!(live, u64::from(STAMP_EMPTY), "no message is stamped empty");
+        let live_buf = (live % 2) as usize;
         for (b, buf) in self.bufs.iter_mut().enumerate() {
             for slot in buf {
-                slot.stamp = if b == live_buf && slot.stamp == live_round {
-                    new_round
+                slot.stamp = if b == live_buf && u64::from(slot.stamp) == live {
+                    new
                 } else {
                     STAMP_EMPTY
                 };
             }
         }
+        self.fresh = new + 1;
     }
 
     /// The read/write views of round `round`. This *is* the buffer swap:
     /// advancing the round flips which buffer is read and which is written —
-    /// no data moves, no clear pass runs.
+    /// no data moves, no clear pass runs (except for the renormalization
+    /// the module docs describe).
     #[inline(always)]
-    pub fn epoch(&mut self, round: u32) -> (ArenaReader<'_, M>, ArenaWriter<'_, M>) {
-        let stamp = self.base + round;
+    pub fn epoch(&mut self, round: u64) -> (ArenaReader<'_, M>, ArenaWriter<'_, M>) {
+        let mut stamp = round.wrapping_add(self.offset);
+        if stamp >= STAMP_LIMIT - 1 {
+            let low = (stamp % 2) as u32;
+            self.renormalize(stamp, low);
+            self.offset = u64::from(low).wrapping_sub(round);
+            stamp = u64::from(low);
+        }
+        let stamp = stamp as u32;
         self.fresh = self.fresh.max(stamp + 2);
         let [even, odd] = &mut self.bufs;
         let (read, write) = if stamp.is_multiple_of(2) {
@@ -224,14 +217,15 @@ impl<M: Default> MessageArena<M> {
 /// Read view of the buffer delivered in one round.
 pub struct ArenaReader<'a, M> {
     slots: &'a [Slot<M>],
-    /// Messages are valid iff their slot stamp equals this round.
+    /// Messages are valid iff their slot stamp equals this round's stamp.
     stamp: u32,
 }
 
 /// Write view of the buffer being filled for the next round.
 pub struct ArenaWriter<'a, M> {
     slots: &'a mut [Slot<M>],
-    /// Stamp published with every write: the round the message arrives in.
+    /// Stamp published with every write: that of the round the message
+    /// arrives in.
     stamp: u32,
 }
 
@@ -242,7 +236,7 @@ impl<'a, M> ArenaReader<'a, M> {
         &self.slots[base..base + len]
     }
 
-    /// The round whose messages this view exposes.
+    /// The stamp of the round whose messages this view exposes.
     #[inline(always)]
     pub(crate) fn stamp(&self) -> u32 {
         self.stamp
@@ -267,6 +261,23 @@ impl<M> ArenaWriter<'_, M> {
             stamp: self.stamp,
             msg,
         };
+    }
+}
+
+#[cfg(test)]
+impl<M> MessageArena<M> {
+    /// Ages the arena as if it had run idle up to `round`, `left` rounds
+    /// before the first round that renormalizes: `round` maps to the stamp
+    /// `left` below that round's, which must lie above every stamp the
+    /// arena holds. A restart after the aging maps round 0 to it instead.
+    pub(crate) fn age(&mut self, round: u64, left: u64) {
+        let stamp = STAMP_LIMIT - 1 - left;
+        assert!(
+            stamp >= u64::from(self.fresh),
+            "aging would reuse a held stamp"
+        );
+        self.offset = stamp.wrapping_sub(round);
+        self.fresh = stamp as u32;
     }
 }
 
@@ -333,23 +344,26 @@ mod tests {
         assert_eq!(hits, vec![(1, 10), (3, 30)]);
     }
 
+    /// A renormalizing epoch keeps the message in flight to its round and
+    /// clears the stale one, which never reads as a message again.
     #[test]
     fn renormalize_preserves_in_flight_and_clears_stale() {
         let mut arena: MessageArena<u16> = MessageArena::with_slots(4);
+        arena.age(96, 4);
         // A stale message from an old round…
         let (_, mut w) = arena.epoch(96);
         w.write(0, 11);
-        // …and an in-flight one addressed to round 101 (written in 100).
-        let (_, mut w) = arena.epoch(100);
+        // …and one in flight to round 100, the first that renormalizes.
+        let (_, mut w) = arena.epoch(99);
         w.write(2, 77);
-        // Rebase round 101 -> 1 (same parity).
-        arena.renormalize(101, 1);
-        let (r, _) = arena.epoch(1);
+        let (r, _) = arena.epoch(100);
+        assert_eq!(r.stamp(), 1, "re-stamped low, same parity");
         assert_eq!(get(&r, 2), Some(&77), "in-flight message survives");
         assert_eq!(get(&r, 0), None, "stale slot cleared");
-        // The stale slot must not resurface at its old stamp either.
-        let (r97, _) = arena.epoch(97);
-        assert_eq!(get(&r97, 0), None);
+        for round in 101..106 {
+            let (r, _) = arena.epoch(round);
+            assert_eq!((get(&r, 0), get(&r, 2)), (None, None), "round {round}");
+        }
     }
 
     #[test]
@@ -360,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn resize_keeps_slots_and_reset_clears_them() {
+    fn resize_keeps_slots_and_restart_hides_them() {
         let mut arena: MessageArena<u16> = MessageArena::with_slots(4);
         let (_, mut w) = arena.epoch(6);
         w.write(1, 9);
@@ -370,7 +384,7 @@ mod tests {
         assert_eq!(get(&r, 1), Some(&9), "kept slot keeps its message");
         assert_eq!(get(&r, 5), None, "new slot starts empty");
         for slots in [6, 2] {
-            arena.reset(slots);
+            arena.restart(slots);
             assert_eq!(arena.num_slots(), slots);
             for round in 0..8 {
                 let (r, _) = arena.epoch(round);
@@ -390,8 +404,8 @@ mod tests {
             let (_, mut w) = arena.epoch(round);
             w.write(round as usize, 7);
         }
-        arena.restart(4, 100);
-        assert_eq!((arena.num_slots(), arena.base), (4, 4));
+        arena.restart(4);
+        assert_eq!((arena.num_slots(), arena.offset), (4, 4));
         for round in 0..8 {
             let (r, _) = arena.epoch(round);
             for slot in 0..4 {
@@ -405,24 +419,96 @@ mod tests {
         assert_eq!(get(&r, 0), None);
     }
 
-    /// Where the base plus the next run's round cap would reach the last
-    /// stamps before [`STAMP_EMPTY`], the restart clears the arena and
-    /// starts over at base 0; one round less, and it moves the base.
+    /// Where a restart would map round 0 onto the last stamps before the
+    /// limit, its first epoch clears the arena and starts over at stamp 0;
+    /// two stamps lower, round 0 keeps its stamp and round 1 renormalizes,
+    /// delivering round 0's message.
     #[test]
     fn restart_near_the_reserved_stamp_clears() {
         let mut arena: MessageArena<u8> = MessageArena::with_slots(2);
-        let (_, mut w) = arena.epoch(0);
-        w.write(0, 1);
-        // Every stamp is below 2 now.
-        arena.restart(2, u32::MAX - 4);
-        assert_eq!(arena.base, 2, "2 + (u32::MAX - 4) stays below u32::MAX - 1");
-        let (_, mut w) = arena.epoch(0);
-        w.write(1, 2);
-        arena.restart(2, u32::MAX - 4);
-        assert_eq!(arena.base, 0, "4 + (u32::MAX - 4) reaches u32::MAX - 1");
+        arena.age(0, 2);
+        for round in 0..2 {
+            let (_, mut w) = arena.epoch(round);
+            w.write(round as usize, 1);
+        }
+        arena.restart(2);
         for round in 0..4 {
             let (r, _) = arena.epoch(round);
+            assert_eq!(r.stamp(), round as u32, "round {round}");
             assert_eq!((get(&r, 0), get(&r, 1)), (None, None), "round {round}");
+        }
+        let mut arena: MessageArena<u8> = MessageArena::with_slots(2);
+        arena.age(0, 1);
+        arena.restart(2);
+        let (r, mut w) = arena.epoch(0);
+        assert_eq!(u64::from(r.stamp()), STAMP_LIMIT - 2);
+        w.write(1, 2);
+        let (r, _) = arena.epoch(1);
+        assert_eq!((r.stamp(), get(&r, 0), get(&r, 1)), (1, None, Some(&2)));
+    }
+
+    /// Two renormalizations with messages in flight, the second one about
+    /// 4·10⁹ rounds after the first (the arena is aged across the idle
+    /// rounds in between). Every read agrees with the `Vec<Option>` model,
+    /// and the slot last written just before the first renormalization,
+    /// whose message that one kept, never reads as a message after the
+    /// second, although both re-stamp to the same low stamp in the same
+    /// buffer.
+    #[test]
+    fn renormalization_matches_the_model_across_two_scrubs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const SLOTS: usize = 8;
+        const KEPT: usize = 3;
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut arena: MessageArena<u64> = MessageArena::with_slots(SLOTS);
+            let mut inflight: Vec<Option<u64>> = vec![None; SLOTS];
+            // The rounds cross 2^32 on the way.
+            let mut round = (1u64 << 32) - 6 - seed;
+            let first = round + 3 + seed % 3;
+            arena.age(round, first - round);
+            let mut second: Option<u64> = None;
+            let mut scrubs = 0;
+            while second.is_none_or(|second| round < second + 4) {
+                if round == first + 5 {
+                    // An idle round leaves nothing in flight; then the arena
+                    // ages across the idle rounds to the second scrub.
+                    assert!(inflight.iter().all(Option::is_none), "seed {seed}");
+                    let at = round + 2 + seed % 4;
+                    arena.age(round, at - round);
+                    second = Some(at);
+                }
+                let (reader, mut writer) = arena.epoch(round);
+                if reader.stamp() <= 1 {
+                    scrubs += 1;
+                }
+                for (s, want) in inflight.iter().enumerate() {
+                    let got = get(&reader, s).copied();
+                    assert_eq!(got, *want, "seed {seed} round {round} slot {s}");
+                }
+                if round > first {
+                    let kept = get(&reader, KEPT);
+                    assert_eq!(kept, None, "seed {seed} round {round}: kept slot");
+                }
+                let mut next = vec![None; SLOTS];
+                if round + 1 != first + 5 {
+                    for (s, model) in next.iter_mut().enumerate() {
+                        // Each scrub finds a message in flight.
+                        let forced = (s == KEPT && round + 1 == first)
+                            || (s == 0 && Some(round + 1) == second);
+                        let banned = s == KEPT && round >= first;
+                        if forced || (!banned && rng.gen_bool(0.5)) {
+                            let val: u64 = rng.gen();
+                            writer.write(s, val);
+                            *model = Some(val);
+                        }
+                    }
+                }
+                inflight = next;
+                round += 1;
+            }
+            assert_eq!(scrubs, 2, "seed {seed}");
         }
     }
 
@@ -458,7 +544,7 @@ mod prop_tests {
         fn matches_vec_option_model(
             seed in 0u64..1_000_000,
             slots in 1usize..24,
-            rounds in 1u32..48,
+            rounds in 1u64..48,
             density in 0.0f64..1.0,
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -504,7 +590,7 @@ mod prop_tests {
         fn writes_never_visible_in_their_own_round(
             seed in 0u64..1_000_000,
             slots in 1usize..16,
-            start in 0u32..64,
+            start in 0u64..64,
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut arena: MessageArena<u32> = MessageArena::with_slots(slots);

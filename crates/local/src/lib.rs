@@ -32,6 +32,9 @@
 //!   with the network. Payloads are overwritten in place, round delivery is
 //!   a buffer-parity flip, and a kept arena starts each run from a stamp
 //!   base above everything it holds instead of being cleared.
+//! * One `u64` round clock ([`RoundCtx::round`]). The arena maps rounds to
+//!   its slots' `u32` stamps itself, and it is the only place that knows
+//!   the stamps' limit: no protocol, engine or caller sees it.
 //! * No `unsafe` code. The arena's two buffers are plain `Vec`s, and each
 //!   round borrows one to read and the other, exclusively, to write, so the
 //!   borrow checker proves that a round never writes what it reads.

@@ -3,7 +3,7 @@
 /// Per-round statistics, recorded when tracing is enabled.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundStats {
-    /// Round number (0-based).
+    /// The round's number within its run (0-based).
     pub round: u32,
     /// Nodes that were still running at the start of this round.
     pub active_nodes: usize,

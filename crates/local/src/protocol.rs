@@ -29,7 +29,9 @@ impl<'a, I> NodeInit<'a, I> {
 pub struct RoundCtx {
     /// The current round number, starting from 0. The inbox of round `r`
     /// holds the messages sent in round `r - 1` (so it is empty in round 0).
-    pub round: u32,
+    /// A one-shot run's rounds stay below its `u32` round cap; a churn
+    /// plane's clock runs on across repairs.
+    pub round: u64,
 }
 
 /// Whether a node keeps participating after this round.
@@ -53,7 +55,8 @@ pub enum Status {
 pub struct Inbox<'a, M> {
     /// The node's slot row of the buffer read this round, one per port.
     pub(crate) row: &'a [Slot<M>],
-    /// The round being read: a slot holds a message iff its stamp equals it.
+    /// The stamp of the round being read: a slot holds a message iff its
+    /// stamp equals it.
     pub(crate) stamp: u32,
 }
 

@@ -21,7 +21,6 @@ use crate::metrics::{ExecPerf, RoundStats, SimOutcome};
 use crate::protocol::{Inbox, NodeInit, Outbox, PortProtocol, RoundCtx, Status};
 use std::any::Any;
 use std::cell::RefCell;
-use std::ops::Range;
 use td_graph::{CsrGraph, NodeId};
 
 /// Configurable simulator for [`PortProtocol`]s (every
@@ -130,12 +129,11 @@ impl Simulator {
         inputs: &[P::Input],
         read: impl FnOnce(Finished<'_, P>) -> R,
     ) -> SimOutcome<R> {
-        debug_assert!(self.max_rounds < u32::MAX - 1, "stamps reserve u32::MAX");
         let mut plane = Plane::<P>::take();
         plane.boot(graph, inputs);
         // A kept arena holds the stamps of earlier runs; the restart moves
         // its base past them instead of clearing it.
-        plane.arena.restart(graph.num_slots(), self.max_rounds);
+        plane.arena.restart(graph.num_slots());
         let mut trace = self.trace.then(Vec::new);
         let (run, perf) = if self.dense {
             dense_scan(graph, &mut plane, self.max_rounds, trace.as_mut())
@@ -143,7 +141,7 @@ impl Simulator {
             // Every node starts awake, and `Halt` is final: no wake set.
             plane.awake.clear();
             plane.awake.extend(0..graph.num_nodes() as u32);
-            step(graph, &mut plane, None, 0..self.max_rounds, trace.as_mut())
+            step(graph, &mut plane, None, 0, self.max_rounds, trace.as_mut())
         };
         let outputs = read(Finished {
             graph,
@@ -309,9 +307,9 @@ impl<P: PortProtocol + 'static> Plane<P> {
 
 /// The production stepping loop. Each round steps the plane's sorted,
 /// duplicate-free awake list in ascending id order against the messages
-/// of the previous round, starting at round `rounds.start`, until the list
-/// is empty or round `rounds.end` is reached (then the run is not
-/// `completed`, and the list holds the nodes a later call resumes).
+/// of the previous round, starting at round `start`, until the list is
+/// empty or `max_rounds` rounds have run (then the run is not `completed`,
+/// and the list holds the nodes a later call resumes).
 ///
 /// A node that returns [`Status::Continue`] stays in the list by in-place
 /// compaction, which keeps it sorted; one that returns [`Status::Halt`]
@@ -324,7 +322,8 @@ pub(crate) fn step<P: PortProtocol>(
     graph: &CsrGraph,
     plane: &mut Plane<P>,
     mut wake: Option<&mut WakeSet>,
-    rounds: Range<u32>,
+    start: u64,
+    max_rounds: u32,
     mut trace: Option<&mut Vec<RoundStats>>,
 ) -> (RepairStats, ExecPerf) {
     let Plane {
@@ -335,7 +334,8 @@ pub(crate) fn step<P: PortProtocol>(
     } = plane;
     let mut run = RepairStats::accumulator();
     let mut perf = ExecPerf::default();
-    let mut round = rounds.start;
+    let mut round = start;
+    let end = start + u64::from(max_rounds);
     loop {
         if let Some(wake) = wake.as_deref_mut() {
             wake.merge_into(awake);
@@ -343,7 +343,7 @@ pub(crate) fn step<P: PortProtocol>(
         if awake.is_empty() {
             break;
         }
-        if round >= rounds.end {
+        if round >= end {
             run.completed = false;
             break;
         }
@@ -388,17 +388,18 @@ pub(crate) fn step<P: PortProtocol>(
         run.messages += round_msgs;
         if let Some(t) = trace.as_deref_mut() {
             t.push(RoundStats {
-                round,
+                round: (round - start) as u32,
                 active_nodes: active,
                 messages: round_msgs,
             });
         }
         round += 1;
     }
-    run.rounds = round - rounds.start;
+    // At most `max_rounds`, a u32.
+    run.rounds = (round - start) as u32;
     perf.node_rounds = run.node_steps;
     perf.local_messages = run.messages;
-    perf.sparse_skips = run.rounds as u64 * graph.num_nodes() as u64 - run.node_steps;
+    perf.sparse_skips = u64::from(run.rounds) * graph.num_nodes() as u64 - run.node_steps;
     (run, perf)
 }
 
@@ -423,7 +424,7 @@ fn dense_scan<P: PortProtocol>(
     let mut run = RepairStats::accumulator();
     let mut perf = ExecPerf::default();
     while remaining > 0 && run.rounds < max_rounds {
-        let round = run.rounds;
+        let round = u64::from(run.rounds);
         let (reader, mut writer) = arena.epoch(round);
         let ctx = RoundCtx { round };
         let active = remaining;
@@ -461,7 +462,7 @@ fn dense_scan<P: PortProtocol>(
         run.messages += round_msgs;
         if let Some(t) = trace.as_deref_mut() {
             t.push(RoundStats {
-                round,
+                round: run.rounds,
                 active_nodes: active,
                 messages: round_msgs,
             });
@@ -698,6 +699,38 @@ mod tests {
         });
         assert_eq!(nested.outputs, (want(&g), want(&h)));
         assert_eq!(sim.run::<BfsDist>(&g, &bfs_inputs(31)).outputs, want(&g));
+    }
+
+    /// Warm runs whose kept arena lies `left` rounds before its stamp
+    /// limit, for every round of the run in turn and with messages in
+    /// flight there, repeat a cold run's outputs, messages and per-round
+    /// trace, on the production loop and the dense oracle alike.
+    #[test]
+    fn warm_runs_near_the_stamp_limit_repeat_the_cold_run() {
+        let g = cycle(31);
+        for sim in [Simulator::sequential(), Simulator::dense()] {
+            let sim = sim.with_trace(true);
+            let cold = std::thread::scope(|s| {
+                s.spawn(|| sim.run::<BfsDist>(&g, &bfs_inputs(31)))
+                    .join()
+                    .unwrap()
+            });
+            assert!(cold.completed && cold.messages > 0);
+            for left in 0..u64::from(cold.rounds) {
+                let mut plane = Plane::<BfsDist>::take();
+                plane.arena.age(0, left);
+                plane.keep();
+                let warm = sim.run::<BfsDist>(&g, &bfs_inputs(31));
+                assert_eq!(warm.outputs, cold.outputs, "left {left}");
+                assert_eq!(
+                    (warm.rounds, warm.messages, warm.completed),
+                    (cold.rounds, cold.messages, cold.completed),
+                    "left {left}"
+                );
+                assert_eq!(warm.trace, cold.trace, "left {left}");
+                assert_eq!(warm.perf, cold.perf, "left {left}");
+            }
+        }
     }
 
     /// Message delivered exactly one round later, port-addressed.
@@ -1013,13 +1046,13 @@ mod tests {
     struct RelayNode {
         id: u32,
         role: Role,
-        received: Vec<(u32, u32, u32)>,
+        received: Vec<(u64, u32, u32)>,
     }
 
     impl Protocol for RelayNode {
         type Input = Role;
         type Message = u32;
-        type Output = Vec<(u32, u32, u32)>;
+        type Output = Vec<(u64, u32, u32)>;
 
         fn init(node: NodeInit<'_, Role>) -> Self {
             RelayNode {

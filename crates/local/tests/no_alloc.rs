@@ -66,7 +66,7 @@ impl Protocol for Gossip {
             self.acc ^= m.rotate_left(7);
         }
         outbox.broadcast(self.acc);
-        if ctx.round >= self.horizon {
+        if ctx.round >= u64::from(self.horizon) {
             Status::Halt
         } else {
             Status::Continue

@@ -145,11 +145,11 @@ pub struct OrientNode {
     /// Port of the edge whose proposal I accepted this phase (commit at the
     /// settling round).
     my_accept: Option<u32>,
-    phase_len: u32,
-    total_phases: u32,
+    phase_len: u64,
+    total_phases: u64,
     /// The phase clock: the current phase and its first round.
-    phase: u32,
-    phase_start: u32,
+    phase: u64,
+    phase_start: u64,
 }
 
 /// Token dropping budget in game rounds for one phase (`L ≤ Δ` levels,
@@ -228,17 +228,14 @@ impl PortProtocol for OrientNode {
 
     fn init(node: NodeInit<'_, OrientInput>, _: &mut [PortState]) -> Self {
         let delta = node.input.delta;
-        // `run_distributed`'s round cap bounds Δ to 151, far inside the Δ
-        // (below 1024) at which a phase's length stops fitting u32.
-        let narrow = |x: u64| u32::try_from(x).expect("a phase fits the u32 round counter");
         OrientNode {
             id: node.id.0,
             load: 0,
             occupied: false,
             game_parents: 0,
             my_accept: None,
-            phase_len: narrow(phase_len(delta)),
-            total_phases: narrow(phase_budget(delta)),
+            phase_len: phase_len(delta),
+            total_phases: phase_budget(delta),
             phase: 0,
             phase_start: 0,
         }

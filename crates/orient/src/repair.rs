@@ -49,7 +49,7 @@ use td_local::churn::{
 use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 
 /// Rounds per propose/accept/commit cycle.
-const PHASES: u32 = 3;
+const PHASES: u64 = 3;
 
 /// Message kinds of the repair protocol.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -292,7 +292,6 @@ pub struct OrientChurnEngine {
     orientation: Orientation,
     mode: RepairMode,
     max_rounds: u32,
-    stamp_horizon: Option<u32>,
     /// Work counters of sims retired by topology rebuilds (the live sim's
     /// share is read on demand; see [`OrientChurnEngine::exec_perf`]).
     perf_retired: td_local::ExecPerf,
@@ -307,13 +306,12 @@ impl OrientChurnEngine {
             orientation.fully_oriented(),
             "churn engine needs a complete orientation"
         );
-        let sim = Self::build_sim(&graph, &orientation);
+        let sim = ChurnSim::new(graph.clone(), &Self::inputs(&graph, &orientation));
         OrientChurnEngine {
             sim,
             orientation,
             mode,
             max_rounds: 10_000_000,
-            stamp_horizon: None,
             perf_retired: td_local::ExecPerf::default(),
         }
     }
@@ -324,32 +322,12 @@ impl OrientChurnEngine {
         self
     }
 
-    /// Lowers the stamp-renormalization horizon of the underlying sim (and
-    /// of every sim this engine rebuilds on topology churn) — a test hook
-    /// for crossing the wrap point quickly; see
-    /// [`ChurnSim::set_stamp_horizon`].
-    pub fn with_stamp_horizon(mut self, horizon: u32) -> Self {
-        self.stamp_horizon = Some(horizon);
-        self.sim.set_stamp_horizon(horizon);
-        self
-    }
-
     /// Lifetime [`td_local::ExecPerf`] work counters over every repair this
     /// engine has run, including sims retired by topology rebuilds.
     pub fn exec_perf(&self) -> td_local::ExecPerf {
         let mut p = self.perf_retired;
         p.absorb(self.sim.exec_perf());
         p
-    }
-
-    /// Builds the repair sim with the protocol's round period declared, so
-    /// stamp renormalization can never disturb the phase/role schedule.
-    fn build_sim(graph: &CsrGraph, orientation: &Orientation) -> ChurnSim<OrientRepairNode> {
-        let mut sim = ChurnSim::new(graph.clone(), &Self::inputs(graph, orientation));
-        // round % PHASES picks the phase; split_role reads cycle % 2 and
-        // (cycle / 2) % bits — jointly periodic in 2 · bits cycles.
-        sim.set_round_period(PHASES * 2 * id_bits(graph.num_nodes()));
-        sim
     }
 
     fn inputs(graph: &CsrGraph, orientation: &Orientation) -> Vec<RepairInput> {
@@ -514,10 +492,7 @@ impl OrientChurnEngine {
         }
         self.orientation = orientation;
         self.perf_retired.absorb(self.sim.exec_perf());
-        self.sim = Self::build_sim(&graph, &self.orientation);
-        if let Some(h) = self.stamp_horizon {
-            self.sim.set_stamp_horizon(h);
-        }
+        self.sim = ChurnSim::new(graph.clone(), &Self::inputs(&graph, &self.orientation));
         self.wake_dirty(dirty);
     }
 

@@ -23,9 +23,14 @@ neither side), then two verdicts:
   "unresolved" unless every run of the change reads better than every run
   of the parent.
 
-It also prints each side's share of failed operations. The raw per-run
-results go to `.ab/ab-<workload>-<parent>.json`. Exit 0 when every run
-reported correct results, 1 otherwise.
+It also prints each side's share of failed operations. On serve-assign,
+whose p90 and capacity take a host stall whole, each pair's progress line
+shows both runs' longest generator lag (`generator_lag_max_ms` of the run's
+record, `perfbench/out/result-serve-assign-seed<N>-trace0.json` under that
+side's root), and the summary each side's median and maximum lag, so a
+stall can be told from a regression. The raw per-run results go to
+`.ab/ab-<workload>-<parent>.json`. Exit 0 when every run reported correct
+results, 1 otherwise.
 """
 
 import argparse
@@ -69,6 +74,15 @@ def run_side(root, target, workload, seed, seconds):
     if not lines:
         raise SystemExit(f"{root}: run.py printed no result (exit {proc.returncode})")
     return json.loads(lines[-1])
+
+
+def generator_lag(root, workload, seed):
+    """The longest generator lag (ms) of a serve-assign run, read from the
+    record it left under `root`; None for the other workloads."""
+    if workload != "serve-assign":
+        return None
+    path = root / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text())["record"]["generator_lag_max_ms"]
 
 
 def quartiles(xs):
@@ -132,10 +146,14 @@ def main():
             root, target = sides[side]
             result = run_side(root, target, args.workload, seed, args.seconds)
             result["seed"] = seed
+            result["generator_lag_max_ms"] = generator_lag(root, args.workload, seed)
             runs[side].append(result)
         p90 = {s: runs[s][-1]["metrics"]["latency_ms.p90"]["value"] for s in runs}
+        lag = {s: runs[s][-1]["generator_lag_max_ms"] for s in runs}
+        stalls = "" if lag["parent"] is None else (
+            f"; generator lag max parent {lag['parent']:.4g} ms, change {lag['change']:.4g} ms")
         log(f"pair {k + 1}/{args.pairs} seed {seed} ({order[0]} first): "
-            f"p90 parent {p90['parent']:.4g} ms, change {p90['change']:.4g} ms")
+            f"p90 parent {p90['parent']:.4g} ms, change {p90['change']:.4g} ms{stalls}")
 
     out = WORK / f"ab-{args.workload}-{sha}.json"
     out.write_text(json.dumps({"parent": sha, "workload": args.workload,
@@ -153,6 +171,10 @@ def main():
         print(f"{side} failed {failed} of {attempted} operations "
               f"({failed / max(attempted, 1):.3g}); all correct: "
               f"{all(r['correct'] for r in runs[side])}")
+        lags = [r["generator_lag_max_ms"] for r in runs[side]]
+        if lags[0] is not None:
+            print(f"{side} generator lag max (ms): median {statistics.median(lags):.4g}, "
+                  f"max {max(lags):.4g}")
     print(f"raw runs: {out.relative_to(ROOT)}")
     return 0 if ok else 1
 

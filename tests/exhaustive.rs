@@ -20,11 +20,26 @@
 //!   traversals verify, and the lockstep engine's rounds stay within
 //!   `3·Δ + 6`.
 //!
-//! All games of a test run on one thread, so every solve after the first
-//! runs on the simulator plane the previous, differently shaped game left
-//! behind.
+//! **Stable orientation.** Every labeled graph on 1–5 nodes (1,099
+//! graphs; release builds add the 32,768 graphs on 6 nodes). The Theorem
+//! 5.1 protocol's orientation equals the phase engine's, it is stable, and
+//! the run takes exactly the known-Δ budget `total_rounds(Δ)`, the
+//! edgeless graph aside.
+//!
+//! **Orientation repair.** Every single edge insert, delete and flip on
+//! every graph of 2–5 nodes (15,975 events; release builds add the 737,280
+//! events on 6 nodes), each applied to a freshly stabilized churn engine:
+//! incremental repair equals the full-recompute fallback in rounds,
+//! messages and orientation, and the repaired orientation is stable.
+//!
+//! All instances of a test run on one thread, so every solve after the
+//! first runs on the simulator plane the previous, differently shaped
+//! instance left behind.
 
 use token_dropping::core::{lockstep, proposal, three_level, TokenGame};
+use token_dropping::local::{ChurnEvent, RepairMode};
+use token_dropping::orient::protocol::{run_distributed, total_rounds};
+use token_dropping::orient::OrientChurnEngine;
 use token_dropping::prelude::*;
 
 /// Calls `check` on every layered game whose level `l` has `sizes[l]`
@@ -161,4 +176,136 @@ fn theorem_4_7_on_every_small_three_level_game() {
             );
         });
     }
+}
+
+/// Calls `check` on every labeled graph on `n` nodes: every subset of the
+/// node pairs as the edge set.
+fn for_each_graph(n: usize, mut check: impl FnMut(&CsrGraph)) {
+    let n32 = n as u32;
+    let pairs: Vec<(u32, u32)> = (0..n32)
+        .flat_map(|u| (u + 1..n32).map(move |v| (u, v)))
+        .collect();
+    for edge_set in 0u32..1 << pairs.len() {
+        let edges: Vec<(u32, u32)> = (0..pairs.len())
+            .filter(|&i| edge_set >> i & 1 == 1)
+            .map(|i| pairs[i])
+            .collect();
+        check(&CsrGraph::from_edges(n, &edges).unwrap());
+    }
+}
+
+/// The node counts of the orientation slices: one more in release builds.
+fn max_nodes() -> usize {
+    if cfg!(debug_assertions) {
+        5
+    } else {
+        6
+    }
+}
+
+/// A graph's id in failure messages: node count and edges.
+fn describe_graph(g: &CsrGraph) -> String {
+    let edges: Vec<(u32, u32)> = g.edge_list().map(|(_, u, v)| (u.0, v.0)).collect();
+    format!("{} nodes, edges {edges:?}", g.num_nodes())
+}
+
+/// Theorem 5.1 on every small graph: the distributed protocol orients
+/// every edge as the phase engine does, the orientation is stable, and the
+/// run takes exactly `total_rounds(Δ)` rounds, the explicit Θ(Δ⁴) of the
+/// theorem (e14's claim).
+///
+/// The one exception is intended: on the edgeless graph every node has
+/// degree 0 and halts in round 0, with nothing to orient, so the run takes
+/// 1 round against `total_rounds(0)` = 38. Any graph with an edge keeps
+/// the nodes that have one in the schedule for all of its phases.
+#[test]
+fn theorem_5_1_on_every_small_graph() {
+    let sim = Simulator::sequential();
+    let mut graphs = 0usize;
+    for n in 1..=max_nodes() {
+        for_each_graph(n, |g| {
+            graphs += 1;
+            let dist = run_distributed(g, &sim);
+            let phases = solve_stable_orientation(g, PhaseConfig::default());
+            assert_eq!(
+                dist.orientation,
+                phases.orientation,
+                "{}",
+                describe_graph(g)
+            );
+            if let Err(e) = dist.orientation.verify_stable(g) {
+                panic!("{}: {e:?}", describe_graph(g));
+            }
+            let want = if g.num_edges() == 0 {
+                1
+            } else {
+                total_rounds(g.max_degree() as u32)
+            };
+            assert_eq!(
+                u64::from(dist.comm_rounds),
+                want,
+                "{}: rounds",
+                describe_graph(g)
+            );
+        });
+    }
+    let expect = if cfg!(debug_assertions) {
+        1_099
+    } else {
+        33_867
+    };
+    assert_eq!(graphs, expect);
+}
+
+/// The locality claim's repair (§1.1) on every small edge event: from a
+/// stabilized engine, incremental repair of one edge insert, delete or flip
+/// repeats the full-recompute fallback's rounds, messages and orientation,
+/// and leaves the orientation stable. Inserts and deletes rebuild the
+/// repair network; flips patch it in place.
+#[test]
+fn orientation_repair_on_every_small_edge_event() {
+    let mut events = 0usize;
+    for n in 2..=max_nodes() {
+        for_each_graph(n, |g| {
+            for (u, v) in (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))) {
+                let (u, v) = (NodeId::from(u), NodeId::from(v));
+                let edits = if g.edge_between(u, v).is_some() {
+                    vec![
+                        ChurnEvent::EdgeDelete { u, v },
+                        ChurnEvent::EdgeFlip { u, v },
+                    ]
+                } else {
+                    vec![ChurnEvent::EdgeInsert { u, v }]
+                };
+                for ev in edits {
+                    events += 1;
+                    let [mut inc, mut full] = [RepairMode::Incremental, RepairMode::FullRecompute]
+                        .map(|mode| {
+                            let mut eng = OrientChurnEngine::new(
+                                g.clone(),
+                                Orientation::toward_larger(g),
+                                mode,
+                            );
+                            assert!(eng.stabilize().completed);
+                            eng
+                        });
+                    let a = inc.apply(&ev).unwrap();
+                    let b = full.apply(&ev).unwrap();
+                    let case = format!("{} {ev:?}", describe_graph(g));
+                    assert!(a.completed && b.completed, "{case}");
+                    assert_eq!((a.rounds, a.messages), (b.rounds, b.messages), "{case}");
+                    assert_eq!(inc.orientation(), full.orientation(), "{case}");
+                    if let Err(e) = inc.verify() {
+                        panic!("{case}: {e:?}");
+                    }
+                }
+            }
+        });
+    }
+    let expect = if cfg!(debug_assertions) {
+        15_975
+    } else {
+        15_975 + 737_280
+    };
+    assert_eq!(events, expect);
 }
